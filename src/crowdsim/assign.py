@@ -131,6 +131,9 @@ class ScoreEngine:
     Workers are kept sorted by id, so "first index" tie-breaks equal
     "lowest worker id".  Trust factors are cached per category and must be
     refreshed through :meth:`refresh_trust` whenever counters change.
+    The engine also owns the run's bookings: it copies ``Worker.bookings``
+    once, and the simulator changes them through :meth:`book` and
+    :meth:`release`.
     """
 
     def __init__(
@@ -154,7 +157,7 @@ class ScoreEngine:
             cents = [centroid(v) for v in w.pattern.piece_values]
             self._pat.append(
                 (
-                    w.pattern.piece_ends,
+                    _clamped_ends(w.pattern.piece_ends),
                     np.array([c.x for c in cents], dtype=float),
                     np.array([c.y for c in cents], dtype=float),
                 )
@@ -164,7 +167,7 @@ class ScoreEngine:
                 raise TypeError(f"worker {w.id} status schedule is not numeric")
             self._status.append(
                 (
-                    st.piece_ends,
+                    _clamped_ends(st.piece_ends),
                     st.piece_starts,
                     np.array([float(v) for v in st.piece_values]),
                     st.piece_prefix,
@@ -202,7 +205,57 @@ class ScoreEngine:
         }
         self._trust_pow: dict[tuple[int, float], np.ndarray] = {}
 
+        # Live bookings, one column per worker: the first ``_bk_count[i]``
+        # rows of column i hold its half-open [start, end) bookings in no
+        # particular order, and the (+inf, -inf) padding overlaps nothing.
+        # Worker-major columns make the per-worker reduction in
+        # :meth:`booked` run along contiguous rows.
+        depth = max([len(w.bookings) for w in self.workers] + [1])
+        self._bk_start = np.full((depth, n), np.inf)
+        self._bk_end = np.full((depth, n), -np.inf)
+        self._bk_count = [0] * n
+        for w in self.workers:
+            for start, end in w.bookings:
+                self.book(w.id, start, end)
+
     # -- live state ----------------------------------------------------
+
+    def book(self, worker_id: int, start: float, end: float) -> None:
+        """Book a worker for [start, end); the table doubles in depth when a column fills."""
+        i = self.index_of[worker_id]
+        j = self._bk_count[i]
+        if j == len(self._bk_start):
+            self._bk_start = np.vstack((self._bk_start, np.full_like(self._bk_start, np.inf)))
+            self._bk_end = np.vstack((self._bk_end, np.full_like(self._bk_end, -np.inf)))
+        self._bk_start[j, i] = start
+        self._bk_end[j, i] = end
+        self._bk_count[i] = j + 1
+
+    def release(self, worker_id: int, start: float, end: float) -> None:
+        """Drop one booking of [start, end) that :meth:`book` placed."""
+        i = self.index_of[worker_id]
+        last = self._bk_count[i] - 1
+        starts, ends = self._bk_start[:, i], self._bk_end[:, i]
+        hits = np.flatnonzero((starts[: last + 1] == start) & (ends[: last + 1] == end))
+        if not len(hits):
+            raise ValueError(f"worker {worker_id} holds no booking [{start}, {end})")
+        j = hits[0]
+        starts[j], ends[j] = starts[last], ends[last]
+        starts[last], ends[last] = np.inf, -np.inf
+        self._bk_count[i] = last
+
+    def bookings_of(self, worker_id: int) -> list[tuple[float, float]]:
+        """A worker's live bookings as (start, end) tuples in ascending order."""
+        i = self.index_of[worker_id]
+        k = self._bk_count[i]
+        return sorted(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist()))
+
+    def booked(self, start, end, rows=slice(None)) -> np.ndarray:
+        """Whether [start, end) overlaps a live booking, for each worker index in ``rows``.
+
+        ``start`` and ``end`` are scalars or arrays aligned with ``rows``.
+        """
+        return ((self._bk_start[:, rows] < end) & (self._bk_end[:, rows] > start)).any(axis=0)
 
     def refresh_trust(self, worker_id: int, category_id: int) -> None:
         """Re-read one worker's trust counters after the simulator changed them."""
@@ -264,7 +317,7 @@ class ScoreEngine:
             idx = np.searchsorted(ends_s, tm_cum, side="right")
             cum[i] = nw * week + prefix_s[idx] + vals_s[idx] * (tm_cum - starts_s[idx])
         vsched = self.velocity.schedule
-        vidx = np.searchsorted(vsched.piece_ends, tm_val, side="right")
+        vidx = np.searchsorted(_clamped_ends(vsched.piece_ends), tm_val, side="right")
         vvals = np.array([float(v) for v in vsched.piece_values])[vidx]
         speed = np.maximum(vvals, self.velocity.floor_kmh)
         return GridContext(times=times, x=x, y=y, cum_status=cum, speed=speed)
@@ -332,6 +385,18 @@ class ScoreEngine:
         return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, travel_km=dist, rw=rw, tw=tw)
 
 
+def _clamped_ends(ends: np.ndarray) -> np.ndarray:
+    """Piece ends with the last one at +inf.
+
+    ``t % WEEK_MINUTES`` can round up to ``WEEK_MINUTES`` for ``t`` just
+    below zero; an open last piece keeps such times in it, which is the
+    clamp ``WeeklySchedule`` applies to the piece index.
+    """
+    out = np.array(ends, dtype=float)
+    out[-1] = np.inf
+    return out
+
+
 def _breakdown_1d(s: _Scores, i: int) -> ScoreBreakdown:
     ts = float(s.ts[i])
     return ScoreBreakdown(
@@ -344,26 +409,14 @@ def _breakdown_1d(s: _Scores, i: int) -> ScoreBreakdown:
     )
 
 
-def _booking_conflict(bookings: list[tuple[float, float]], start: float, end: float) -> bool:
-    """True when [start, end) overlaps any booking; bookings sorted by start."""
-    for s, e in bookings:
-        if s >= end:
-            break
-        if e > start:
-            return True
-    return False
-
-
 def _availability_mask(
     engine: ScoreEngine, ttc: np.ndarray, t: float, exclude_workers: Iterable[int]
 ) -> np.ndarray:
-    mask = np.ones(len(engine.workers), dtype=bool)
+    """Workers free over [t, t + ttc) and not excluded."""
+    mask = ~engine.booked(t, t + ttc)
     for wid in exclude_workers:
         i = engine.index_of.get(wid)
         if i is not None:
-            mask[i] = False
-    for i, w in enumerate(engine.workers):
-        if mask[i] and w.bookings and _booking_conflict(w.bookings, t, t + float(ttc[i])):
             mask[i] = False
     return mask
 
@@ -413,6 +466,11 @@ def online_assign(
     ``max_reward_raise``, less ``already_raised``) and retries.  Ties on the
     total are broken toward the lowest worker id.
     """
+    if not (math.isfinite(task.pto_reward) and math.isfinite(already_raised)):
+        # A NaN raise total never reaches max_reward_raise: the loop would spin.
+        raise ValueError(
+            f"task {task.id}: reward {task.pto_reward} and already_raised {already_raised} must be finite"
+        )
     if t >= task.expiration:
         raise TaskExpiredError(f"task {task.id} expired at {task.expiration}, assignment at t={t}")
     if engine is None:
@@ -665,6 +723,12 @@ def offline_assign(
                 still_active.append(tid)
         active = still_active
 
+        # Every proposal of the round against the live bookings at once.
+        props = np.array(list(proposals.values()), dtype=float).reshape(-1, 5)
+        t0s = props[:, 1]
+        booked = engine.booked(t0s, t0s + props[:, 3], props[:, 0].astype(np.intp))
+        clashes = dict(zip(proposals, booked.tolist()))
+
         by_worker: dict[int, list[int]] = {}
         for tid, (w, _t, _total, _ttc, _i) in proposals.items():
             by_worker.setdefault(w, []).append(tid)
@@ -691,12 +755,11 @@ def offline_assign(
                     run = [winner] + [tid for tid in run if tid != winner]
                 ordered.extend(run)
                 run_start = run_end
-            bookings = engine.workers[w].bookings
             taken: list[tuple[float, float]] = []
             for tid in ordered:
                 _w, t0, _total, ttc, _i = proposals[tid]
                 t1 = t0 + ttc
-                clash = _booking_conflict(bookings, t0, t1) if bookings else False
+                clash = clashes[tid]
                 if not clash:
                     for s, e in taken:
                         if s < t1 and t0 < e:

@@ -127,9 +127,11 @@ class Task:
 class Worker:
     """A registered worker.
 
-    ``trust`` and ``bookings`` are runtime state, mutated only by the
-    simulator; everything else is treated as read-only.  The worker's home
-    region is the default of the movement pattern.
+    ``trust`` is runtime state, mutated only by the simulator; everything
+    else is treated as read-only.  ``bookings`` is the initial state only:
+    the ``ScoreEngine`` built for a run copies it and holds that run's
+    bookings from then on.  The worker's home region is the default of the
+    movement pattern.
     """
 
     id: int
@@ -184,7 +186,7 @@ def validate_scenario(
             out.append(Violation("category", cat.id, "duplicate id"))
         cat_ids.add(cat.id)
         _check_unit(out, "category", cat.id, "cat_priority", cat.cat_priority)
-        if cat.cat_reward <= 0:
+        if not (cat.cat_reward > 0):
             out.append(Violation("category", cat.id, f"cat_reward must be > 0, got {cat.cat_reward}"))
 
     owner_ids: set[int] = set()
@@ -196,11 +198,11 @@ def validate_scenario(
             out.append(
                 Violation("owner", owner.id, f"pto_priority must be in (0, 1], got {owner.pto_priority}")
             )
-        if owner.max_reward_raise < 0:
+        if not (owner.max_reward_raise >= 0):
             out.append(
                 Violation("owner", owner.id, f"max_reward_raise must be >= 0, got {owner.max_reward_raise}")
             )
-        if owner.raise_increment <= 0:
+        if not (owner.raise_increment > 0):
             out.append(
                 Violation("owner", owner.id, f"raise_increment must be > 0, got {owner.raise_increment}")
             )
@@ -219,7 +221,7 @@ def validate_scenario(
         for cat_id, demand in worker.reward_demand.items():
             if cat_id not in cat_ids:
                 out.append(Violation("worker", worker.id, f"reward demand for unknown category {cat_id}"))
-            if demand < 0:
+            if not (demand >= 0):
                 out.append(Violation("worker", worker.id, f"reward demand must be >= 0, got {demand}"))
         for cat_id, counters in worker.trust.items():
             if cat_id not in cat_ids:
@@ -238,7 +240,7 @@ def validate_scenario(
             _check_unit(out, "worker", worker.id, "trust initial_score", counters.initial_score)
         previous_end = None
         for start, end in worker.bookings:
-            if start >= end:
+            if not (start < end):
                 out.append(Violation("worker", worker.id, f"booking [{start}, {end}) is empty or inverted"))
             if previous_end is not None and start < previous_end:
                 out.append(Violation("worker", worker.id, "bookings must be sorted and disjoint"))
@@ -253,15 +255,17 @@ def validate_scenario(
             out.append(Violation("task", task.id, f"unknown owner {task.owner_id}"))
         if task.category_id not in cat_ids:
             out.append(Violation("task", task.id, f"unknown category {task.category_id}"))
-        if task.submit_time > task.expiration:
+        if not (task.submit_time >= 0):
+            out.append(Violation("task", task.id, f"submit_time must be >= 0, got {task.submit_time}"))
+        if not (task.submit_time <= task.expiration):
             out.append(
                 Violation(
                     "task", task.id, f"submit_time {task.submit_time} is after expiration {task.expiration}"
                 )
             )
-        if task.duration < 0:
+        if not (task.duration >= 0):
             out.append(Violation("task", task.id, f"duration must be >= 0, got {task.duration}"))
-        if task.pto_reward <= 0:
+        if not (task.pto_reward > 0):
             out.append(Violation("task", task.id, f"pto_reward must be > 0, got {task.pto_reward}"))
         _check_unit(out, "task", task.id, "entered_priority", task.entered_priority)
         t1, t2 = task.start_earliest, task.start_latest

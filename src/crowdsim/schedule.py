@@ -129,7 +129,7 @@ class WeeklySchedule(Generic[V]):
     def value_at(self, t: float) -> V:
         """Value at time ``t`` (minutes); the schedule repeats weekly."""
         tm = t % WEEK_MINUTES
-        return self.piece_values[bisect_right(self._ends_list, tm)]
+        return self.piece_values[min(bisect_right(self._ends_list, tm), len(self.piece_values) - 1)]
 
     # -- exact integration (numeric schedules only) --------------------
 

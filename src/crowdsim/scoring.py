@@ -31,7 +31,7 @@ class VelocityProfile:
     floor_kmh: float
 
     def __post_init__(self) -> None:
-        if self.floor_kmh <= 0:
+        if not (self.floor_kmh > 0):
             raise ValueError(f"floor_kmh must be > 0, got {self.floor_kmh}")
 
     def speed_at(self, t: float) -> float:

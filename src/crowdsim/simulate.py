@@ -161,10 +161,10 @@ class _Sim:
         self.tasks: dict[int, Task] = {t.id: t for t in scenario.tasks}
         self.owners = {o.id: o for o in scenario.owners}
         self.categories = {c.id: c for c in scenario.categories}
-        # Work on copies: the run mutates bookings and trust counters.
+        # Work on copies: the run mutates trust counters.  Bookings live in
+        # the engine, which reads the initial ones from the scenario.
         self.workers = [
-            replace(w, reward_demand=dict(w.reward_demand), trust=dict(w.trust), bookings=list(w.bookings))
-            for w in scenario.workers
+            replace(w, reward_demand=dict(w.reward_demand), trust=dict(w.trust)) for w in scenario.workers
         ]
         self.worker_by_id = {w.id: w for w in self.workers}
         self.velocity = config.velocity if config.velocity is not None else scenario.velocity
@@ -196,10 +196,10 @@ class _Sim:
         self.log.append(row)
 
     def _book(self, assignment: Assignment) -> None:
-        bisect.insort(self.worker_by_id[assignment.worker_id].bookings, assignment.booking)
+        self.engine.book(assignment.worker_id, *assignment.booking)
 
     def _unbook(self, assignment: Assignment) -> None:
-        self.worker_by_id[assignment.worker_id].bookings.remove(assignment.booking)
+        self.engine.release(assignment.worker_id, *assignment.booking)
 
     def _trust(self, task: Task, event: str) -> None:
         worker = self.worker_by_id[self.pending[task.id].worker_id]
@@ -440,7 +440,7 @@ class _Sim:
             completion_fraction=fraction,
             mean_travel_km=mean_travel,
             log=tuple(self.log),
-            final_workers=tuple(self.workers),
+            final_workers=tuple(replace(w, bookings=self.engine.bookings_of(w.id)) for w in self.workers),
             task_state=dict(self.state),
             unassigned_reason=dict(self.unassigned_reason),
         )

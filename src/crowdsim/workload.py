@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .model import (
+    KM_PER_MILE,
     Disc,
     Point,
     Rect,
@@ -198,16 +199,27 @@ def _obj(v: Any, ctx: str, required: tuple[str, ...], optional: tuple[str, ...] 
     return v
 
 
+def _finite(v: int | float, ctx: str) -> float:
+    # json reads NaN, Infinity and integers too large for a float.
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        _fail(ctx, f"expected a finite number, got {v!r}")
+    return f
+
+
 def _num(v: Any, ctx: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(ctx, f"expected a number, got {v!r}")
-    return float(v)
+    return _finite(v, ctx)
 
 
 def _int_minutes(v: Any, ctx: str) -> float:
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(ctx, f"times must be integer minutes, got {v!r}")
-    return float(v)
+    return _finite(v, ctx)
 
 
 def _int(v: Any, ctx: str) -> int:
@@ -636,8 +648,6 @@ def _default_velocity() -> VelocityProfile:
 
 def builtin_scenarios() -> dict[str, Scenario]:
     """Small hand-built scenarios with known-by-construction outcomes."""
-    km_per_mile = 1.609
-
     flower = Scenario(
         extent=Rect(0.0, 0.0, 20.0, 20.0),
         velocity=_default_velocity(),
@@ -647,7 +657,7 @@ def builtin_scenarios() -> dict[str, Scenario]:
             # Far worker, free all week.
             Worker(
                 id=1,
-                pattern=WeeklySchedule((), default=Point(5.0 + 3 * km_per_mile, 5.0)),
+                pattern=WeeklySchedule((), default=Point(5.0 + 3 * KM_PER_MILE, 5.0)),
                 status=WeeklySchedule((), default=1.0),
                 reward_demand={1: 5.0},
                 trust={1: TrustCounters(initial_score=1.0)},
@@ -656,7 +666,7 @@ def builtin_scenarios() -> dict[str, Scenario]:
             # wastes its first offer on a guaranteed rejection.
             Worker(
                 id=2,
-                pattern=WeeklySchedule((), default=Point(5.0 + km_per_mile, 5.0)),
+                pattern=WeeklySchedule((), default=Point(5.0 + KM_PER_MILE, 5.0)),
                 status=WeeklySchedule((), default=0.0),
                 reward_demand={1: 5.0},
                 trust={1: TrustCounters(initial_score=1.0)},

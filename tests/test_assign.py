@@ -1,6 +1,11 @@
 """Assignment engines versus the plain-Python oracles, plus edge cases."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import pytest
 import brute_force
 from instances import random_instance
 
+import crowdsim
 from crowdsim.assign import (
     Assignment,
     AssignOutcome,
@@ -19,8 +25,8 @@ from crowdsim.assign import (
     online_assign,
     queue_order,
 )
-from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
-from crowdsim.schedule import WeeklySchedule
+from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
+from crowdsim.schedule import Segment, WeeklySchedule
 from crowdsim.scoring import TaskExpiredError, TrustWeights, VelocityProfile
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
@@ -433,3 +439,64 @@ def test_outcome_constructors():
     out = AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER, best_feasible_worker_id=None)
     assert out.assignment is None and out.effective_reward is None
     assert np.isscalar(out.kind.value)
+
+
+# -- non-finite input and week-boundary lookups -----------------------------------
+
+
+@pytest.mark.parametrize("reward, raised", [("nan", "nan - nan"), ("3.0", "nan"), ("inf", "0.0")])
+def test_online_assign_rejects_non_finite_reward(reward, raised):
+    # A NaN reward once made the raise loop spin forever, so the call runs in
+    # a child process that is killed if it does not return.
+    script = textwrap.dedent(
+        f"""
+        from math import inf, nan
+        from crowdsim.assign import online_assign
+        from crowdsim.model import Point, Task, TaskCategory, TaskOwner, Worker
+        from crowdsim.schedule import WeeklySchedule
+        from crowdsim.scoring import TrustWeights, VelocityProfile
+
+        vel = VelocityProfile(WeeklySchedule((), default=30.0), floor_kmh=5.0)
+        worker = Worker(7, WeeklySchedule((), default=Point(5.0, 5.0)), WeeklySchedule((), default=1.0), {{1: 5.0}})
+        owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=1.0)
+        cat = TaskCategory(1, "c", 1.0, 5.0)
+        task = Task(42, 1, 1, "t", Point(5.0, 5.0), 10.0, 240.0, {reward}, 1.0, 0.0)
+        try:
+            online_assign(task, [worker], owner, cat, 0.0, vel, TrustWeights(), already_raised={raised})
+        except ValueError as exc:
+            print("rejected:", exc)
+        """
+    )
+    src = str(Path(crowdsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: task 42:"), proc.stdout
+
+
+def test_scalar_and_vectorised_lookups_agree_just_below_zero():
+    # -1e-13 % 10080.0 == 10080.0: the piece index must clamp to the last
+    # piece (Sunday 23:00-24:00 here) on every path.
+    t = -1e-13
+    late = Segment(frozenset({6}), 1380, 1440, 0.25)
+    night = Worker(
+        id=1,
+        pattern=WeeklySchedule((Segment(frozenset({6}), 1380, 1440, Point(9.0, 1.0)),), default=Point(0.0, 0.0)),
+        status=WeeklySchedule((late,), default=1.0),
+    )
+    vel = VelocityProfile(WeeklySchedule((Segment(frozenset({6}), 1380, 1440, 12.0),), default=30.0), 5.0)
+    engine = ScoreEngine([night, _worker(2, x=3.0)], [CAT], vel, W)
+    assert night.pattern.value_at(t) == Point(9.0, 1.0)
+    x, y = engine.positions_at(t)
+    cum = engine.cumulative_status_at(t)
+    ctx = engine.grid_context(np.array([t]))
+    for i, w in enumerate(engine.workers):
+        c = centroid(w.pattern.value_at(t))
+        assert (x[i], y[i]) == (c.x, c.y) == (ctx.x[i, 0], ctx.y[i, 0])
+        assert cum[i] == w.status.cumulative(t) == ctx.cum_status[i, 0]
+    assert ctx.speed[0] == vel.speed_at(t) == 12.0

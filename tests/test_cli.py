@@ -226,6 +226,19 @@ def test_invalid_scenario_file_exits_2(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+def test_nan_reward_in_scenario_file_exits_2(tmp_path, capsys):
+    from crowdsim.workload import builtin_scenarios, to_json_dict
+
+    doc = json.dumps(to_json_dict(builtin_scenarios()[EXAMPLE]))
+    bad = tmp_path / "nan.json"
+    bad.write_text(doc.replace('"reward": 10.0', '"reward": NaN'), encoding="utf-8")
+    # `score` only loads and scores, so a regression fails here instead of
+    # hanging in the raise loop of a run.
+    rc = main(["score", "--scenario", str(bad), "--task-id", "1", "--worker-id", "1", "--time", "540"])
+    assert rc == 2
+    assert "scenario.tasks[0].reward: expected a finite number" in capsys.readouterr().err
+
+
 def test_bad_generator_params_exit_2(tmp_path, capsys):
     rc = main(["generate", "--workers", "0", "--tasks", "5", "--out", str(tmp_path / "x.json")])
     assert rc == 2

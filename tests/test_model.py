@@ -1,6 +1,7 @@
 """Entity construction, distances, and scenario validation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -159,3 +160,30 @@ def test_distance_uses_expected_region_over_time():
     assert w.pattern.value_at(600.0) == work
     assert w.pattern.value_at(100.0) == home
     assert math.isclose(distance(Point(0.0, 0.0), w.pattern.value_at(600.0)), 10.0)
+
+
+def test_validate_rejects_negative_submit_time():
+    tasks, workers, owners, categories = _mini_scenario()
+    tasks[0] = replace(tasks[0], submit_time=-1.0)
+    assert [str(v) for v in validate_scenario(tasks, workers, owners, categories)] == [
+        "task 1: submit_time must be >= 0, got -1.0"
+    ]
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda t, w, o, c: t.append(replace(t[0], id=2, pto_reward=math.nan)), "pto_reward"),
+        (lambda t, w, o, c: t.append(replace(t[0], id=2, duration=math.nan)), "duration"),
+        (lambda t, w, o, c: t.append(replace(t[0], id=2, submit_time=math.nan)), "submit_time"),
+        (lambda t, w, o, c: c.append(TaskCategory(2, "nan", 0.5, math.nan)), "cat_reward"),
+        (lambda t, w, o, c: o.append(TaskOwner(2, 0.5, math.nan, 1.0)), "max_reward_raise"),
+        (lambda t, w, o, c: o.append(TaskOwner(3, 0.5, 1.0, math.nan)), "raise_increment"),
+        (lambda t, w, o, c: w[0].reward_demand.__setitem__(1, math.nan), "reward demand"),
+    ],
+)
+def test_validate_rejects_nan(mutate, fragment):
+    tasks, workers, owners, categories = _mini_scenario()
+    mutate(tasks, workers, owners, categories)
+    messages = " | ".join(str(v) for v in validate_scenario(tasks, workers, owners, categories))
+    assert fragment in messages and "nan" in messages, messages

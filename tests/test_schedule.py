@@ -161,3 +161,11 @@ def test_full_coverage_tiles_week():
     s = WeeklySchedule((Segment(ALL_DAYS, 0, 1440, 0.5),), default=0.9)
     # The default never shows through a full tiling.
     assert s.integral(0.0, WEEK_MINUTES) == pytest.approx(0.5 * WEEK_MINUTES)
+
+
+def test_value_at_just_below_zero_is_the_last_piece():
+    # -1e-13 % 10080.0 rounds up to 10080.0; the lookup clamps like cumulative().
+    s = WeeklySchedule((Segment(frozenset({6}), 1380, 1440, 0.25),), default=0.75)
+    assert -1e-13 % WEEK_MINUTES == WEEK_MINUTES
+    assert s.value_at(-1e-13) == 0.25
+    assert s.cumulative(-1e-13) == pytest.approx(0.0, abs=1e-9)

@@ -125,6 +125,35 @@ def test_bool_is_not_a_number():
     _expect_error(lambda d: d["tasks"][0].__setitem__("reward", True), "expected a number")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_located(value):
+    _expect_error(
+        lambda d: d["tasks"][0].__setitem__("reward", value),
+        "scenario.tasks[0].reward: expected a finite number",
+    )
+    _expect_error(
+        lambda d: d["categories"][0].__setitem__("cat_reward", value),
+        "scenario.categories[0].cat_reward: expected a finite number",
+    )
+    _expect_error(
+        lambda d: d["velocity_profile"].__setitem__("floor_kmh", value),
+        "scenario.velocity_profile.floor_kmh: expected a finite number",
+    )
+
+
+def test_integers_too_large_for_a_float_are_located():
+    _expect_error(lambda d: d["tasks"][0].__setitem__("reward", 10**400), "expected a finite number")
+    _expect_error(lambda d: d["tasks"][0].__setitem__("duration_min", 10**400), "expected a finite number")
+
+
+def test_nan_in_a_scenario_file_is_rejected(tmp_path):
+    # json reads the non-standard NaN literal; the loader must not.
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(_doc()).replace('"reward": 10.0', '"reward": NaN'), encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=r"scenario\.tasks\[0\]\.reward: expected a finite number"):
+        load(p)
+
+
 def test_wrong_container_types_located():
     _expect_error(lambda d: d.__setitem__("workers", {}), "expected an array")
     _expect_error(lambda d: d.__setitem__("velocity_profile", 3), "expected an object")
