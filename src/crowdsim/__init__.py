@@ -16,7 +16,6 @@ from .assign import (
     baseline_nearest,
     offline_assign,
     online_assign,
-    queue_order,
 )
 from .model import (
     Disc,
@@ -43,7 +42,6 @@ from .schedule import (
     WeeklySchedule,
     availability_score,
     expected_region_at,
-    status_integral,
 )
 from .scoring import (
     ScoreBreakdown,
@@ -53,7 +51,6 @@ from .scoring import (
     reward_score,
     task_priority_score,
     time_score,
-    time_to_complete,
     total_score,
     trustworthy_score,
 )
@@ -120,14 +117,11 @@ __all__ = [
     "load",
     "offline_assign",
     "online_assign",
-    "queue_order",
     "reward_score",
     "run",
     "save",
-    "status_integral",
     "task_priority_score",
     "time_score",
-    "time_to_complete",
     "total_score",
     "trustworthy_score",
     "validate_scenario",

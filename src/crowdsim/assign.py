@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import Task, TaskCategory, TaskOwner, Worker, centroid
-from .schedule import WEEK_MINUTES
+from .schedule import WEEK_MINUTES, WeeklySchedule
 from .scoring import (
     MIN_PRIORITY_EXPONENT_BASE,
     ScoreBreakdown,
@@ -25,6 +25,7 @@ from .scoring import (
     TrustWeights,
     VelocityProfile,
     task_priority_score,
+    total_score,
     trustworthy_score,
 )
 
@@ -103,15 +104,18 @@ class AssignOutcome:
 
 @dataclass
 class _Scores:
-    """Score factors for one task over workers (1-D) or workers x times (2-D)."""
+    """Score factors for one task over workers (1-D), workers x times (2-D), or candidate pairs.
+
+    ``rw`` and ``tw`` are per worker, or per pair for candidate pairs.
+    """
 
     total: np.ndarray
     ts: np.ndarray
     avail: np.ndarray
     ttc: np.ndarray
     travel_km: np.ndarray
-    rw: np.ndarray  # per worker
-    tw: np.ndarray  # per worker
+    rw: np.ndarray
+    tw: np.ndarray
 
 
 @dataclass
@@ -123,6 +127,41 @@ class GridContext:
     y: np.ndarray
     cum_status: np.ndarray
     speed: np.ndarray  # (times,)
+
+
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Float arrays end to end; none gives an empty array."""
+    return np.concatenate([np.empty(0), *arrays])
+
+
+class _PieceTable:
+    """The piece ends of many weekly schedules, one row each, for one exact lookup.
+
+    Every inner piece end (all but a schedule's last, which is the week's
+    end) is keyed ``row * (len(cuts) + 1) + rank``, where ``rank`` is its
+    place among ``cuts``, the sorted unique inner ends of all rows.  A week
+    minute is keyed the same way by its own rank, so one ``searchsorted``
+    over integer keys counts the row's ends at or before it.  Float keys
+    such as ``end + row * WEEK_MINUTES`` would round near piece ends.
+    Leaving out the last end puts minutes that round up to the week's end
+    in the last piece, the clamp ``WeeklySchedule`` applies.
+    """
+
+    def __init__(self, schedules: Sequence[WeeklySchedule]):
+        inner = [s.piece_ends[:-1] for s in schedules]
+        ends = _concat(inner)
+        self._cuts = np.unique(ends)
+        self._width = len(self._cuts) + 1
+        rows = np.repeat(np.arange(len(inner)), [len(e) for e in inner])
+        self._keys = rows * self._width + np.searchsorted(self._cuts, ends)
+
+    def index(self, rows: np.ndarray, tm: np.ndarray) -> np.ndarray:
+        """Index into the rows' concatenated pieces of the piece holding week minute ``tm``.
+
+        ``rows`` and ``tm`` broadcast against each other.
+        """
+        keys = rows * self._width + np.searchsorted(self._cuts, tm, side="right")
+        return np.searchsorted(self._keys, keys) + rows
 
 
 class ScoreEngine:
@@ -149,48 +188,25 @@ class ScoreEngine:
         self.velocity = velocity
         self.weights = weights
         n = len(self.workers)
+        self._rows = np.arange(n)
 
-        # Ragged per-worker piece arrays (shared with the schedule objects).
-        self._pat: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._status: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = []
+        # Piece values, concatenated in the row order of each piece table.
+        patterns = [w.pattern for w in self.workers]
+        self._pattern = _PieceTable(patterns)
+        cents = [centroid(v) for p in patterns for v in p.piece_values]
+        self._cx = np.array([c.x for c in cents], dtype=float)
+        self._cy = np.array([c.y for c in cents], dtype=float)
         for w in self.workers:
-            cents = [centroid(v) for v in w.pattern.piece_values]
-            self._pat.append(
-                (
-                    _clamped_ends(w.pattern.piece_ends),
-                    np.array([c.x for c in cents], dtype=float),
-                    np.array([c.y for c in cents], dtype=float),
-                )
-            )
-            st = w.status
-            if st.piece_prefix is None:
+            if w.status.piece_prefix is None:
                 raise TypeError(f"worker {w.id} status schedule is not numeric")
-            self._status.append(
-                (
-                    _clamped_ends(st.piece_ends),
-                    st.piece_starts,
-                    np.array([float(v) for v in st.piece_values]),
-                    st.piece_prefix,
-                    float(st.week_integral),
-                )
-            )
-
-        # Padded matrices for single-time lookups across all workers at once.
-        def _padded(rows: list[np.ndarray], fill: float) -> np.ndarray:
-            width = max((len(r) for r in rows), default=1)
-            out = np.full((n, width), fill, dtype=float)
-            for i, r in enumerate(rows):
-                out[i, : len(r)] = r
-            return out
-
-        self._pat_ends_m = _padded([p[0] for p in self._pat], np.inf)
-        self._pat_cx_m = _padded([p[1] for p in self._pat], 0.0)
-        self._pat_cy_m = _padded([p[2] for p in self._pat], 0.0)
-        self._st_ends_m = _padded([s[0] for s in self._status], np.inf)
-        self._st_starts_m = _padded([s[1] for s in self._status], 0.0)
-        self._st_vals_m = _padded([s[2] for s in self._status], 0.0)
-        self._st_prefix_m = _padded([s[3] for s in self._status], 0.0)
-        self._st_week = np.array([s[4] for s in self._status], dtype=float)
+        statuses = [w.status for w in self.workers]
+        self._status = _PieceTable(statuses)
+        self._st_start = _concat([s.piece_starts for s in statuses])
+        self._st_value = np.array([float(v) for s in statuses for v in s.piece_values], dtype=float)
+        self._st_prefix = _concat([s.piece_prefix[:-1] for s in statuses])
+        self._st_week = np.array([s.week_integral for s in statuses], dtype=float)
+        self._speed_table = _PieceTable([velocity.schedule])
+        self._speed = np.maximum([float(v) for v in velocity.schedule.piece_values], velocity.floor_kmh)
 
         self._categories: dict[int, TaskCategory] = {c.id: c for c in categories}
         self._demand: dict[int, np.ndarray] = {
@@ -280,80 +296,65 @@ class ScoreEngine:
 
     # -- time lookups ----------------------------------------------------
 
-    def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every worker's expected centroid at a single time."""
-        tm = t % WEEK_MINUTES
-        idx = (self._pat_ends_m <= tm).sum(axis=1)[:, None]
-        x = np.take_along_axis(self._pat_cx_m, idx, axis=1)[:, 0]
-        y = np.take_along_axis(self._pat_cy_m, idx, axis=1)[:, 0]
-        return x, y
+    def _positions(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every worker's expected centroid at each time, shaped (workers, times)."""
+        p = self._pattern.index(self._rows[:, None], np.mod(times, WEEK_MINUTES))
+        return self._cx[p], self._cy[p]
 
-    def cumulative_status_at(self, t: float) -> np.ndarray:
-        """Every worker's cumulative status integral from 0 to a single time."""
-        nw = math.floor(t / WEEK_MINUTES)
-        tm = t - nw * WEEK_MINUTES
-        idx = (self._st_ends_m <= tm).sum(axis=1)[:, None]
-        starts = np.take_along_axis(self._st_starts_m, idx, axis=1)[:, 0]
-        vals = np.take_along_axis(self._st_vals_m, idx, axis=1)[:, 0]
-        prefix = np.take_along_axis(self._st_prefix_m, idx, axis=1)[:, 0]
-        return nw * self._st_week + prefix + vals * (tm - starts)
+    def _cumulative(self, times: np.ndarray) -> np.ndarray:
+        """Every worker's status integral from 0 to each time, shaped (workers, times)."""
+        nw = np.floor(times / WEEK_MINUTES)
+        tm = times - nw * WEEK_MINUTES
+        p = self._status.index(self._rows[:, None], tm)
+        return nw * self._st_week[:, None] + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])
+
+    def _speeds(self, times: np.ndarray) -> np.ndarray:
+        return self._speed[self._speed_table.index(0, np.mod(times, WEEK_MINUTES))]
 
     def grid_context(self, times: np.ndarray) -> GridContext:
-        """Precompute positions and cumulative status at shared grid times."""
-        n = len(self.workers)
-        t_count = len(times)
-        x = np.empty((n, t_count))
-        y = np.empty((n, t_count))
-        cum = np.empty((n, t_count))
-        tm_val = np.mod(times, WEEK_MINUTES)
-        nw = np.floor(times / WEEK_MINUTES)
-        tm_cum = times - nw * WEEK_MINUTES
-        for i in range(n):
-            ends, cx, cy = self._pat[i]
-            idx = np.searchsorted(ends, tm_val, side="right")
-            x[i] = cx[idx]
-            y[i] = cy[idx]
-            ends_s, starts_s, vals_s, prefix_s, week = self._status[i]
-            idx = np.searchsorted(ends_s, tm_cum, side="right")
-            cum[i] = nw * week + prefix_s[idx] + vals_s[idx] * (tm_cum - starts_s[idx])
-        vsched = self.velocity.schedule
-        vidx = np.searchsorted(_clamped_ends(vsched.piece_ends), tm_val, side="right")
-        vvals = np.array([float(v) for v in vsched.piece_values])[vidx]
-        speed = np.maximum(vvals, self.velocity.floor_kmh)
-        return GridContext(times=times, x=x, y=y, cum_status=cum, speed=speed)
+        """Precompute positions, cumulative status and speed at shared batch grid times."""
+        return self._context(times)
+
+    def _context(self, times: np.ndarray) -> GridContext:
+        # score_at builds its one-time context here, so grid_context is called for batch grids only.
+        x, y = self._positions(times)
+        return GridContext(times=times, x=x, y=y, cum_status=self._cumulative(times), speed=self._speeds(times))
 
     # -- scoring ----------------------------------------------------------
 
-    def _reward_trust(self, task: Task, owner: TaskOwner, category: TaskCategory):
-        demand = self._demand[category.id]
-        margin = task.pto_reward - demand
-        rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
-        tw = self._trust_vector(category.id, owner)
-        return rw, tw
-
-    def score_at(self, task: Task, owner: TaskOwner, category: TaskCategory, t: float) -> _Scores:
-        """Score every worker for ``task`` dispatched at the single time ``t``."""
+    def _reach(self, task: Task, times: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray):
+        """Distance, effective start and time to complete from positions at dispatch times."""
         c = centroid(task.region)
-        x, y = self.positions_at(t)
         dx = c.x - x
         dy = c.y - y
         dist = np.sqrt(dx * dx + dy * dy)
-        speed = self.velocity.speed_at(t)
         travel = (dist / speed) * 60.0
-        eff = t + travel
+        eff = times + travel
         if task.start_earliest is not None:
             eff = np.maximum(eff, task.start_earliest)
-        ttc = (eff + task.duration) - t
+        return dist, eff, (eff + task.duration) - times
+
+    def _score(self, task: Task, owner: TaskOwner, category: TaskCategory, ctx: GridContext, k: int) -> _Scores:
+        """The total score and its factors over every worker and the first ``k`` times of ``ctx``."""
+        times = ctx.times[:k]
+        dist, eff, ttc = self._reach(task, times, ctx.x[:, :k], ctx.y[:, :k], ctx.speed[:k])
         exp = task.expiration
-        ts = ((exp - ttc) - t) / (exp - t)
+        ts = ((exp - ttc) - times) / (exp - times)
         if task.start_latest is not None:
             ts = np.where(eff > task.start_latest, -1.0, ts)
-        cum_t = self.cumulative_status_at(t)
-        cum_exp = self.cumulative_status_at(exp)
-        avail = (cum_exp - cum_t) / (exp - t)
-        rw, tw = self._reward_trust(task, owner, category)
-        total = ((ts * avail) * rw) * tw
+        avail = (self._cumulative(np.array([exp])) - ctx.cum_status[:, :k]) / (exp - times)
+        margin = task.pto_reward - self._demand[category.id]
+        rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
+        tw = self._trust_vector(category.id, owner)
+        total = ((ts * avail) * rw[:, None]) * tw[:, None]
         return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, travel_km=dist, rw=rw, tw=tw)
+
+    def score_at(self, task: Task, owner: TaskOwner, category: TaskCategory, t: float) -> _Scores:
+        """Score every worker for ``task`` dispatched at the single time ``t``."""
+        s = self._score(task, owner, category, self._context(np.array([t])), 1)
+        return replace(
+            s, total=s.total[:, 0], ts=s.ts[:, 0], avail=s.avail[:, 0], ttc=s.ttc[:, 0], travel_km=s.travel_km[:, 0]
+        )
 
     def score_grid(
         self,
@@ -364,40 +365,11 @@ class ScoreEngine:
         k: int,
     ) -> _Scores:
         """Score every worker for ``task`` over the first ``k`` grid times."""
-        times = ctx.times[:k][None, :]
-        c = centroid(task.region)
-        dx = c.x - ctx.x[:, :k]
-        dy = c.y - ctx.y[:, :k]
-        dist = np.sqrt(dx * dx + dy * dy)
-        travel = (dist / ctx.speed[:k][None, :]) * 60.0
-        eff = times + travel
-        if task.start_earliest is not None:
-            eff = np.maximum(eff, task.start_earliest)
-        ttc = (eff + task.duration) - times
-        exp = task.expiration
-        ts = ((exp - ttc) - times) / (exp - times)
-        if task.start_latest is not None:
-            ts = np.where(eff > task.start_latest, -1.0, ts)
-        cum_exp = self.cumulative_status_at(exp)
-        avail = (cum_exp[:, None] - ctx.cum_status[:, :k]) / (exp - times)
-        rw, tw = self._reward_trust(task, owner, category)
-        total = ((ts * avail) * rw[:, None]) * tw[:, None]
-        return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, travel_km=dist, rw=rw, tw=tw)
+        return self._score(task, owner, category, ctx, k)
 
 
-def _clamped_ends(ends: np.ndarray) -> np.ndarray:
-    """Piece ends with the last one at +inf.
-
-    ``t % WEEK_MINUTES`` can round up to ``WEEK_MINUTES`` for ``t`` just
-    below zero; an open last piece keeps such times in it, which is the
-    clamp ``WeeklySchedule`` applies to the piece index.
-    """
-    out = np.array(ends, dtype=float)
-    out[-1] = np.inf
-    return out
-
-
-def _breakdown_1d(s: _Scores, i: int) -> ScoreBreakdown:
+def _breakdown(s: _Scores, i) -> ScoreBreakdown:
+    """The factors at index ``i`` of a score table whose ``rw``/``tw`` share that index."""
     ts = float(s.ts[i])
     return ScoreBreakdown(
         time_score=ts,
@@ -422,40 +394,19 @@ def _availability_mask(
 
 
 # ---------------------------------------------------------------------------
-# queue ordering
-
-
-def queue_order(
-    tasks: Sequence[Task],
-    owners: dict[int, TaskOwner],
-    categories: dict[int, TaskCategory],
-) -> list[Task]:
-    """Pending-queue order: priority score desc, then submit time, then id."""
-
-    def key(task: Task):
-        priority = task_priority_score(task, owners[task.owner_id], categories[task.category_id])
-        return (-priority, task.submit_time, task.id)
-
-    return sorted(tasks, key=key)
-
-
-# ---------------------------------------------------------------------------
 # online greedy assignment
 
 
 def online_assign(
     task: Task,
-    workers: Sequence[Worker],
+    engine: ScoreEngine,
     owner: TaskOwner,
     category: TaskCategory,
     t: float,
-    velocity: VelocityProfile,
-    weights: TrustWeights,
     *,
     allow_reward_raise: bool = True,
     already_raised: float = 0.0,
     exclude_workers: Iterable[int] = (),
-    engine: ScoreEngine | None = None,
 ) -> AssignOutcome:
     """Assign one task right now to the worker with the best positive total.
 
@@ -473,8 +424,6 @@ def online_assign(
         )
     if t >= task.expiration:
         raise TaskExpiredError(f"task {task.id} expired at {task.expiration}, assignment at t={t}")
-    if engine is None:
-        engine = ScoreEngine(workers, [category], velocity, weights)
     exclude = frozenset(exclude_workers)
     raised = already_raised
     eff_task = task
@@ -491,7 +440,7 @@ def online_assign(
                 task_id=task.id,
                 worker_id=engine.workers[i].id,
                 dispatch_time=t,
-                breakdown=_breakdown_1d(s, i),
+                breakdown=_breakdown(s, i),
                 ttc_min=float(s.ttc[i]),
                 travel_km=float(s.travel_km[i]),
             )
@@ -521,37 +470,33 @@ def online_assign(
 
 def baseline_nearest(
     task: Task,
-    workers: Sequence[Worker],
+    engine: ScoreEngine,
     t: float,
     owner: TaskOwner,
     category: TaskCategory,
-    velocity: VelocityProfile,
-    weights: TrustWeights,
     *,
     exclude_workers: Iterable[int] = (),
-    engine: ScoreEngine | None = None,
 ) -> AssignOutcome:
     """Assign to the nearest unoccupied worker by centroid distance.
 
-    Deliberately ignores availability, reward, and trust; the score
-    breakdown is attached for reporting only.  Distance ties go to the
-    lowest worker id.
+    Deliberately ignores availability, reward, and trust; only the winner
+    is scored, for reporting.  Distance ties go to the lowest worker id.
     """
-    if engine is None:
-        engine = ScoreEngine(workers, [category], velocity, weights)
-    s = engine.score_at(task, owner, category, t)
-    mask = _availability_mask(engine, s.ttc, t, exclude_workers)
+    times = np.array([t])
+    x, y = engine._positions(times)
+    dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
+    mask = _availability_mask(engine, ttc, t, exclude_workers)
     if not mask.any():
         return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
-    masked_dist = np.where(mask, s.travel_km, np.inf)
-    i = int(np.argmin(masked_dist))
+    i = int(np.argmin(np.where(mask, dist, np.inf)))
+    worker = engine.workers[i]
     assignment = Assignment(
         task_id=task.id,
-        worker_id=engine.workers[i].id,
+        worker_id=worker.id,
         dispatch_time=t,
-        breakdown=_breakdown_1d(s, i),
-        ttc_min=float(s.ttc[i]),
-        travel_km=float(s.travel_km[i]),
+        breakdown=total_score(task, worker, owner, category, t, engine.velocity, engine.weights),
+        ttc_min=float(ttc[i]),
+        travel_km=float(dist[i]),
     )
     return AssignOutcome.assigned_to(assignment, task.pto_reward)
 
@@ -570,7 +515,7 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
 class _Candidates:
     """Per-task candidate pairs sorted by (total desc, worker id asc, time asc)."""
 
-    __slots__ = ("task", "priority", "reason", "n_positive", "pointer", "cols", "_rebuild")
+    __slots__ = ("task", "priority", "reason", "n_positive", "pointer", "w", "time", "pairs", "_rebuild")
 
     def __init__(self, task: Task, priority: float):
         self.task = task
@@ -578,7 +523,9 @@ class _Candidates:
         self.reason: OutcomeKind | None = None
         self.n_positive = 0
         self.pointer = 0
-        self.cols: dict[str, np.ndarray] = {}
+        self.w: np.ndarray = np.empty(0, dtype=np.intp)  # worker index of each pair
+        self.time: np.ndarray = np.empty(0)  # dispatch time of each pair
+        self.pairs: _Scores | None = None  # the pairs' factors, in the same order
         self._rebuild = None  # callable materialising the full sorted table
 
     def load(self, g: _Scores, times: np.ndarray, cap: int | None, rebuild) -> None:
@@ -610,59 +557,44 @@ class _Candidates:
         if cap is not None and len(order) > cap:
             order = order[:cap]
         w_idx, t_idx, sel = w_idx[order], t_idx[order], sel[order]
-        self.cols = {
-            "w": w_idx,
-            "time": times[t_idx],
-            "total": total[sel],
-            "ts": g.ts.ravel()[sel],
-            "avail": g.avail.ravel()[sel],
-            "ttc": g.ttc.ravel()[sel],
-            "travel": g.travel_km.ravel()[sel],
-            "rw": g.rw[w_idx],
-            "tw": g.tw[w_idx],
-        }
+        self.w = w_idx
+        self.time = times[t_idx]
+        self.pairs = _Scores(
+            total=total[sel],
+            ts=g.ts.ravel()[sel],
+            avail=g.avail.ravel()[sel],
+            ttc=g.ttc.ravel()[sel],
+            travel_km=g.travel_km.ravel()[sel],
+            rw=g.rw[w_idx],
+            tw=g.tw[w_idx],
+        )
 
     def current(self):
-        if self.pointer >= len(self.cols.get("w", ())):
+        if self.pointer >= len(self.w):
             if self.pointer < self.n_positive and self._rebuild is not None:
                 rebuild = self._rebuild
                 self._rebuild = None
                 rebuild(self)  # re-materialise without the cap
-            if self.pointer >= len(self.cols.get("w", ())):
+            if self.pointer >= len(self.w):
                 return None
         i = self.pointer
         return (
-            int(self.cols["w"][i]),
-            float(self.cols["time"][i]),
-            float(self.cols["total"][i]),
-            float(self.cols["ttc"][i]),
+            int(self.w[i]),
+            float(self.time[i]),
+            float(self.pairs.total[i]),
+            float(self.pairs.ttc[i]),
             i,
-        )
-
-    def breakdown(self, i: int) -> ScoreBreakdown:
-        ts = float(self.cols["ts"][i])
-        return ScoreBreakdown(
-            time_score=ts,
-            availability=float(self.cols["avail"][i]),
-            reward=float(self.cols["rw"][i]),
-            trust_weighted=float(self.cols["tw"][i]),
-            total=float(self.cols["total"][i]),
-            time_feasible=ts > 0.0,
         )
 
 
 def offline_assign(
     tasks: Sequence[Task],
-    workers: Sequence[Worker],
+    engine: ScoreEngine,
     owners: dict[int, TaskOwner],
     categories: dict[int, TaskCategory],
     now: float,
     grid: TimeGrid,
-    velocity: VelocityProfile,
-    weights: TrustWeights,
     rng_seed: int = 0,
-    *,
-    engine: ScoreEngine | None = None,
 ) -> tuple[list[Assignment], list[tuple[int, OutcomeKind]]]:
     """Batch-assign tasks to (worker, dispatch time) pairs on the grid.
 
@@ -684,10 +616,8 @@ def offline_assign(
     if late:
         raise ValueError(f"tasks already expired at batch time {now}: {late}")
     tasks_sorted = sorted(tasks, key=lambda t: t.id)
-    if not workers:
+    if not engine.workers:
         return [], [(t.id, OutcomeKind.NO_SUITABLE_WORKER) for t in tasks_sorted]
-    if engine is None:
-        engine = ScoreEngine(workers, list(categories.values()), velocity, weights)
 
     max_exp = max(t.expiration for t in tasks_sorted)
     times = grid.times(now, before=max_exp)
@@ -786,9 +716,9 @@ def offline_assign(
                     task_id=task.id,
                     worker_id=engine.workers[w].id,
                     dispatch_time=t0,
-                    breakdown=cand.breakdown(i),
+                    breakdown=_breakdown(cand.pairs, i),
                     ttc_min=ttc,
-                    travel_km=float(cand.cols["travel"][i]),
+                    travel_km=float(cand.pairs.travel_km[i]),
                 )
             )
         elif cand.reason is not None:

@@ -166,11 +166,6 @@ class WeeklySchedule(Generic[V]):
         return f"WeeklySchedule({len(self.segments)} segments, default={self.default!r})"
 
 
-def status_integral(schedule: WeeklySchedule[float], t0: float, t1: float) -> float:
-    """Exact integral of a numeric schedule over [t0, t1]."""
-    return schedule.integral(t0, t1)
-
-
 def availability_score(status: WeeklySchedule[float], t: float, expiration: float) -> float:
     """Mean declared availability over [t, expiration); 0 for an empty window."""
     if expiration <= t:

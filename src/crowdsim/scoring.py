@@ -63,12 +63,6 @@ class ScoreBreakdown:
     time_feasible: bool
 
 
-def time_to_complete(task: Task, worker: Worker, t: float, velocity: VelocityProfile) -> float:
-    """Travel minutes from the worker's expected region to the task, plus work time."""
-    d = distance(task.region, expected_region_at(worker, t))
-    return (d / velocity.speed_at(t)) * 60.0 + task.duration
-
-
 def time_score(task: Task, ttc: float, t: float) -> float:
     """Fraction of the remaining window left over after completing the task.
 

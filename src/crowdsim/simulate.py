@@ -167,8 +167,8 @@ class _Sim:
             replace(w, reward_demand=dict(w.reward_demand), trust=dict(w.trust)) for w in scenario.workers
         ]
         self.worker_by_id = {w.id: w for w in self.workers}
-        self.velocity = config.velocity if config.velocity is not None else scenario.velocity
-        self.engine = ScoreEngine(self.workers, scenario.categories, self.velocity, config.trust_weights)
+        velocity = config.velocity if config.velocity is not None else scenario.velocity
+        self.engine = ScoreEngine(self.workers, scenario.categories, velocity, config.trust_weights)
         self.rng = random.Random(config.seed)
         self.batch_times = tuple(sorted(t for t in config.offline_batch_times if 0 <= t <= config.duration_min))
 
@@ -249,15 +249,12 @@ class _Sim:
             return
         assignments, unassigned = offline_assign(
             ready,
-            self.workers,
+            self.engine,
             self.owners,
             self.categories,
             now=t,
             grid=self.config.grid,
-            velocity=self.velocity,
-            weights=self.config.trust_weights,
             rng_seed=self.config.seed,
-            engine=self.engine,
         )
         for a in assignments:
             self.state[a.task_id] = TaskState.PENDING
@@ -279,29 +276,16 @@ class _Sim:
         reward_now = self.effective_reward[tid]
         eff_task = task if reward_now == task.pto_reward else replace(task, pto_reward=reward_now)
         if self.config.policy == "sc-nearest":
-            outcome = baseline_nearest(
-                eff_task,
-                self.workers,
-                t,
-                owner,
-                category,
-                self.velocity,
-                self.config.trust_weights,
-                exclude_workers=self.rejected_by[tid],
-                engine=self.engine,
-            )
+            outcome = baseline_nearest(eff_task, self.engine, t, owner, category, exclude_workers=self.rejected_by[tid])
         else:
             outcome = online_assign(
                 eff_task,
-                self.workers,
+                self.engine,
                 owner,
                 category,
                 t,
-                self.velocity,
-                self.config.trust_weights,
                 already_raised=reward_now - task.pto_reward,
                 exclude_workers=self.rejected_by[tid],
-                engine=self.engine,
             )
         if outcome.kind is OutcomeKind.ASSIGNED:
             a = outcome.assignment

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from crowdsim.assign import ScoreEngine
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import ALL_DAYS, Segment, WeeklySchedule
 from crowdsim.scoring import TrustWeights, VelocityProfile
@@ -29,6 +30,10 @@ class Instance:
     velocity: VelocityProfile
     weights: TrustWeights
     seed: int
+
+    def engine(self) -> ScoreEngine:
+        """A fresh engine over the instance's workers and categories."""
+        return ScoreEngine(self.workers, list(self.categories.values()), self.velocity, self.weights)
 
 
 def _random_status(rng: random.Random) -> WeeklySchedule:

@@ -102,15 +102,7 @@ def test_criterion_3_offline_oracle_equivalence(verdict):
         inst = random_instance(seed)
         grid = TimeGrid(step_min=inst.step, horizon_min=inst.horizon)
         assignments, unassigned = offline_assign(
-            inst.tasks,
-            inst.workers,
-            inst.owners,
-            inst.categories,
-            inst.now,
-            grid,
-            inst.velocity,
-            inst.weights,
-            rng_seed=inst.seed,
+            inst.tasks, inst.engine(), inst.owners, inst.categories, inst.now, grid, rng_seed=inst.seed
         )
         got = {(a.task_id, a.worker_id, a.dispatch_time) for a in assignments}
         got_kinds = {tid: kind.value for tid, kind in unassigned}

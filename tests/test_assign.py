@@ -23,11 +23,10 @@ from crowdsim.assign import (
     baseline_nearest,
     offline_assign,
     online_assign,
-    queue_order,
 )
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
-from crowdsim.schedule import Segment, WeeklySchedule
-from crowdsim.scoring import TaskExpiredError, TrustWeights, VelocityProfile
+from crowdsim.schedule import WEEK_MINUTES, Segment, WeeklySchedule
+from crowdsim.scoring import TaskExpiredError, TrustWeights, VelocityProfile, total_score
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
 W = TrustWeights()
@@ -62,6 +61,10 @@ def _worker(wid=1, x=5.0, y=5.0, demand=0.0, **kw) -> Worker:
 
 OWNER = TaskOwner(1, pto_priority=1.0, max_reward_raise=0.0, raise_increment=1.0)
 CAT = TaskCategory(1, "c", 1.0, 5.0)
+
+
+def _engine(workers, categories=(CAT,), velocity=VEL) -> ScoreEngine:
+    return ScoreEngine(workers, list(categories), velocity, W)
 
 
 # -- TimeGrid -------------------------------------------------------------------
@@ -104,35 +107,13 @@ def test_grid_times_match_oracle():
         assert got == pytest.approx(want), (seed, step, now, horizon, before)
 
 
-# -- queue order ----------------------------------------------------------------
-
-
-def test_queue_order_by_priority_then_submit_then_id():
-    owners = {1: TaskOwner(1, 1.0, 0.0, 1.0), 2: TaskOwner(2, 0.5, 0.0, 1.0)}
-    cats = {1: TaskCategory(1, "c", 1.0, 20.0)}
-    hi = _task(1, owner_id=1, pto_reward=10.0, submit_time=5.0)
-    lo = _task(2, owner_id=2, pto_reward=10.0, submit_time=0.0)
-    tie_late = _task(3, owner_id=1, pto_reward=10.0, submit_time=9.0)
-    tie_dup = _task(4, owner_id=1, pto_reward=10.0, submit_time=5.0)
-    out = queue_order([lo, tie_late, tie_dup, hi], owners, cats)
-    assert [t.id for t in out] == [1, 4, 3, 2]
-
-
 # -- offline equivalence ----------------------------------------------------------
 
 
 def _run_both(inst):
     grid = TimeGrid(step_min=inst.step, horizon_min=inst.horizon)
     assignments, unassigned = offline_assign(
-        inst.tasks,
-        inst.workers,
-        inst.owners,
-        inst.categories,
-        inst.now,
-        grid,
-        inst.velocity,
-        inst.weights,
-        rng_seed=inst.seed,
+        inst.tasks, inst.engine(), inst.owners, inst.categories, inst.now, grid, rng_seed=inst.seed
     )
     got_triples = {(a.task_id, a.worker_id, a.dispatch_time) for a in assignments}
     got_kinds = {tid: kind.value for tid, kind in unassigned}
@@ -179,21 +160,19 @@ def test_offline_respects_existing_bookings():
     # Worker booked for the whole window: nothing can be placed on them.
     worker = _worker(1, bookings=[(0.0, 10_000.0)])
     grid = TimeGrid(15.0, 10_000.0)
-    assignments, unassigned = offline_assign(
-        [_task(1)], [worker], {1: OWNER}, {1: CAT}, 0.0, grid, VEL, W
-    )
+    assignments, unassigned = offline_assign([_task(1)], _engine([worker]), {1: OWNER}, {1: CAT}, 0.0, grid)
     assert assignments == []
     assert unassigned == [(1, OutcomeKind.NO_SUITABLE_WORKER)]
 
 
 def test_offline_rejects_expired_input():
     with pytest.raises(ValueError):
-        offline_assign([_task(1, expiration=50.0)], [_worker()], {1: OWNER}, {1: CAT}, 50.0, TimeGrid(), VEL, W)
+        offline_assign([_task(1, expiration=50.0)], _engine([_worker()]), {1: OWNER}, {1: CAT}, 50.0, TimeGrid())
 
 
 def test_offline_empty_inputs():
-    assert offline_assign([], [_worker()], {1: OWNER}, {1: CAT}, 0.0, TimeGrid(), VEL, W) == ([], [])
-    assignments, unassigned = offline_assign([_task(1)], [], {1: OWNER}, {1: CAT}, 0.0, TimeGrid(), VEL, W)
+    assert offline_assign([], _engine([_worker()]), {1: OWNER}, {1: CAT}, 0.0, TimeGrid()) == ([], [])
+    assignments, unassigned = offline_assign([_task(1)], _engine([]), {1: OWNER}, {1: CAT}, 0.0, TimeGrid())
     assert assignments == []
     assert unassigned == [(1, OutcomeKind.NO_SUITABLE_WORKER)]
 
@@ -204,9 +183,7 @@ def test_offline_conflict_cascade_with_seeded_tie():
     tasks = [_task(1), _task(2)]
     worker = _worker(1)
     grid = TimeGrid(step_min=15.0, horizon_min=10_000.0)
-    assignments, unassigned = offline_assign(
-        tasks, [worker], {1: OWNER}, {1: CAT}, 0.0, grid, VEL, W, rng_seed=3
-    )
+    assignments, unassigned = offline_assign(tasks, _engine([worker]), {1: OWNER}, {1: CAT}, 0.0, grid, rng_seed=3)
     assert unassigned == []
     by_task = {a.task_id: a for a in assignments}
     winner = brute_force.tie_pick(3, 1, [1, 2])
@@ -214,7 +191,7 @@ def test_offline_conflict_cascade_with_seeded_tie():
     assert by_task[winner].dispatch_time == 0.0
     assert by_task[loser].dispatch_time == 15.0
     # Different seed, possibly different winner — but always the same shape.
-    assignments2, _ = offline_assign(tasks, [worker], {1: OWNER}, {1: CAT}, 0.0, grid, VEL, W, rng_seed=4)
+    assignments2, _ = offline_assign(tasks, _engine([worker]), {1: OWNER}, {1: CAT}, 0.0, grid, rng_seed=4)
     assert sorted(a.dispatch_time for a in assignments2) == [0.0, 15.0]
     winner2 = brute_force.tie_pick(4, 1, [1, 2])
     assert {a.task_id for a in assignments2 if a.dispatch_time == 0.0} == {winner2}
@@ -227,7 +204,7 @@ def test_offline_priority_wins_conflicts():
     urgent = _task(1, entered_priority=1.0)
     casual = _task(2, entered_priority=0.5)
     grid = TimeGrid(step_min=15.0, horizon_min=10_000.0)
-    assignments, _ = offline_assign([casual, urgent], [_worker()], {1: OWNER}, {1: cat}, 0.0, grid, VEL, W)
+    assignments, _ = offline_assign([casual, urgent], _engine([_worker()], [cat]), {1: OWNER}, {1: cat}, 0.0, grid)
     by_task = {a.task_id: a.dispatch_time for a in assignments}
     assert by_task[1] == 0.0
     assert by_task[2] == 15.0
@@ -254,15 +231,7 @@ def test_online_matches_oracle(seed):
     allow_raise = rng.random() < 0.7
     exclude = frozenset(w.id for w in inst.workers if rng.random() < 0.2)
     out = online_assign(
-        task,
-        inst.workers,
-        owner,
-        cat,
-        t,
-        inst.velocity,
-        inst.weights,
-        allow_reward_raise=allow_raise,
-        exclude_workers=exclude,
+        task, inst.engine(), owner, cat, t, allow_reward_raise=allow_raise, exclude_workers=exclude
     )
     kind, wid, eff = brute_force.online_oracle(
         task,
@@ -284,14 +253,14 @@ def test_online_matches_oracle(seed):
 def test_online_picks_highest_total_lowest_id_tie():
     # Identical twins: the lower id wins the exact tie.
     workers = [_worker(2, x=4.0), _worker(1, x=4.0)]
-    out = online_assign(_task(1), workers, OWNER, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1), _engine(workers), OWNER, CAT, 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.assignment.worker_id == 1
 
 
 def test_online_reward_raise_steps_until_covered():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=5.0)
-    out = online_assign(_task(1, pto_reward=10.0), [_worker(demand=12.0)], owner, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=12.0)]), owner, CAT, 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.effective_reward == 15.0
     assert out.assignment.breakdown.reward == pytest.approx((15.0 - 12.0) / 15.0)
@@ -300,14 +269,14 @@ def test_online_reward_raise_steps_until_covered():
 def test_online_reward_raise_partial_final_increment():
     # Budget 5 in steps of 4: second step is the 1-unit remainder.
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=4.0)
-    out = online_assign(_task(1, pto_reward=10.0), [_worker(demand=14.5)], owner, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=14.5)]), owner, CAT, 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.effective_reward == 15.0
 
 
 def test_online_reward_raise_exhausted_reports_reward_insufficient():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=4.0)
-    out = online_assign(_task(1, pto_reward=10.0), [_worker(demand=19.0)], owner, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=19.0)]), owner, CAT, 0.0)
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
     assert out.assignment is None
     assert out.best_feasible_worker_id == 1
@@ -316,23 +285,14 @@ def test_online_reward_raise_exhausted_reports_reward_insufficient():
 def test_online_raise_disabled():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=5.0)
     out = online_assign(
-        _task(1, pto_reward=10.0), [_worker(demand=12.0)], owner, CAT, 0.0, VEL, W, allow_reward_raise=False
+        _task(1, pto_reward=10.0), _engine([_worker(demand=12.0)]), owner, CAT, 0.0, allow_reward_raise=False
     )
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
 
 
 def test_online_already_raised_reduces_budget():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=5.0)
-    out = online_assign(
-        _task(1, pto_reward=13.0),
-        [_worker(demand=19.0)],
-        owner,
-        CAT,
-        0.0,
-        VEL,
-        W,
-        already_raised=3.0,
-    )
+    out = online_assign(_task(1, pto_reward=13.0), _engine([_worker(demand=19.0)]), owner, CAT, 0.0, already_raised=3.0)
     # Only 2 of the 5-unit budget remains: 13 + 2 = 15 < 19.
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
     kind, _, _ = brute_force.online_oracle(
@@ -342,27 +302,27 @@ def test_online_already_raised_reduces_budget():
 
 
 def test_online_deadline_infeasible():
-    out = online_assign(_task(1, duration=500.0, expiration=240.0), [_worker()], OWNER, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1, duration=500.0, expiration=240.0), _engine([_worker()]), OWNER, CAT, 0.0)
     assert out.kind is OutcomeKind.DEADLINE_INFEASIBLE
 
 
 def test_online_no_workers_or_all_excluded():
-    out = online_assign(_task(1), [], OWNER, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1), _engine([]), OWNER, CAT, 0.0)
     assert out.kind is OutcomeKind.NO_SUITABLE_WORKER
-    out = online_assign(_task(1), [_worker()], OWNER, CAT, 0.0, VEL, W, exclude_workers={1})
+    out = online_assign(_task(1), _engine([_worker()]), OWNER, CAT, 0.0, exclude_workers={1})
     assert out.kind is OutcomeKind.NO_SUITABLE_WORKER
 
 
 def test_online_booked_worker_is_skipped():
     busy = _worker(1, x=5.0, bookings=[(0.0, 60.0)])
     free = _worker(2, x=2.0)
-    out = online_assign(_task(1), [busy, free], OWNER, CAT, 0.0, VEL, W)
+    out = online_assign(_task(1), _engine([busy, free]), OWNER, CAT, 0.0)
     assert out.assignment.worker_id == 2
 
 
 def test_online_expired_task_raises():
     with pytest.raises(TaskExpiredError):
-        online_assign(_task(1, expiration=100.0), [_worker()], OWNER, CAT, 100.0, VEL, W)
+        online_assign(_task(1, expiration=100.0), _engine([_worker()]), OWNER, CAT, 100.0)
 
 
 # -- nearest baseline ---------------------------------------------------------------
@@ -376,14 +336,7 @@ def test_nearest_matches_oracle(seed):
     t = inst.now
     exclude = frozenset(w.id for w in inst.workers if rng.random() < 0.25)
     out = baseline_nearest(
-        task,
-        inst.workers,
-        t,
-        inst.owners[task.owner_id],
-        inst.categories[task.category_id],
-        inst.velocity,
-        inst.weights,
-        exclude_workers=exclude,
+        task, inst.engine(), t, inst.owners[task.owner_id], inst.categories[task.category_id], exclude_workers=exclude
     )
     want = brute_force.nearest_oracle(task, inst.workers, t, inst.velocity, exclude=exclude)
     got = out.assignment.worker_id if out.assignment else None
@@ -400,34 +353,21 @@ def test_nearest_ignores_scores_entirely():
         reward_demand={1: 99.0},
     )
     far = _worker(2, x=9.0)
-    out = baseline_nearest(_task(1), [near, far], 0.0, OWNER, CAT, VEL, W)
+    out = baseline_nearest(_task(1), _engine([near, far]), 0.0, OWNER, CAT)
     assert out.assignment.worker_id == 1
 
 
 def test_nearest_distance_tie_prefers_lower_id():
-    out = baseline_nearest(_task(1), [_worker(2, x=6.0), _worker(1, x=4.0)], 0.0, OWNER, CAT, VEL, W)
+    out = baseline_nearest(_task(1), _engine([_worker(2, x=6.0), _worker(1, x=4.0)]), 0.0, OWNER, CAT)
     assert out.assignment.worker_id == 1
 
 
-# -- shared engine reuse -------------------------------------------------------------
-
-
-def test_engine_reuse_matches_fresh_engine():
-    inst = random_instance(11)
-    engine = ScoreEngine(inst.workers, list(inst.categories.values()), inst.velocity, inst.weights)
-    task = inst.tasks[0]
-    owner = inst.owners[task.owner_id]
-    cat = inst.categories[task.category_id]
-    a = online_assign(task, inst.workers, owner, cat, inst.now, inst.velocity, inst.weights, engine=engine)
-    b = online_assign(task, inst.workers, owner, cat, inst.now, inst.velocity, inst.weights)
-    assert (a.kind, a.effective_reward) == (b.kind, b.effective_reward)
-    if a.assignment:
-        assert a.assignment == b.assignment
+# -- engine state -------------------------------------------------------------------
 
 
 def test_engine_trust_refresh_changes_scores():
     worker = _worker(1, x=5.0)
-    engine = ScoreEngine([worker], [CAT], VEL, W)
+    engine = _engine([worker])
     before = engine.score_at(_task(1), OWNER, CAT, 0.0).total[0]
     worker.trust[1] = TrustCounters(assigned=10, accepted=1, completed=0, initial_score=0.5)
     engine.refresh_trust(worker.id, 1)
@@ -451,7 +391,7 @@ def test_online_assign_rejects_non_finite_reward(reward, raised):
     script = textwrap.dedent(
         f"""
         from math import inf, nan
-        from crowdsim.assign import online_assign
+        from crowdsim.assign import ScoreEngine, online_assign
         from crowdsim.model import Point, Task, TaskCategory, TaskOwner, Worker
         from crowdsim.schedule import WeeklySchedule
         from crowdsim.scoring import TrustWeights, VelocityProfile
@@ -461,8 +401,9 @@ def test_online_assign_rejects_non_finite_reward(reward, raised):
         owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=1.0)
         cat = TaskCategory(1, "c", 1.0, 5.0)
         task = Task(42, 1, 1, "t", Point(5.0, 5.0), 10.0, 240.0, {reward}, 1.0, 0.0)
+        engine = ScoreEngine([worker], [cat], vel, TrustWeights())
         try:
-            online_assign(task, [worker], owner, cat, 0.0, vel, TrustWeights(), already_raised={raised})
+            online_assign(task, engine, owner, cat, 0.0, already_raised={raised})
         except ValueError as exc:
             print("rejected:", exc)
         """
@@ -479,10 +420,41 @@ def test_online_assign_rejects_non_finite_reward(reward, raised):
     assert proc.stdout.startswith("rejected: task 42:"), proc.stdout
 
 
+@pytest.mark.parametrize("seed", range(300))
+def test_engine_factors_equal_scalar_scores(seed):
+    # Both vectorised paths give every factor bit for bit as scoring.total_score
+    # does, at a piece end and one ulp either side of it as well as between
+    # ends. The work interval's end is compared instead of ttc, because
+    # (t + ttc) - t need not equal ttc in floats.
+    inst = random_instance(seed)
+    rng = random.Random(seed)
+    engine = inst.engine()
+    schedules = [inst.velocity.schedule] + [s for w in inst.workers for s in (w.pattern, w.status)]
+    for task in inst.tasks:
+        owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
+        times = {inst.now, rng.uniform(inst.now, task.expiration)}
+        ends = sorted({e for s in schedules for e in s.piece_ends.tolist() if inst.now < e < task.expiration})
+        if ends:
+            end = rng.choice(ends)
+            times |= {end, float(np.nextafter(end, -np.inf)), float(np.nextafter(end, np.inf))}
+        times = sorted(t for t in times if t < task.expiration)
+        grid = engine.score_grid(task, owner, cat, engine.grid_context(np.array(times)), len(times))
+        for j, t in enumerate(times):
+            at = engine.score_at(task, owner, cat, t)
+            for i, w in enumerate(engine.workers):
+                b = total_score(task, w, owner, cat, t, inst.velocity, inst.weights)
+                want = (b.time_score, b.availability, b.reward, b.trust_weighted, b.total)
+                end_want = brute_force.work_interval(task, w, t, inst.velocity)[1]
+                for s, k in ((at, i), (grid, (i, j))):
+                    got = (s.ts[k], s.avail[k], s.rw[i], s.tw[i], s.total[k])
+                    assert got == want, (seed, task.id, w.id, t)
+                    assert t + s.ttc[k] == end_want, (seed, task.id, w.id, t)
+
+
 def test_scalar_and_vectorised_lookups_agree_just_below_zero():
     # -1e-13 % 10080.0 == 10080.0: the piece index must clamp to the last
-    # piece (Sunday 23:00-24:00 here) on every path.
-    t = -1e-13
+    # piece (Sunday 23:00-24:00 here) on every path. Sunday 23:30 of the
+    # second week lands in the same piece.
     late = Segment(frozenset({6}), 1380, 1440, 0.25)
     night = Worker(
         id=1,
@@ -490,13 +462,17 @@ def test_scalar_and_vectorised_lookups_agree_just_below_zero():
         status=WeeklySchedule((late,), default=1.0),
     )
     vel = VelocityProfile(WeeklySchedule((Segment(frozenset({6}), 1380, 1440, 12.0),), default=30.0), 5.0)
-    engine = ScoreEngine([night, _worker(2, x=3.0)], [CAT], vel, W)
-    assert night.pattern.value_at(t) == Point(9.0, 1.0)
-    x, y = engine.positions_at(t)
-    cum = engine.cumulative_status_at(t)
-    ctx = engine.grid_context(np.array([t]))
-    for i, w in enumerate(engine.workers):
-        c = centroid(w.pattern.value_at(t))
-        assert (x[i], y[i]) == (c.x, c.y) == (ctx.x[i, 0], ctx.y[i, 0])
-        assert cum[i] == w.status.cumulative(t) == ctx.cum_status[i, 0]
-    assert ctx.speed[0] == vel.speed_at(t) == 12.0
+    engine = _engine([night, _worker(2, x=3.0)], velocity=vel)
+    task = _task(1, expiration=3 * WEEK_MINUTES)
+    times = [-1e-13, 2 * WEEK_MINUTES - 30.0]
+    ctx = engine.grid_context(np.array(times))
+    for j, t in enumerate(times):
+        assert night.pattern.value_at(t) == Point(9.0, 1.0)
+        assert ctx.speed[j] == vel.speed_at(t) == 12.0
+        s = engine.score_at(task, OWNER, CAT, t)
+        for i, w in enumerate(engine.workers):
+            c = centroid(w.pattern.value_at(t))
+            assert (ctx.x[i, j], ctx.y[i, j]) == (c.x, c.y)
+            assert ctx.cum_status[i, j] == w.status.cumulative(t)
+            b = total_score(task, w, OWNER, CAT, t, vel, W)
+            assert (s.ts[i], s.avail[i], s.total[i]) == (b.time_score, b.availability, b.total)

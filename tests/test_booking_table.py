@@ -40,7 +40,7 @@ def _check_against_oracle(engine: ScoreEngine, held: dict[int, list], data) -> N
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_booking_table_matches_overlap_oracle(seed, data):
     inst = random_instance(seed)
-    engine = ScoreEngine(inst.workers, list(inst.categories.values()), inst.velocity, inst.weights)
+    engine = inst.engine()
     held = {w.id: list(w.bookings) for w in inst.workers}
     ids = sorted(held)
     _check_against_oracle(engine, held, data)
@@ -62,7 +62,7 @@ def test_booking_table_matches_overlap_oracle(seed, data):
 
 def test_table_widens_and_keeps_every_booking():
     inst = random_instance(3)
-    engine = ScoreEngine(inst.workers, list(inst.categories.values()), inst.velocity, inst.weights)
+    engine = inst.engine()
     wid = inst.workers[0].id
     want = sorted(inst.workers[0].bookings + [(1000.0 - 10 * k, 1005.0 - 10 * k) for k in range(40)])
     for k in range(40):
@@ -72,7 +72,7 @@ def test_table_widens_and_keeps_every_booking():
 
 def test_release_of_an_unheld_booking_fails():
     inst = random_instance(3)
-    engine = ScoreEngine(inst.workers, list(inst.categories.values()), inst.velocity, inst.weights)
+    engine = inst.engine()
     wid = inst.workers[0].id
     engine.book(wid, 10.0, 20.0)
     with pytest.raises(ValueError, match="holds no booking"):
@@ -85,7 +85,7 @@ def test_release_of_an_unheld_booking_fails():
 def test_engine_does_not_touch_worker_bookings():
     inst = random_instance(5)
     before = [list(w.bookings) for w in inst.workers]
-    engine = ScoreEngine(inst.workers, list(inst.categories.values()), inst.velocity, inst.weights)
+    engine = inst.engine()
     for w in inst.workers:
         engine.book(w.id, 500.0, 510.0)
     assert [w.bookings for w in inst.workers] == before

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from crowdsim.schedule import (
     ALL_DAYS,
     WEEK_MINUTES,
-    WEEKDAYS,
     Segment,
     WeeklySchedule,
     availability_score,
-    status_integral,
 )
 
 
@@ -87,11 +85,6 @@ def test_availability_score_degenerate_window():
     s = WeeklySchedule((), default=1.0)
     assert availability_score(s, 100.0, 100.0) == 0.0
     assert availability_score(s, 100.0, 50.0) == 0.0
-
-
-def test_status_integral_matches_schedule_method():
-    s = WeeklySchedule((Segment(WEEKDAYS, 480, 1080, 0.25),), default=0.75)
-    assert status_integral(s, 100.0, 5000.0) == s.integral(100.0, 5000.0)
 
 
 # -- property tests ----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdsim.assign import ScoreEngine
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import Segment, WeeklySchedule
 from crowdsim.scoring import (
@@ -16,7 +17,6 @@ from crowdsim.scoring import (
     reward_score,
     task_priority_score,
     time_score,
-    time_to_complete,
     total_score,
     trustworthy_score,
 )
@@ -56,13 +56,18 @@ OWNER = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=1.0
 CAT = TaskCategory(1, "c", 1.0, 5.0)
 
 
+def engine_ttc(task: Task, worker: Worker) -> float:
+    """Travel plus work minutes for ``worker`` dispatched at time 0, as the engine computes them."""
+    return float(ScoreEngine([worker], [CAT], VEL, W).score_at(task, OWNER, CAT, 0.0).ttc[0])
+
+
 # -- time ---------------------------------------------------------------------
 
 
 def test_time_to_complete_travel_plus_duration():
     # 5 km at 30 km/h is 10 minutes of travel.
     task = make_task()
-    assert time_to_complete(task, make_worker(), 0.0, VEL) == 30.0
+    assert engine_ttc(task, make_worker()) == 30.0
 
 
 def test_time_score_half_when_ttc_is_half_window():
@@ -71,9 +76,7 @@ def test_time_score_half_when_ttc_is_half_window():
 
 def test_time_score_frozen_value_with_travel():
     # ttc = 10 min travel + 20 min work = 30; window 120 -> (120-30)/120.
-    task = make_task()
-    ttc = time_to_complete(task, make_worker(), 0.0, VEL)
-    assert time_score(task, ttc, 0.0) == 0.75
+    assert total_score(make_task(), make_worker(), OWNER, CAT, 0.0, VEL, W).time_score == 0.75
 
 
 def test_time_score_negative_when_cannot_finish():
@@ -304,7 +307,7 @@ def test_time_score_decreases_as_dispatch_slips(t):
 
 def test_distance_affects_ttc_monotonically():
     task = make_task()
-    near = time_to_complete(task, make_worker(x=1.0), 0.0, VEL)
-    far = time_to_complete(task, make_worker(x=9.0), 0.0, VEL)
+    near = engine_ttc(task, make_worker(x=1.0))
+    far = engine_ttc(task, make_worker(x=9.0))
     assert near < far
     assert math.isclose(far - near, (8.0 / 30.0) * 60.0)
