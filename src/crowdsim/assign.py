@@ -309,6 +309,7 @@ class ScoreEngine:
         return nw * self._st_week[:, None] + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])
 
     def _speeds(self, times: np.ndarray) -> np.ndarray:
+        """The floored travel speed at each time, shaped (times,)."""
         return self._speed[self._speed_table.index(0, np.mod(times, WEEK_MINUTES))]
 
     def grid_context(self, times: np.ndarray) -> GridContext:
