@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .scoring import (
     trustworthy_score,
 )
 
-#: Candidate pairs materialised per task before falling back to a full sort.
+#: Candidate pairs materialised per task at first; each rebuild doubles the count.
 _CANDIDATE_BLOCK = 64
 
 
@@ -324,30 +325,44 @@ class ScoreEngine:
     # -- scoring ----------------------------------------------------------
 
     def _reach(self, task: Task, times: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray):
-        """Distance, effective start and time to complete from positions at dispatch times."""
+        """Distance, effective start and time to complete from positions at dispatch times.
+
+        Steps write in place into this call's own arrays; the operations and
+        their order are those of the scalar formulas.
+        """
         c = centroid(task.region)
-        dx = c.x - x
-        dy = c.y - y
-        dist = np.sqrt(dx * dx + dy * dy)
-        travel = (dist / speed) * 60.0
-        eff = times + travel
+        dist = np.subtract(c.x, x)
+        dy = np.subtract(c.y, y)
+        np.multiply(dist, dist, out=dist)
+        np.multiply(dy, dy, out=dy)
+        np.sqrt(np.add(dist, dy, out=dist), out=dist)
+        eff = np.divide(dist, speed, out=dy)  # travel minutes, then the effective start
+        np.multiply(eff, 60.0, out=eff)
+        np.add(times, eff, out=eff)
         if task.start_earliest is not None:
-            eff = np.maximum(eff, task.start_earliest)
-        return dist, eff, (eff + task.duration) - times
+            np.maximum(eff, task.start_earliest, out=eff)
+        ttc = np.add(eff, task.duration)
+        return dist, eff, np.subtract(ttc, times, out=ttc)
 
     def _score(self, task: Task, owner: TaskOwner, category: TaskCategory, ctx: GridContext, k: int) -> _Scores:
         """The total score and its factors over every worker and the first ``k`` times of ``ctx``."""
         times = ctx.times[:k]
         dist, eff, ttc = self._reach(task, times, ctx.x[:, :k], ctx.y[:, :k], ctx.speed[:k])
         exp = task.expiration
-        ts = ((exp - ttc) - times) / (exp - times)
+        left = exp - times
+        ts = np.subtract(exp, ttc)
+        np.subtract(ts, times, out=ts)
+        np.divide(ts, left, out=ts)
         if task.start_latest is not None:
-            ts = np.where(eff > task.start_latest, -1.0, ts)
-        avail = (self._cumulative(np.array([exp])) - ctx.cum_status[:, :k]) / (exp - times)
+            ts[eff > task.start_latest] = -1.0
+        avail = np.subtract(self._cumulative(np.array([exp])), ctx.cum_status[:, :k], out=eff)
+        np.divide(avail, left, out=avail)
         margin = task.pto_reward - self._demand[category.id]
         rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
         tw = self._trust_vector(category.id, owner)
-        total = ((ts * avail) * rw[:, None]) * tw[:, None]
+        total = np.multiply(ts, avail)
+        np.multiply(total, rw[:, None], out=total)
+        np.multiply(total, tw[:, None], out=total)
         return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, travel_km=dist, rw=rw, tw=tw)
 
     def score_at(self, task: Task, owner: TaskOwner, category: TaskCategory, t: float) -> _Scores:
@@ -514,9 +529,13 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
 
 
 class _Candidates:
-    """Per-task candidate pairs sorted by (total desc, worker id asc, time asc)."""
+    """Per-task candidate pairs sorted by (total desc, worker id asc, time asc).
 
-    __slots__ = ("task", "priority", "reason", "n_positive", "pointer", "w", "time", "pairs", "_rebuild")
+    Only a prefix of that order is materialised.  When the pointer runs past
+    it, the task is scored again and a prefix twice as long is kept.
+    """
+
+    __slots__ = ("task", "priority", "reason", "n_positive", "pointer", "w", "time", "pairs", "_grid")
 
     def __init__(self, task: Task, priority: float):
         self.task = task
@@ -527,9 +546,11 @@ class _Candidates:
         self.w: np.ndarray = np.empty(0, dtype=np.intp)  # worker index of each pair
         self.time: np.ndarray = np.empty(0)  # dispatch time of each pair
         self.pairs: _Scores | None = None  # the pairs' factors, in the same order
-        self._rebuild = None  # callable materialising the full sorted table
+        self._grid = None  # (score, times) while positive pairs lie past the prefix
 
-    def load(self, g: _Scores, times: np.ndarray, cap: int | None, rebuild) -> None:
+    def load(self, score, times: np.ndarray, cap: int) -> None:
+        """Keep the first ``cap`` positive pairs of the grid ``score()`` returns over ``times``."""
+        g = score()
         total = g.total.ravel()
         pos = np.flatnonzero(total > 0.0)
         self.n_positive = len(pos)
@@ -543,20 +564,19 @@ class _Candidates:
                 self.reason = OutcomeKind.NO_SUITABLE_WORKER
             return
         k = g.ts.shape[1]
-        if cap is not None and self.n_positive > cap:
+        if self.n_positive > cap:
             # Keep everything at or above the cap-th largest total so that
             # after the lexsort the kept rows are the exact prefix of the
             # full preference order, ties included.
             cutoff = np.partition(total[pos], -cap)[-cap]
             sel = pos[total[pos] >= cutoff]
-            self._rebuild = rebuild
+            self._grid = (score, times)
         else:
             sel = pos
+            self._grid = None
         w_idx = sel // k
         t_idx = sel % k
-        order = np.lexsort((t_idx, w_idx, -total[sel]))
-        if cap is not None and len(order) > cap:
-            order = order[:cap]
+        order = np.lexsort((t_idx, w_idx, -total[sel]))[:cap]
         w_idx, t_idx, sel = w_idx[order], t_idx[order], sel[order]
         self.w = w_idx
         self.time = times[t_idx]
@@ -571,13 +591,10 @@ class _Candidates:
         )
 
     def current(self):
+        if self.pointer == len(self.w) and self._grid is not None:
+            self.load(*self._grid, 2 * len(self.w))
         if self.pointer >= len(self.w):
-            if self.pointer < self.n_positive and self._rebuild is not None:
-                rebuild = self._rebuild
-                self._rebuild = None
-                rebuild(self)  # re-materialise without the cap
-            if self.pointer >= len(self.w):
-                return None
+            return None
         i = self.pointer
         return (
             int(self.w[i]),
@@ -608,8 +625,11 @@ def offline_assign(
     exact ties, and a proposal whose work interval overlaps the worker's
     bookings or an already honoured interval is refused.  Refused tasks
     move to their next pair and the rounds repeat until nothing is refused.
-    Scores are computed once against the state at ``now`` and never revised
-    within the batch.
+    A round re-decides only the workers that received a new proposal, over
+    all the proposals they hold; every other worker would honour the same
+    proposals again, so the rounds are the same as when every worker
+    decides in each.  Scores are computed once against the state at ``now``
+    and never revised within the batch.
     """
     if not tasks:
         return [], []
@@ -633,41 +653,35 @@ def offline_assign(
         if k == 0:
             cand.reason = OutcomeKind.DEADLINE_INFEASIBLE
         else:
-
-            def rebuild(c: _Candidates, task=task, owner=owner, category=category, k=k):
-                c.load(engine.score_grid(task, owner, category, ctx, k), ctx.times, None, None)
-
-            cand.load(engine.score_grid(task, owner, category, ctx, k), ctx.times, _CANDIDATE_BLOCK, rebuild)
+            cand.load(partial(engine.score_grid, task, owner, category, ctx, k), ctx.times, _CANDIDATE_BLOCK)
         cands[task.id] = cand
 
-    active = [t.id for t in tasks_sorted if cands[t.id].n_positive > 0]
-    exhausted: list[int] = []
+    # Proposals and their booking clashes persist across rounds.  A worker
+    # that only lost refused proposals keeps the rest: they were pairwise
+    # disjoint and free of bookings, and no booking changes in this call.
+    proposals: dict[int, tuple[int, float, float, float, int]] = {}
+    clashes: dict[int, bool] = {}
+    by_worker: dict[int, set[int]] = {}
+    movers = [t.id for t in tasks_sorted if cands[t.id].n_positive > 0]
     while True:
-        proposals: dict[int, tuple[int, float, float, float, int]] = {}
-        still_active = []
-        for tid in active:
+        new: dict[int, tuple[int, float, float, float, int]] = {}
+        for tid in movers:
             cur = cands[tid].current()
-            if cur is None:
-                exhausted.append(tid)
-            else:
-                proposals[tid] = cur
-                still_active.append(tid)
-        active = still_active
+            if cur is not None:
+                new[tid] = cur
 
-        # Every proposal of the round against the live bookings at once.
-        props = np.array(list(proposals.values()), dtype=float).reshape(-1, 5)
+        # The round's new proposals against the live bookings at once.
+        props = np.array(list(new.values()), dtype=float).reshape(-1, 5)
         t0s = props[:, 1]
         booked = engine.booked(t0s, t0s + props[:, 3], props[:, 0].astype(np.intp))
-        clashes = dict(zip(proposals, booked.tolist()))
-
-        by_worker: dict[int, list[int]] = {}
-        for tid, (w, _t, _total, _ttc, _i) in proposals.items():
-            by_worker.setdefault(w, []).append(tid)
+        clashes.update(zip(new, booked.tolist()))
+        proposals.update(new)
+        for tid, (w, _t, _total, _ttc, _i) in new.items():
+            by_worker.setdefault(w, set()).add(tid)
 
         rejected: list[int] = []
-        for w in sorted(by_worker):
-            tids = by_worker[w]
-            tids.sort(key=lambda tid: (-cands[tid].priority, -proposals[tid][2], tid))
+        for w in sorted({p[0] for p in new.values()}):
+            tids = sorted(by_worker[w], key=lambda tid: (-cands[tid].priority, -proposals[tid][2], tid))
             # A seeded draw decides exact (priority, total) ties.
             ordered: list[int] = []
             run_start = 0
@@ -703,15 +717,16 @@ def offline_assign(
         if not rejected:
             break
         for tid in rejected:
+            by_worker[proposals.pop(tid)[0]].discard(tid)
             cands[tid].pointer += 1
+        movers = rejected
 
     assignments: list[Assignment] = []
     unassigned: list[tuple[int, OutcomeKind]] = []
-    placed = {tid: proposals[tid] for tid in active}
     for task in tasks_sorted:
         cand = cands[task.id]
-        if task.id in placed:
-            w, t0, _total, ttc, i = placed[task.id]
+        if task.id in proposals:
+            w, t0, _total, ttc, i = proposals[task.id]
             assignments.append(
                 Assignment(
                     task_id=task.id,

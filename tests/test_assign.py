@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import brute_force
 from instances import random_instance
 
 import crowdsim
+from crowdsim import assign
 from crowdsim.assign import (
     Assignment,
     AssignOutcome,
@@ -132,12 +134,43 @@ def _run_both(inst):
     return got_triples, got_kinds, want_triples, want_kinds
 
 
-@pytest.mark.parametrize("seed", range(200))
-def test_offline_matches_oracle(seed):
+def _oracle_cases():
+    """Every seed at the default candidate block (id: the bare seed) and at
+    blocks 1 and 2, which cap and rebuild every table; plain and with ties."""
+    for ties in (False, True):
+        for block in (64, 1, 2):
+            for seed in range(200):
+                tags = [str(seed)] + ["ties"] * ties + ([f"block{block}"] if block != 64 else [])
+                yield pytest.param(seed, block, ties, id="-".join(tags))
+
+
+def _with_clones(inst):
+    """Each task again under a fresh id, so a copy ties with its original on (priority, total)."""
+    offset = max(t.id for t in inst.tasks)
+    return replace(inst, tasks=inst.tasks + [replace(t, id=t.id + offset) for t in inst.tasks])
+
+
+@pytest.mark.parametrize("seed, block, ties", _oracle_cases())
+def test_offline_matches_oracle(seed, block, ties, monkeypatch):
+    monkeypatch.setattr(assign, "_CANDIDATE_BLOCK", block)
+    draws = []
+    tie_pick = assign._tie_pick
+
+    def counted_tie_pick(*args):
+        draws.append(args)
+        return tie_pick(*args)
+
+    monkeypatch.setattr(assign, "_tie_pick", counted_tie_pick)
     inst = random_instance(seed)
+    if ties:
+        inst = _with_clones(inst)
     got_triples, got_kinds, want_triples, want_kinds = _run_both(inst)
     assert got_triples == want_triples, f"seed {seed}"
     assert got_kinds == want_kinds, f"seed {seed}"
+    if ties and want_triples:
+        # A placed task had a positive pair, so in the first round it and its
+        # clone proposed that same pair to the same worker.
+        assert draws, f"seed {seed}"
 
 
 def test_offline_outcomes_cover_every_task():

@@ -34,6 +34,9 @@ def test_perfbench_trace_hooks_wrap_a_run(policy, tmp_path, monkeypatch):
     calls = spans.layer_metrics(tracer.spans, tracer.counts)
     assert calls["simulate.run.calls"] == 1
     if policy == "psc":
+        # simulate calls the batch assigner under the name the benchmark wraps.
+        assert calls["assign.offline_assign.calls"] > 0
+        assert calls["assign.offline_assign.tasks"] > 0
         assert calls["assign.score_grid.calls"] > 0
         assert calls["assign.score_at.calls"] > 0
     else:
