@@ -21,12 +21,10 @@ from .model import (
     Disc,
     Point,
     Rect,
-    Region,
     Task,
     TaskCategory,
     TaskOwner,
     TrustCounters,
-    Violation,
     Worker,
     centroid,
     distance,
@@ -34,14 +32,10 @@ from .model import (
 )
 from .schedule import (
     ALL_DAYS,
-    DAY_MINUTES,
     WEEK_MINUTES,
-    WEEKDAYS,
-    WEEKEND,
     Segment,
     WeeklySchedule,
     availability_score,
-    expected_region_at,
 )
 from .scoring import (
     ScoreBreakdown,
@@ -54,7 +48,7 @@ from .scoring import (
     total_score,
     trustworthy_score,
 )
-from .simulate import POLICIES, LogRow, SimConfig, SimReport, TaskState, accept_decision, run
+from .simulate import POLICIES, SimConfig, SimReport, TaskState, accept_decision, run
 from .workload import (
     GenParams,
     ParameterError,
@@ -73,16 +67,13 @@ __all__ = [
     "ALL_DAYS",
     "Assignment",
     "AssignOutcome",
-    "DAY_MINUTES",
     "Disc",
     "GenParams",
-    "LogRow",
     "OutcomeKind",
     "POLICIES",
     "ParameterError",
     "Point",
     "Rect",
-    "Region",
     "Scenario",
     "ScenarioFormatError",
     "ScenarioValidationError",
@@ -100,9 +91,6 @@ __all__ = [
     "TrustCounters",
     "TrustWeights",
     "VelocityProfile",
-    "Violation",
-    "WEEKDAYS",
-    "WEEKEND",
     "WEEK_MINUTES",
     "WeeklySchedule",
     "Worker",
@@ -112,7 +100,6 @@ __all__ = [
     "builtin_scenarios",
     "centroid",
     "distance",
-    "expected_region_at",
     "generate",
     "load",
     "offline_assign",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Task, TaskCategory, TaskOwner, Worker, centroid
+from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
 from .schedule import WEEK_MINUTES, WeeklySchedule
 from .scoring import (
     MIN_PRIORITY_EXPONENT_BASE,
@@ -42,10 +42,10 @@ class TimeGrid:
     horizon_min: float = WEEK_MINUTES
 
     def __post_init__(self) -> None:
-        if self.step_min <= 0:
-            raise ValueError(f"grid step must be > 0, got {self.step_min}")
-        if self.horizon_min < 0:
-            raise ValueError(f"grid horizon must be >= 0, got {self.horizon_min}")
+        if not (0 < self.step_min < math.inf):
+            raise ValueError(f"grid step must be finite and > 0, got {self.step_min}")
+        if not (0 <= self.horizon_min < math.inf):
+            raise ValueError(f"grid horizon must be finite and >= 0, got {self.horizon_min}")
 
     def times(self, now: float, before: float) -> np.ndarray:
         """Grid points ``now + k*step`` with ``t < before`` and ``t <= horizon``."""
@@ -169,11 +169,11 @@ class ScoreEngine:
     """Vectorised evaluation of the total score for a fixed worker population.
 
     Workers are kept sorted by id, so "first index" tie-breaks equal
-    "lowest worker id".  Trust factors are cached per category and must be
-    refreshed through :meth:`refresh_trust` whenever counters change.
-    The engine also owns the run's bookings: it copies ``Worker.bookings``
-    once, and the simulator changes them through :meth:`book` and
-    :meth:`release`.
+    "lowest worker id".  The engine owns the run state: it copies each
+    worker's trust counters and bookings once and never changes the
+    ``Worker`` records.  The simulator advances a counter through
+    :meth:`refresh_trust` and changes bookings through :meth:`book` and
+    :meth:`release`; :meth:`live_worker` reports a worker as the run stands.
     """
 
     def __init__(
@@ -214,13 +214,15 @@ class ScoreEngine:
             c.id: np.array([w.reward_demand.get(c.id, c.cat_reward) for w in self.workers])
             for c in categories
         }
-        # Raw trust per category, kept both as Python floats (for bit-exact
-        # scalar powers) and as the basis of per-exponent cached vectors.
+        # Live trust counters per worker, and the raw trust per category as
+        # Python floats (for bit-exact scalar powers) with its powered
+        # vectors cached per category and exponent.
+        self._trust: list[dict[int, TrustCounters]] = [dict(w.trust) for w in self.workers]
         self._trust_raw: dict[int, list[float]] = {
             c.id: [trustworthy_score(w.trust_for(c.id), weights) for w in self.workers]
             for c in categories
         }
-        self._trust_pow: dict[tuple[int, float], np.ndarray] = {}
+        self._trust_pow: dict[int, dict[float, np.ndarray]] = {c.id: {} for c in categories}
 
         # Live bookings, one column per worker: the first ``_bk_count[i]``
         # rows of column i hold its half-open [start, end) bookings in no
@@ -274,25 +276,48 @@ class ScoreEngine:
         """
         return ((self._bk_start[:, rows] < end) & (self._bk_end[:, rows] > start)).any(axis=0)
 
-    def refresh_trust(self, worker_id: int, category_id: int) -> None:
-        """Re-read one worker's trust counters after the simulator changed them."""
+    def live_worker(self, worker_id: int) -> Worker:
+        """The worker with this run's trust counters and bookings."""
         i = self.index_of[worker_id]
-        raw = trustworthy_score(self.workers[i].trust_for(category_id), self.weights)
+        return replace(self.workers[i], trust=dict(self._trust[i]), bookings=self.bookings_of(worker_id))
+
+    def refresh_trust(self, worker_id: int, category_id: int, event: str) -> None:
+        """Advance one trust counter on ``event`` and update the cached trust of that category."""
+        i = self.index_of[worker_id]
+        c = self._trust[i].get(category_id) or TrustCounters()
+        if event == "assigned":
+            c = replace(c, assigned=c.assigned + 1)
+        elif event == "accepted":
+            if c.accepted + 1 > c.assigned:
+                raise RuntimeError(
+                    f"internal fault: worker {worker_id} accepted more category-{category_id} "
+                    f"tasks than were assigned"
+                )
+            c = replace(c, accepted=c.accepted + 1)
+        elif event == "completed":
+            if c.completed + 1 > c.accepted:
+                raise RuntimeError(
+                    f"internal fault: worker {worker_id} completed a category-{category_id} "
+                    f"task that was never accepted"
+                )
+            c = replace(c, completed=c.completed + 1)
+        else:
+            raise ValueError(f"unknown trust event {event!r}")
+        self._trust[i][category_id] = c
+        raw = trustworthy_score(c, self.weights)
         self._trust_raw[category_id][i] = raw
-        for (cat, exponent), vec in self._trust_pow.items():
-            if cat == category_id:
-                vec[i] = raw**exponent
+        for exponent, vec in self._trust_pow[category_id].items():
+            vec[i] = raw**exponent
 
     def _trust_vector(self, category_id: int, owner: TaskOwner) -> np.ndarray:
         base = owner.pto_priority
         if base < MIN_PRIORITY_EXPONENT_BASE:
             base = MIN_PRIORITY_EXPONENT_BASE
         exponent = 1.0 / base
-        key = (category_id, exponent)
-        vec = self._trust_pow.get(key)
+        cached = self._trust_pow[category_id]
+        vec = cached.get(exponent)
         if vec is None:
-            vec = np.array([r**exponent for r in self._trust_raw[category_id]])
-            self._trust_pow[key] = vec
+            vec = cached[exponent] = np.array([r**exponent for r in self._trust_raw[category_id]])
         return vec
 
     # -- time lookups ----------------------------------------------------
@@ -505,7 +530,7 @@ def baseline_nearest(
     if not mask.any():
         return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
     i = int(np.argmin(np.where(mask, dist, np.inf)))
-    worker = engine.workers[i]
+    worker = engine.live_worker(engine.workers[i].id)
     assignment = Assignment(
         task_id=task.id,
         worker_id=worker.id,

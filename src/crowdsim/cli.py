@@ -109,19 +109,16 @@ def _build_config(args, scenario: Scenario, policy: str, seed: int) -> SimConfig
         duration = float(max(t.expiration for t in scenario.tasks))
     else:
         duration = DAY_MIN
+    # The config checks the horizon before the batch times are laid out up to it.
+    config = SimConfig(duration_min=duration, seed=seed, policy=policy)
+    grid = TimeGrid(step_min=float(args.grid_step_min), horizon_min=duration)
     if args.batch_times is None:
         batch_times = _default_batch_times(duration)
     elif args.batch_times.strip().lower() in ("", "none"):
         batch_times = ()
     else:
         batch_times = tuple(float(x) for x in args.batch_times.split(","))
-    return SimConfig(
-        duration_min=duration,
-        offline_batch_times=batch_times,
-        grid=TimeGrid(step_min=float(args.grid_step_min), horizon_min=duration),
-        seed=seed,
-        policy=policy,
-    )
+    return replace(config, offline_batch_times=batch_times, grid=grid)
 
 
 def _metrics_row(report: SimReport, policy: str, seed: int) -> dict:

@@ -123,15 +123,14 @@ class Task:
     start_latest: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Worker:
-    """A registered worker.
+    """A registered worker: weekly pattern and status, demands, and history.
 
-    ``trust`` is runtime state, mutated only by the simulator; everything
-    else is treated as read-only.  ``bookings`` is the initial state only:
-    the ``ScoreEngine`` built for a run copies it and holds that run's
-    bookings from then on.  The worker's home region is the default of the
-    movement pattern.
+    A worker is input and never changes.  ``trust`` and ``bookings`` are the
+    state at the start of a run: the ``ScoreEngine`` built for the run copies
+    them and owns that run's trust counters and bookings from then on.  The
+    worker's home region is the default of the movement pattern.
     """
 
     id: int
@@ -146,10 +145,7 @@ class Worker:
         return self.pattern.default
 
     def trust_for(self, category_id: int) -> TrustCounters:
-        counters = self.trust.get(category_id)
-        if counters is None:
-            return TrustCounters(initial_score=DEFAULT_INITIAL_TRUST)
-        return counters
+        return self.trust.get(category_id) or TrustCounters()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -60,10 +61,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        if self.duration_min <= 0:
-            raise ValueError(f"duration_min must be > 0, got {self.duration_min}")
-        if self.response_delay_min < 0:
-            raise ValueError(f"response_delay_min must be >= 0, got {self.response_delay_min}")
+        if not (0 < self.duration_min < math.inf):
+            raise ValueError(f"duration_min must be finite and > 0, got {self.duration_min}")
+        if not (0 <= self.response_delay_min < math.inf):
+            raise ValueError(f"response_delay_min must be finite and >= 0, got {self.response_delay_min}")
 
 
 class TaskState(str, Enum):
@@ -117,30 +118,6 @@ def accept_decision(assignment: Assignment, rng: random.Random) -> bool:
     return rng.random() < p
 
 
-def apply_trust_update(worker: Worker, category_id: int, event: str) -> None:
-    """Advance one trust counter; the counters must stay consistent."""
-    counters = worker.trust_for(category_id)
-    if event == "assigned":
-        counters = replace(counters, assigned=counters.assigned + 1)
-    elif event == "accepted":
-        if counters.accepted + 1 > counters.assigned:
-            raise RuntimeError(
-                f"internal fault: worker {worker.id} accepted more category-{category_id} "
-                f"tasks than were assigned"
-            )
-        counters = replace(counters, accepted=counters.accepted + 1)
-    elif event == "completed":
-        if counters.completed + 1 > counters.accepted:
-            raise RuntimeError(
-                f"internal fault: worker {worker.id} completed a category-{category_id} "
-                f"task that was never accepted"
-            )
-        counters = replace(counters, completed=counters.completed + 1)
-    else:
-        raise ValueError(f"unknown trust event {event!r}")
-    worker.trust[category_id] = counters
-
-
 def performance_metrics(
     completed: int, submitted: int, sim_minutes: float, travel_km: list[float]
 ) -> tuple[float, float, float]:
@@ -161,14 +138,9 @@ class _Sim:
         self.tasks: dict[int, Task] = {t.id: t for t in scenario.tasks}
         self.owners = {o.id: o for o in scenario.owners}
         self.categories = {c.id: c for c in scenario.categories}
-        # Work on copies: the run mutates trust counters.  Bookings live in
-        # the engine, which reads the initial ones from the scenario.
-        self.workers = [
-            replace(w, reward_demand=dict(w.reward_demand), trust=dict(w.trust)) for w in scenario.workers
-        ]
-        self.worker_by_id = {w.id: w for w in self.workers}
+        self.worker_ids = [w.id for w in scenario.workers]  # the order of final_workers
         velocity = config.velocity if config.velocity is not None else scenario.velocity
-        self.engine = ScoreEngine(self.workers, scenario.categories, velocity, config.trust_weights)
+        self.engine = ScoreEngine(scenario.workers, scenario.categories, velocity, config.trust_weights)
         self.rng = random.Random(config.seed)
         self.batch_times = tuple(sorted(t for t in config.offline_batch_times if 0 <= t <= config.duration_min))
 
@@ -200,11 +172,6 @@ class _Sim:
 
     def _unbook(self, assignment: Assignment) -> None:
         self.engine.release(assignment.worker_id, *assignment.booking)
-
-    def _trust(self, task: Task, event: str) -> None:
-        worker = self.worker_by_id[self.pending[task.id].worker_id]
-        apply_trust_update(worker, task.category_id, event)
-        self.engine.refresh_trust(worker.id, task.category_id)
 
     def _next_batch(self, submit: float, before: float) -> float | None:
         i = bisect.bisect_left(self.batch_times, submit)
@@ -312,7 +279,7 @@ class _Sim:
             return
         a = self.pending[tid]
         self.assigned_ever.add(tid)
-        self._trust(self.tasks[tid], "assigned")
+        self.engine.refresh_trust(a.worker_id, self.tasks[tid].category_id, "assigned")
         self.emit(
             LogRow(
                 t,
@@ -332,7 +299,7 @@ class _Sim:
         done_at = max(a.dispatch_time + a.ttc_min, t)
         if accept_decision(a, self.rng):
             self.accepted_ever.add(tid)
-            self._trust(self.tasks[tid], "accepted")
+            self.engine.refresh_trust(a.worker_id, self.tasks[tid].category_id, "accepted")
             self.state[tid] = TaskState.IN_PROGRESS
             self.emit(LogRow(t, "accepted", task_id=tid, worker_id=a.worker_id))
             self.push(done_at, _R_COMPLETE, "complete", tid, epoch)
@@ -349,9 +316,7 @@ class _Sim:
         if self.state[tid] is not TaskState.IN_PROGRESS or self.epoch[tid] != epoch:
             return
         a = self.pending.pop(tid)
-        worker = self.worker_by_id[a.worker_id]
-        apply_trust_update(worker, self.tasks[tid].category_id, "completed")
-        self.engine.refresh_trust(worker.id, self.tasks[tid].category_id)
+        self.engine.refresh_trust(a.worker_id, self.tasks[tid].category_id, "completed")
         self.state[tid] = TaskState.COMPLETED
         self.travel_completed.append(a.travel_km)
         self.emit(
@@ -424,7 +389,7 @@ class _Sim:
             completion_fraction=fraction,
             mean_travel_km=mean_travel,
             log=tuple(self.log),
-            final_workers=tuple(replace(w, bookings=self.engine.bookings_of(w.id)) for w in self.workers),
+            final_workers=tuple(self.engine.live_worker(wid) for wid in self.worker_ids),
             task_state=dict(self.state),
             unassigned_reason=dict(self.unassigned_reason),
         )

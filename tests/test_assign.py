@@ -97,6 +97,14 @@ def test_grid_validation():
         TimeGrid(horizon_min=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_grid_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        TimeGrid(step_min=bad)
+    with pytest.raises(ValueError):
+        TimeGrid(horizon_min=bad)
+
+
 def test_grid_times_match_oracle():
     for seed in range(50):
         rng = random.Random(seed)
@@ -401,11 +409,19 @@ def test_nearest_distance_tie_prefers_lower_id():
 def test_engine_trust_refresh_changes_scores():
     worker = _worker(1, x=5.0)
     engine = _engine([worker])
-    before = engine.score_at(_task(1), OWNER, CAT, 0.0).total[0]
-    worker.trust[1] = TrustCounters(assigned=10, accepted=1, completed=0, initial_score=0.5)
-    engine.refresh_trust(worker.id, 1)
-    after = engine.score_at(_task(1), OWNER, CAT, 0.0).total[0]
-    assert after < before
+    owners = [OWNER, replace(OWNER, pto_priority=0.4)]  # trust exponents 1 and 2.5
+    before = [engine.score_at(_task(1), o, CAT, 0.0).total[0] for o in owners]
+    for event in ["assigned"] * 10 + ["accepted"]:
+        engine.refresh_trust(worker.id, 1, event)
+    live = engine.live_worker(worker.id)
+    assert live.trust == {1: TrustCounters(assigned=10, accepted=1, completed=0)}
+    assert worker.trust == {}
+    for owner, old in zip(owners, before):
+        s = engine.score_at(_task(1), owner, CAT, 0.0)
+        want = total_score(_task(1), live, owner, CAT, 0.0, VEL, W)
+        assert s.tw[0] == want.trust_weighted
+        assert s.total[0] == want.total
+        assert s.total[0] < old
 
 
 def test_outcome_constructors():

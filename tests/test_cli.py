@@ -218,6 +218,26 @@ def test_unknown_scenario_exits_2(capsys):
     assert EXAMPLE in err  # the message lists valid builtins
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--horizon-min", "inf"), ("--horizon-min", "nan"), ("--grid-step-min", "nan"), ("--grid-step-min", "inf")],
+)
+def test_non_finite_sim_flags_exit_2(flag, value):
+    # An infinite horizon once laid out daily batch times without end, so the
+    # command runs in a child process that is killed if it does not return.
+    import crowdsim
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(crowdsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from crowdsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["run", "--scenario", EXAMPLE, flag, value]
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "must be finite" in out.stderr
+    assert out.stdout == ""
+
+
 def test_invalid_scenario_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1}', encoding="utf-8")

@@ -1,21 +1,18 @@
 """Discrete-event simulator: frozen traces, invariants, and trust bookkeeping."""
 
+import copy
+import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from crowdsim.assign import Assignment, OutcomeKind
+from crowdsim.assign import Assignment, OutcomeKind, ScoreEngine
 from crowdsim.model import Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import WeeklySchedule
-from crowdsim.scoring import ScoreBreakdown, TrustWeights, VelocityProfile
-from crowdsim.simulate import (
-    SimConfig,
-    TaskState,
-    accept_decision,
-    apply_trust_update,
-    performance_metrics,
-    run,
-)
+from crowdsim.scoring import ScoreBreakdown, TrustWeights, VelocityProfile, total_score
+from crowdsim.simulate import SimConfig, TaskState, accept_decision, performance_metrics, run
 from crowdsim.workload import GenParams, Scenario, builtin_scenarios, generate
 
 
@@ -170,35 +167,120 @@ def test_accept_probability_clamped():
 # -- trust bookkeeping ----------------------------------------------------------------
 
 
+def _trust_engine(trust=None) -> ScoreEngine:
+    w = Worker(1, WeeklySchedule((), default=Point(0, 0)), WeeklySchedule((), default=1.0), trust=trust or {})
+    categories = [TaskCategory(1, "a", 1.0, 5.0), TaskCategory(3, "c", 1.0, 5.0)]
+    return ScoreEngine([w], categories, VelocityProfile(WeeklySchedule((), default=30.0), 5.0), TrustWeights())
+
+
 def test_trust_update_sequence():
-    w = Worker(1, WeeklySchedule((), default=Point(0, 0)), WeeklySchedule((), default=1.0))
-    apply_trust_update(w, 3, "assigned")
-    assert w.trust[3] == TrustCounters(1, 0, 0)
-    apply_trust_update(w, 3, "accepted")
-    apply_trust_update(w, 3, "completed")
-    assert w.trust[3] == TrustCounters(1, 1, 1)
+    engine = _trust_engine()
+    engine.refresh_trust(1, 3, "assigned")
+    assert engine.live_worker(1).trust == {3: TrustCounters(1, 0, 0)}
+    engine.refresh_trust(1, 3, "accepted")
+    engine.refresh_trust(1, 3, "completed")
+    assert engine.live_worker(1).trust == {3: TrustCounters(1, 1, 1)}
     # Initial score survives the counter updates.
-    w.trust[3] = TrustCounters(1, 1, 1, initial_score=0.9)
-    apply_trust_update(w, 3, "assigned")
-    assert w.trust[3] == TrustCounters(2, 1, 1, initial_score=0.9)
+    engine = _trust_engine({3: TrustCounters(1, 1, 1, initial_score=0.9)})
+    engine.refresh_trust(1, 3, "assigned")
+    assert engine.live_worker(1).trust[3] == TrustCounters(2, 1, 1, initial_score=0.9)
 
 
 def test_trust_update_rejects_impossible_orderings():
-    w = Worker(1, WeeklySchedule((), default=Point(0, 0)), WeeklySchedule((), default=1.0))
+    engine = _trust_engine()
     with pytest.raises(RuntimeError):
-        apply_trust_update(w, 1, "accepted")
-    apply_trust_update(w, 1, "assigned")
-    apply_trust_update(w, 1, "accepted")
+        engine.refresh_trust(1, 1, "accepted")
+    engine.refresh_trust(1, 1, "assigned")
+    engine.refresh_trust(1, 1, "accepted")
     with pytest.raises(RuntimeError):
-        apply_trust_update(w, 1, "accepted")
-    apply_trust_update(w, 1, "completed")
+        engine.refresh_trust(1, 1, "accepted")
+    engine.refresh_trust(1, 1, "completed")
     with pytest.raises(RuntimeError):
-        apply_trust_update(w, 1, "completed")
+        engine.refresh_trust(1, 1, "completed")
     with pytest.raises(ValueError):
-        apply_trust_update(w, 1, "rejected")
+        engine.refresh_trust(1, 1, "rejected")
+    # A refused event leaves the counter as it was.
+    assert engine.live_worker(1).trust == {1: TrustCounters(1, 1, 1)}
+
+
+def _partly_trusted_scenario() -> Scenario:
+    sc = generate(GenParams(n_workers=20, n_tasks=60, horizon_min=2880.0), seed=4)
+    # Even-numbered workers register no trust entry for category 1.
+    workers = [replace(w, trust={c: t for c, t in w.trust.items() if c != 1 or w.id % 2}) for w in sc.workers]
+    return replace(sc, workers=workers)
+
+
+def _run_partly_trusted(sc: Scenario, policy: str):
+    return run(sc, SimConfig(duration_min=2880.0, offline_batch_times=(180.0, 1620.0), seed=2, policy=policy))
+
+
+@pytest.mark.parametrize("policy", ["psc", "sc-nearest"])
+def test_run_leaves_workers_alone_and_reports_live_counters(policy):
+    sc = _partly_trusted_scenario()
+    before = copy.deepcopy(sc.workers)
+    rep = _run_partly_trusted(sc, policy)
+    assert sc.workers == before
+
+    category_of = {t.id: t.category_id for t in sc.tasks}
+    events = Counter(
+        (r.worker_id, category_of[r.task_id], r.event_kind)
+        for r in rep.log
+        if r.event_kind in ("dispatch", "accepted", "completed")
+    )
+    assert [w.id for w in rep.final_workers] == [w.id for w in sc.workers]
+    touched_new = 0
+    for w, final in zip(sc.workers, rep.final_workers):
+        touched = set()
+        for cat in sc.categories:
+            got, given = final.trust_for(cat.id), w.trust_for(cat.id)
+            n = [events[(w.id, cat.id, kind)] for kind in ("dispatch", "accepted", "completed")]
+            assert got == replace(
+                given, assigned=given.assigned + n[0], accepted=given.accepted + n[1], completed=given.completed + n[2]
+            )
+            if any(n):
+                touched.add(cat.id)
+                touched_new += cat.id not in w.trust
+        assert set(final.trust) == set(w.trust) | touched
+    assert touched_new > 0  # the run advanced counters the input did not have
+
+
+def test_nearest_scores_its_winner_on_live_counters():
+    sc = _partly_trusted_scenario()
+    rep = _run_partly_trusted(sc, "sc-nearest")
+    tasks = {t.id: t for t in sc.tasks}
+    owners = {o.id: o for o in sc.owners}
+    categories = {c.id: c for c in sc.categories}
+    given = {w.id: w for w in sc.workers}
+    live = dict(given)
+    field = {"dispatch": "assigned", "accepted": "accepted", "completed": "completed"}
+    advanced = 0
+    for r in rep.log:
+        if r.event_kind not in field:
+            continue
+        task, w = tasks[r.task_id], live[r.worker_id]
+        c = w.trust_for(task.category_id)
+        if r.event_kind == "dispatch":
+            # The baseline picks and scores its winner at the dispatch time,
+            # before the dispatch advances the counters.
+            want = total_score(
+                task, w, owners[task.owner_id], categories[task.category_id], r.time_min, sc.velocity, TrustWeights()
+            )
+            assert r.score_total == want.total
+            advanced += c != given[w.id].trust_for(task.category_id)
+        c = replace(c, **{field[r.event_kind]: getattr(c, field[r.event_kind]) + 1})
+        live[w.id] = replace(w, trust={**w.trust, task.category_id: c})
+    assert advanced > 0  # some winners were scored on counters the run had advanced
 
 
 # -- config validation ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sim_config_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        SimConfig(duration_min=bad)
+    with pytest.raises(ValueError):
+        SimConfig(duration_min=100.0, response_delay_min=bad)
 
 
 def test_sim_config_validation():

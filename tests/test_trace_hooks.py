@@ -33,6 +33,7 @@ def test_perfbench_trace_hooks_wrap_a_run(policy, tmp_path, monkeypatch):
     assert spans.nesting_faults(tracer.spans) == []
     calls = spans.layer_metrics(tracer.spans, tracer.counts)
     assert calls["simulate.run.calls"] == 1
+    assert calls["assign.refresh_trust.calls"] > 0
     if policy == "psc":
         # simulate calls the batch assigner under the name the benchmark wraps.
         assert calls["assign.offline_assign.calls"] > 0
