@@ -32,6 +32,8 @@ from .scoring import (
 
 #: Candidate pairs materialised per task at first; each rebuild doubles the count.
 _CANDIDATE_BLOCK = 64
+#: Worker rows scored in a task's first block of the threshold search; each later block doubles.
+_ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,9 @@ class AssignOutcome:
 
 @dataclass
 class _Scores:
-    """Score factors for one task over workers (1-D), workers x times (2-D), or candidate pairs.
+    """Score factors for one task over workers (1-D), worker rows x times (2-D), or candidate pairs.
 
-    ``rw`` and ``tw`` are per worker, or per pair for candidate pairs.
+    ``rw`` and ``tw`` are per worker row, or per pair for candidate pairs.
     """
 
     total: np.ndarray
@@ -120,13 +122,22 @@ class _Scores:
 
 
 @dataclass
+class _TaskFactors:
+    """The per-worker parts of one task's score that do not depend on the dispatch time."""
+
+    rw: np.ndarray
+    tw: np.ndarray
+    cum_exp: np.ndarray  # (workers,): status integral from 0 to the task's expiration
+
+
+@dataclass
 class GridContext:
     """Worker positions/cumulative status precomputed at shared grid times."""
 
     times: np.ndarray
     x: np.ndarray  # (workers, times)
     y: np.ndarray
-    cum_status: np.ndarray
+    cum_status: np.ndarray  # (workers, times), a view of a time-major array
     speed: np.ndarray  # (times,)
 
 
@@ -328,11 +339,14 @@ class ScoreEngine:
         return self._cx[p], self._cy[p]
 
     def _cumulative(self, times: np.ndarray) -> np.ndarray:
-        """Every worker's status integral from 0 to each time, shaped (workers, times)."""
-        nw = np.floor(times / WEEK_MINUTES)
-        tm = times - nw * WEEK_MINUTES
-        p = self._status.index(self._rows[:, None], tm)
-        return nw * self._st_week[:, None] + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])
+        """Every worker's status integral from 0 to each time, shaped (workers, times).
+
+        The array is laid out time-major, so one time's column is contiguous.
+        """
+        nw = np.floor(times / WEEK_MINUTES)[:, None]
+        tm = times[:, None] - nw * WEEK_MINUTES
+        p = self._status.index(self._rows, tm)
+        return (nw * self._st_week + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])).T
 
     def _speeds(self, times: np.ndarray) -> np.ndarray:
         """The floored travel speed at each time, shaped (times,)."""
@@ -369,10 +383,21 @@ class ScoreEngine:
         ttc = np.add(eff, task.duration)
         return dist, eff, np.subtract(ttc, times, out=ttc)
 
-    def _score(self, task: Task, owner: TaskOwner, category: TaskCategory, ctx: GridContext, k: int) -> _Scores:
-        """The total score and its factors over every worker and the first ``k`` times of ``ctx``."""
+    def _factors(
+        self, task: Task, owner: TaskOwner, category: TaskCategory, cum_exp: np.ndarray | None = None
+    ) -> _TaskFactors:
+        """The task's time-independent factors; ``cum_exp`` may come from one lookup for many tasks."""
+        margin = task.pto_reward - self._demand[category.id]
+        return _TaskFactors(
+            rw=np.where(margin > 0, margin / task.pto_reward, 0.0),
+            tw=self._trust_vector(category.id, owner),
+            cum_exp=self._cumulative(np.array([task.expiration]))[:, 0] if cum_exp is None else cum_exp,
+        )
+
+    def _score(self, task: Task, f: _TaskFactors, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
+        """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``."""
         times = ctx.times[:k]
-        dist, eff, ttc = self._reach(task, times, ctx.x[:, :k], ctx.y[:, :k], ctx.speed[:k])
+        dist, eff, ttc = self._reach(task, times, ctx.x[rows, :k], ctx.y[rows, :k], ctx.speed[:k])
         exp = task.expiration
         left = exp - times
         ts = np.subtract(exp, ttc)
@@ -380,11 +405,9 @@ class ScoreEngine:
         np.divide(ts, left, out=ts)
         if task.start_latest is not None:
             ts[eff > task.start_latest] = -1.0
-        avail = np.subtract(self._cumulative(np.array([exp])), ctx.cum_status[:, :k], out=eff)
+        avail = np.subtract(f.cum_exp[rows, None], ctx.cum_status[rows, :k], out=eff)
         np.divide(avail, left, out=avail)
-        margin = task.pto_reward - self._demand[category.id]
-        rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
-        tw = self._trust_vector(category.id, owner)
+        rw, tw = f.rw[rows], f.tw[rows]
         total = np.multiply(ts, avail)
         np.multiply(total, rw[:, None], out=total)
         np.multiply(total, tw[:, None], out=total)
@@ -392,7 +415,7 @@ class ScoreEngine:
 
     def score_at(self, task: Task, owner: TaskOwner, category: TaskCategory, t: float) -> _Scores:
         """Score every worker for ``task`` dispatched at the single time ``t``."""
-        s = self._score(task, owner, category, self._context(np.array([t])), 1)
+        s = self._score(task, self._factors(task, owner, category), self._context(np.array([t])), 1)
         return replace(
             s, total=s.total[:, 0], ts=s.ts[:, 0], avail=s.avail[:, 0], ttc=s.ttc[:, 0], travel_km=s.travel_km[:, 0]
         )
@@ -404,9 +427,52 @@ class ScoreEngine:
         category: TaskCategory,
         ctx: GridContext,
         k: int,
+        rows=slice(None),
+        factors: _TaskFactors | None = None,
     ) -> _Scores:
-        """Score every worker for ``task`` over the first ``k`` grid times."""
-        return self._score(task, owner, category, ctx, k)
+        """Score the worker ``rows`` (every worker by default) for ``task`` over the first ``k`` grid times.
+
+        ``factors`` from :meth:`_factors` may be shared between calls for one task.
+        """
+        f = self._factors(task, owner, category) if factors is None else factors
+        return self._score(task, f, ctx, k, rows)
+
+    def row_bounds(
+        self,
+        task: Task,
+        owner: TaskOwner,
+        category: TaskCategory,
+        ctx: GridContext,
+        k: int,
+        factors: _TaskFactors | None = None,
+    ) -> np.ndarray:
+        """Per worker, a bound at or above every positive total :meth:`score_grid` gives over the first ``k`` times.
+
+        The bound takes no distance.  Travel is never negative, so the
+        kernel's effective start is at least ``max(t, start_earliest)``;
+        from that lower start the time score is computed with the kernel's
+        own operations, and as IEEE rounding is monotone it is at least the
+        kernel's in every cell, and so are its products with the
+        non-negative availability, reward and trust.  A positive total needs
+        a positive time score, so the ``start_latest`` override (-1) never
+        matters.  A row where availability is negative (a status integral
+        can round down) could turn a negative time score into a positive
+        total, so its bound is +inf.
+        """
+        f = self._factors(task, owner, category) if factors is None else factors
+        times = ctx.times[:k]
+        exp = task.expiration
+        left = exp - times
+        eff = times if task.start_earliest is None else np.maximum(times, task.start_earliest)
+        ts = ((exp - ((eff + task.duration) - times)) - times) / left
+        # (times, workers), so that the reductions run over contiguous rows.
+        avail = np.subtract(f.cum_exp, ctx.cum_status.T[:k])
+        np.divide(avail, left[:, None], out=avail)
+        negative = avail.min(axis=0) < 0.0
+        np.multiply(ts[:, None], avail, out=avail)
+        bound = (avail.max(axis=0) * f.rw) * f.tw
+        bound[negative] = np.inf
+        return bound
 
 
 def _breakdown(s: _Scores, i) -> ScoreBreakdown:
@@ -556,8 +622,10 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
 class _Candidates:
     """Per-task candidate pairs sorted by (total desc, worker id asc, time asc).
 
-    Only a prefix of that order is materialised.  When the pointer runs past
-    it, the task is scored again and a prefix twice as long is kept.
+    Only a prefix of that order is materialised, found by a threshold search
+    (Fagin, Lotem & Naor, PODS 2001) over per-worker score bounds that need
+    no distances.  When the pointer runs past the prefix, the search runs
+    again for a prefix twice as long.
     """
 
     __slots__ = ("task", "priority", "reason", "n_positive", "pointer", "w", "time", "pairs", "_grid")
@@ -566,20 +634,45 @@ class _Candidates:
         self.task = task
         self.priority = priority
         self.reason: OutcomeKind | None = None
-        self.n_positive = 0
+        self.n_positive = 0  # positive pairs in the scored rows
         self.pointer = 0
         self.w: np.ndarray = np.empty(0, dtype=np.intp)  # worker index of each pair
         self.time: np.ndarray = np.empty(0)  # dispatch time of each pair
         self.pairs: _Scores | None = None  # the pairs' factors, in the same order
-        self._grid = None  # (score, times) while positive pairs lie past the prefix
+        self._grid = None  # (score, bound, times) while positive pairs may lie past the prefix
 
-    def load(self, score, times: np.ndarray, cap: int) -> None:
-        """Keep the first ``cap`` positive pairs of the grid ``score()`` returns over ``times``."""
-        g = score()
-        total = g.total.ravel()
-        pos = np.flatnonzero(total > 0.0)
-        self.n_positive = len(pos)
+    def load(self, score, bound: np.ndarray, times: np.ndarray, cap: int) -> None:
+        """Keep the first ``cap`` positive pairs of the grid over ``times``, scoring rows only as needed.
+
+        ``score(rows)`` scores the worker rows ``rows`` (an index array, or
+        ``slice(None)`` for all), and ``bound[r]`` is at or above every
+        positive total in row ``r``.  Rows are scored in descending bound
+        order, in blocks of ``_ROW_BLOCK`` rows that double each time.  Once
+        ``cap`` positive totals are known, let T be the cap-th best: a row
+        whose bound is below T holds no pair of the prefix, so the search
+        stops at the first such row.  A row whose bound equals T may hold a
+        total of T that wins its tie on worker id, so it is still scored.
+        Keeping every scored pair at or above T then gives exactly the prefix
+        a full grid would, ties at the cutoff included.  A task with no
+        positive pair is scored over the full grid once more for its reason.
+        """
+        order = np.argsort(-bound)
+        live = int(np.count_nonzero(bound > 0.0))
+        blocks: list[tuple[np.ndarray, _Scores]] = []
+        found = np.empty(0)  # positive totals of the rows scored so far
+        start, size = 0, _ROW_BLOCK
+        while start < live:
+            if len(found) >= cap and bound[order[start]] < np.partition(found, -cap)[-cap]:
+                break
+            rows = order[start : min(start + size, live)]
+            g = score(rows)
+            blocks.append((rows, g))
+            found = np.concatenate((found, g.total[g.total > 0.0]))
+            start += len(rows)
+            size *= 2
+        self.n_positive = len(found)
         if self.n_positive == 0:
+            g = score(slice(None))
             ts_ok = g.ts > 0
             if not ts_ok.any():
                 self.reason = OutcomeKind.DEADLINE_INFEASIBLE
@@ -588,31 +681,30 @@ class _Candidates:
             else:
                 self.reason = OutcomeKind.NO_SUITABLE_WORKER
             return
-        k = g.ts.shape[1]
-        if self.n_positive > cap:
-            # Keep everything at or above the cap-th largest total so that
-            # after the lexsort the kept rows are the exact prefix of the
-            # full preference order, ties included.
-            cutoff = np.partition(total[pos], -cap)[-cap]
-            sel = pos[total[pos] >= cutoff]
-            self._grid = (score, times)
-        else:
-            sel = pos
-            self._grid = None
-        w_idx = sel // k
-        t_idx = sel % k
-        order = np.lexsort((t_idx, w_idx, -total[sel]))[:cap]
-        w_idx, t_idx, sel = w_idx[order], t_idx[order], sel[order]
-        self.w = w_idx
-        self.time = times[t_idx]
+        # Every pair at or above the cap-th best total (or every positive
+        # pair, when fewer were found), so that after the lexsort the kept
+        # pairs are the exact prefix of the full preference order.
+        m = min(cap, self.n_positive)
+        cutoff = np.partition(found, -m)[-m]
+        self._grid = (score, bound, times) if self.n_positive > cap or start < live else None
+        cols = []
+        for rows, g in blocks:
+            sel = np.flatnonzero(g.total >= cutoff)
+            r, t = np.divmod(sel, g.total.shape[1])
+            per_cell = (g.total, g.ts, g.avail, g.ttc, g.travel_km)
+            cols.append((rows[r], t, *(a.ravel()[sel] for a in per_cell), g.rw[r], g.tw[r]))
+        w, t, total, ts, avail, ttc, travel_km, rw, tw = (np.concatenate(c) for c in zip(*cols))
+        order = np.lexsort((t, w, -total))[:cap]
+        self.w = w[order]
+        self.time = times[t[order]]
         self.pairs = _Scores(
-            total=total[sel],
-            ts=g.ts.ravel()[sel],
-            avail=g.avail.ravel()[sel],
-            ttc=g.ttc.ravel()[sel],
-            travel_km=g.travel_km.ravel()[sel],
-            rw=g.rw[w_idx],
-            tw=g.tw[w_idx],
+            total=total[order],
+            ts=ts[order],
+            avail=avail[order],
+            ttc=ttc[order],
+            travel_km=travel_km[order],
+            rw=rw[order],
+            tw=tw[order],
         )
 
     def current(self):
@@ -668,9 +760,10 @@ def offline_assign(
     max_exp = max(t.expiration for t in tasks_sorted)
     times = grid.times(now, before=max_exp)
     ctx = engine.grid_context(times) if len(times) else None
+    cum_exps = engine._cumulative(np.array([t.expiration for t in tasks_sorted]))
 
     cands: dict[int, _Candidates] = {}
-    for task in tasks_sorted:
+    for j, task in enumerate(tasks_sorted):
         owner = owners[task.owner_id]
         category = categories[task.category_id]
         cand = _Candidates(task, task_priority_score(task, owner, category))
@@ -678,7 +771,13 @@ def offline_assign(
         if k == 0:
             cand.reason = OutcomeKind.DEADLINE_INFEASIBLE
         else:
-            cand.load(partial(engine.score_grid, task, owner, category, ctx, k), ctx.times, _CANDIDATE_BLOCK)
+            f = engine._factors(task, owner, category, cum_exps[:, j])
+            cand.load(
+                partial(engine.score_grid, task, owner, category, ctx, k, factors=f),
+                engine.row_bounds(task, owner, category, ctx, k, factors=f),
+                ctx.times,
+                _CANDIDATE_BLOCK,
+            )
         cands[task.id] = cand
 
     # Proposals and their booking clashes persist across rounds.  A worker

@@ -43,7 +43,8 @@ class SimConfig:
     """Simulation run parameters.
 
     ``offline_batch_times`` lists the minutes at which the batch assigner
-    runs (ignored by the sc-nearest policy, which is purely online).
+    runs (ignored by the sc-nearest policy, which is purely online); each
+    must be finite and >= 0, and those past ``duration_min`` never come.
     ``velocity`` overrides the scenario's travel-speed profile when set.
     ``response_delay_min`` is how long a dispatched worker takes to accept
     or reject; rejections therefore cost real time.
@@ -65,6 +66,9 @@ class SimConfig:
             raise ValueError(f"duration_min must be finite and > 0, got {self.duration_min}")
         if not (0 <= self.response_delay_min < math.inf):
             raise ValueError(f"response_delay_min must be finite and >= 0, got {self.response_delay_min}")
+        for t in self.offline_batch_times:
+            if not (0 <= t < math.inf):
+                raise ValueError(f"batch times must be finite and >= 0, got {t}")
 
 
 class TaskState(str, Enum):
@@ -142,7 +146,7 @@ class _Sim:
         velocity = config.velocity if config.velocity is not None else scenario.velocity
         self.engine = ScoreEngine(scenario.workers, scenario.categories, velocity, config.trust_weights)
         self.rng = random.Random(config.seed)
-        self.batch_times = tuple(sorted(t for t in config.offline_batch_times if 0 <= t <= config.duration_min))
+        self.batch_times = tuple(sorted(t for t in config.offline_batch_times if t <= config.duration_min))
 
         self.heap: list[tuple] = []
         self.seq = 0

@@ -489,8 +489,8 @@ class GenParams:
             raise bad(f"n_categories must be >= 1, got {self.n_categories}")
         if self.n_owners < 1:
             raise bad(f"n_owners must be >= 1, got {self.n_owners}")
-        if self.map_size_km <= 0:
-            raise bad(f"map_size_km must be > 0, got {self.map_size_km}")
+        if not (0 < self.map_size_km < math.inf):
+            raise bad(f"map_size_km must be finite and > 0, got {self.map_size_km}")
         for name in ("fraction_commuters", "urgent_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -505,8 +505,8 @@ class GenParams:
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
                 raise bad(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
-        if self.horizon_min <= 0:
-            raise bad(f"horizon_min must be > 0, got {self.horizon_min}")
+        if not (0 < self.horizon_min < math.inf):
+            raise bad(f"horizon_min must be finite and > 0, got {self.horizon_min}")
 
 
 def _count(n: int, fraction: float) -> int:

@@ -144,12 +144,15 @@ def _run_both(inst):
 
 def _oracle_cases():
     """Every seed at the default candidate block (id: the bare seed) and at
-    blocks 1 and 2, which cap and rebuild every table; plain and with ties."""
+    blocks 1 and 2, which cap and rebuild every table; plain and with ties.
+    Blocks 1 and 2 run again with one worker row per first search block, so
+    the threshold search stops early on these few-worker instances."""
     for ties in (False, True):
-        for block in (64, 1, 2):
+        for block, rows in ((64, 16), (1, 16), (2, 16), (1, 1), (2, 1)):
             for seed in range(200):
                 tags = [str(seed)] + ["ties"] * ties + ([f"block{block}"] if block != 64 else [])
-                yield pytest.param(seed, block, ties, id="-".join(tags))
+                tags += [f"rows{rows}"] if rows != 16 else []
+                yield pytest.param(seed, block, rows, ties, id="-".join(tags))
 
 
 def _with_clones(inst):
@@ -158,9 +161,10 @@ def _with_clones(inst):
     return replace(inst, tasks=inst.tasks + [replace(t, id=t.id + offset) for t in inst.tasks])
 
 
-@pytest.mark.parametrize("seed, block, ties", _oracle_cases())
-def test_offline_matches_oracle(seed, block, ties, monkeypatch):
+@pytest.mark.parametrize("seed, block, rows, ties", _oracle_cases())
+def test_offline_matches_oracle(seed, block, rows, ties, monkeypatch):
     monkeypatch.setattr(assign, "_CANDIDATE_BLOCK", block)
+    monkeypatch.setattr(assign, "_ROW_BLOCK", rows)
     draws = []
     tie_pick = assign._tie_pick
 
@@ -179,6 +183,40 @@ def test_offline_matches_oracle(seed, block, ties, monkeypatch):
         # A placed task had a positive pair, so in the first round it and its
         # clone proposed that same pair to the same worker.
         assert draws, f"seed {seed}"
+
+
+def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
+    # Row 1's bound (2T) puts it first, and its one pair scores T. Row 0's
+    # bound is exactly T and its pair also scores T, which wins the tie on
+    # worker id. So row 0 must be scored although T is known when the search
+    # reaches it: the search stops at a bound below T, not at T. Row 2 shares
+    # row 0's block; row 3's bound is below T, so it is left for the rebuilds.
+    monkeypatch.setattr(assign, "_ROW_BLOCK", 1)
+    T = 0.5
+    totals = np.array([T, T, T / 2, T / 4])
+    bound = np.array([T, 2 * T, T, T / 2])
+    scored = []
+
+    def score(rows):
+        scored.append(sorted(rows.tolist()))
+        total = totals[rows][:, None]
+        ones = np.ones_like(total)
+        return assign._Scores(total=total, ts=total, avail=ones, ttc=ones, travel_km=ones, rw=ones[:, 0], tw=ones[:, 0])
+
+    cand = assign._Candidates(_task(1), priority=1.0)
+    cand.load(score, bound, np.array([0.0]), cap=1)
+    assert scored == [[1], [0, 2]]
+    assert cand.w.tolist() == [0]
+    # Moving past the prefix searches again with twice the cap; row 3 is
+    # scored only once the cap exceeds the pairs at or above its bound.
+    cand.pointer = 1
+    assert cand.current()[0] == 1
+    assert len(scored) == 4
+    cand.pointer = 2
+    assert cand.current()[:3] == (2, 0.0, T / 2)
+    assert scored[-3:] == [[1], [0, 2], [3]]
+    cand.pointer = 4
+    assert cand.current() is None
 
 
 def test_offline_outcomes_cover_every_task():
@@ -498,6 +536,76 @@ def test_engine_factors_equal_scalar_scores(seed):
                     got = (s.ts[k], s.avail[k], s.rw[i], s.tw[i], s.total[k])
                     assert got == want, (seed, task.id, w.id, t)
                     assert t + s.ttc[k] == end_want, (seed, task.id, w.id, t)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_row_bounds_cover_every_positive_total(seed):
+    # The threshold search is exact only if no row holds a positive total
+    # above its bound; compared with plain >=, as the search compares. A row
+    # subset scores the same as those rows of the full grid.
+    inst = random_instance(seed)
+    engine = inst.engine()
+    times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
+    if not len(times):
+        return
+    ctx = engine.grid_context(times)
+    for task in inst.tasks:
+        k = int(np.searchsorted(times, task.expiration, side="left"))
+        if k == 0:
+            continue
+        owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
+        bound = engine.row_bounds(task, owner, cat, ctx, k)
+        full = engine.score_grid(task, owner, cat, ctx, k)
+        for i, j in zip(*np.nonzero(full.total > 0.0)):
+            assert bound[i] >= full.total[i, j], (seed, task.id, i, j)
+        rows = np.arange(len(engine.workers))[::-1]
+        sub = engine.score_grid(task, owner, cat, ctx, k, rows)
+        for name in ("total", "ts", "avail", "ttc", "travel_km", "rw", "tw"):
+            assert np.array_equal(getattr(sub, name), getattr(full, name)[rows]), (seed, task.id, name)
+
+
+@pytest.mark.parametrize("start_earliest", [None, 40.0])
+def test_row_bound_is_reached_by_a_worker_at_the_task(start_earliest):
+    # With no travel the bound's time score is the kernel's, so a worker at
+    # the task's centroid has a pair whose total equals its row's bound.
+    task = _task(1, start_earliest=start_earliest)
+    engine = _engine([_worker(1, x=5.0, y=5.0), _worker(2, x=1.0, y=9.0)])
+    times = TimeGrid(15.0, 10_000.0).times(0.0, before=task.expiration)
+    ctx = engine.grid_context(times)
+    bound = engine.row_bounds(task, OWNER, CAT, ctx, len(times))
+    total = engine.score_grid(task, OWNER, CAT, ctx, len(times)).total
+    assert total[0].max() > 0.0
+    assert bound[0] == total[0].max()
+    assert bound[1] > total[1].max()
+
+
+def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
+    # One batch of the 200x500 benchmark canary population, at one of its
+    # 6-hourly batch times: the threshold search must leave most (worker,
+    # time) cells unscored, where a full grid scores them all.
+    from crowdsim.workload import GenParams, generate
+
+    scenario = generate(GenParams(200, 500, urgent_fraction=0.5), seed=0)
+    now = 1260.0
+    tasks = [t for t in scenario.tasks if t.submit_time <= now < t.expiration]
+    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.velocity, W)
+    grid = TimeGrid(15.0, WEEK_MINUTES)
+    times = grid.times(now, before=max(t.expiration for t in tasks))
+    full = sum(len(engine.workers) * int(np.searchsorted(times, t.expiration)) for t in tasks)
+    cells = []
+    score_grid = ScoreEngine.score_grid
+
+    def counted(self, *args, **kwargs):
+        s = score_grid(self, *args, **kwargs)
+        cells.append(s.total.size)
+        return s
+
+    monkeypatch.setattr(ScoreEngine, "score_grid", counted)
+    owners = {o.id: o for o in scenario.owners}
+    categories = {c.id: c for c in scenario.categories}
+    assignments, _ = offline_assign(tasks, engine, owners, categories, now, grid)
+    assert len(tasks) >= 20 and assignments
+    assert sum(cells) < full / 2, (sum(cells), full)
 
 
 def test_scalar_and_vectorised_lookups_agree_just_below_zero():

@@ -218,24 +218,48 @@ def test_unknown_scenario_exits_2(capsys):
     assert EXAMPLE in err  # the message lists valid builtins
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--horizon-min", "inf"), ("--horizon-min", "nan"), ("--grid-step-min", "nan"), ("--grid-step-min", "inf")],
-)
-def test_non_finite_sim_flags_exit_2(flag, value):
-    # An infinite horizon once laid out daily batch times without end, so the
-    # command runs in a child process that is killed if it does not return.
+def _main_in_child(argv):
+    """``main(argv)`` in a child process that is killed if it does not return."""
     import crowdsim
 
     env = dict(os.environ)
     src = str(pathlib.Path(crowdsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = "import sys; from crowdsim.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = ["run", "--scenario", EXAMPLE, flag, value]
-    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--horizon-min", "inf"),
+        ("--horizon-min", "nan"),
+        ("--grid-step-min", "nan"),
+        ("--grid-step-min", "inf"),
+        ("--batch-times", "nan"),
+        ("--batch-times", "180,inf"),
+        ("--batch-times", "180,-5"),
+    ],
+)
+def test_non_finite_sim_flags_exit_2(flag, value):
+    # An infinite horizon once laid out daily batch times without end, so the
+    # command runs in a child process.
+    out = _main_in_child(["run", "--scenario", EXAMPLE, flag, value])
     assert out.returncode == 2, out.stderr
     assert "must be finite" in out.stderr
+    assert value.split(",")[-1] in out.stderr
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon-min", "inf"), ("--map-km", "nan"), ("--map-km", "inf")])
+def test_non_finite_generator_flags_exit_2(flag, value, tmp_path):
+    # An infinite horizon once ended in an OverflowError, and a NaN map wrote
+    # NaN coordinates.
+    out_file = tmp_path / "g.json"
+    out = _main_in_child(["generate", "--workers", "2", "--tasks", "2", flag, value, "--out", str(out_file)])
+    assert out.returncode == 2, out.stderr
+    assert "must be finite and > 0" in out.stderr
+    assert not out_file.exists()
 
 
 def test_invalid_scenario_file_exits_2(tmp_path, capsys):

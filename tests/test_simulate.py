@@ -283,6 +283,20 @@ def test_sim_config_rejects_non_finite(bad):
         SimConfig(duration_min=100.0, response_delay_min=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
+def test_sim_config_rejects_bad_batch_times(bad):
+    # Such times used to be dropped in silence, so the run had no batch.
+    with pytest.raises(ValueError, match=f"batch times must be finite and >= 0, got {bad}"):
+        SimConfig(duration_min=100.0, offline_batch_times=(50.0, bad))
+
+
+def test_batch_times_past_the_horizon_are_ignored():
+    sc = builtin_scenarios()["example1-flower-delivery"]
+    cfg = SimConfig(duration_min=660.0, offline_batch_times=(180.0, 1e9), seed=0, policy="psc")
+    rep = run(sc, cfg)
+    assert [r.time_min for r in rep.log if r.event_kind == "offline_batch"] == [180.0]
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(duration_min=100.0, policy="round-robin")

@@ -274,6 +274,13 @@ def test_gen_params_validation():
         GenParams(n_workers=1, n_tasks=1, horizon_min=0.0)
 
 
+@pytest.mark.parametrize("name", ["map_size_km", "horizon_min"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gen_params_rejects_non_finite(name, bad):
+    with pytest.raises(ParameterError, match=f"{name} must be finite and > 0"):
+        GenParams(n_workers=1, n_tasks=1, **{name: bad})
+
+
 def test_generated_scenario_is_json_serializable(tmp_path):
     sc = generate(GenParams(n_workers=8, n_tasks=20), seed=0)
     p = tmp_path / "gen.json"
