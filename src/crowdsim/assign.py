@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -808,22 +809,12 @@ def offline_assign(
             tids = sorted(by_worker[w], key=lambda tid: (-cands[tid].priority, -proposals[tid][2], tid))
             # A seeded draw decides exact (priority, total) ties.
             ordered: list[int] = []
-            run_start = 0
-            while run_start < len(tids):
-                run_end = run_start + 1
-                first = tids[run_start]
-                key0 = (cands[first].priority, proposals[first][2])
-                while run_end < len(tids):
-                    nxt = tids[run_end]
-                    if (cands[nxt].priority, proposals[nxt][2]) != key0:
-                        break
-                    run_end += 1
-                run = tids[run_start:run_end]
+            for _key, group in groupby(tids, key=lambda tid: (cands[tid].priority, proposals[tid][2])):
+                run = list(group)
                 if len(run) > 1:
                     winner = _tie_pick(rng_seed, engine.workers[w].id, run)
                     run = [winner] + [tid for tid in run if tid != winner]
                 ordered.extend(run)
-                run_start = run_end
             taken: list[tuple[float, float]] = []
             for tid in ordered:
                 _w, t0, _total, ttc, _i = proposals[tid]

@@ -13,12 +13,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generic, Iterable, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from .model import Region, Worker
 
 V = TypeVar("V")
 
@@ -171,8 +168,3 @@ def availability_score(status: WeeklySchedule[float], t: float, expiration: floa
     if expiration <= t:
         return 0.0
     return (status.cumulative(expiration) - status.cumulative(t)) / (expiration - t)
-
-
-def expected_region_at(worker: "Worker", t: float) -> "Region":
-    """The worker's declared region at time ``t`` (home region when undeclared)."""
-    return worker.pattern.value_at(t)

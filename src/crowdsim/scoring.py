@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, distance
-from .schedule import WeeklySchedule, availability_score, expected_region_at
+from .schedule import WeeklySchedule, availability_score
 
 #: Owner priorities below this are clamped before being used as the trust
 #: exponent, so a near-zero priority cannot blow the exponent up.
@@ -132,7 +132,7 @@ def total_score(
     """
     if t >= task.expiration:
         raise TaskExpiredError(f"task {task.id} expired at {task.expiration}, scored at t={t}")
-    d = distance(task.region, expected_region_at(worker, t))
+    d = distance(task.region, worker.pattern.value_at(t))
     travel = (d / velocity.speed_at(t)) * 60.0
     eff_start = t + travel
     if task.start_earliest is not None and eff_start < task.start_earliest:

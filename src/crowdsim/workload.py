@@ -12,8 +12,9 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple, NoReturn
 
 from .model import (
     KM_PER_MILE,
@@ -29,7 +30,7 @@ from .model import (
     Worker,
     validate_scenario,
 )
-from .schedule import ALL_DAYS, WEEKDAYS, Segment, WeeklySchedule
+from .schedule import ALL_DAYS, WEEKDAYS, WEEKEND, Segment, WeeklySchedule
 from .scoring import VelocityProfile
 
 SCHEMA_VERSION = 1
@@ -62,6 +63,8 @@ class Scenario:
     workers: list[Worker]
     tasks: list[Task]
     units: str = "km"
+    #: The file format version a scenario is saved in.
+    schema_version: ClassVar[int] = SCHEMA_VERSION
 
     def violations(self) -> list[Violation]:
         out = validate_scenario(self.tasks, self.workers, self.owners, self.categories)
@@ -76,126 +79,30 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding
+# JSON schema
+#
+# Each record is one field table: the JSON key, the codec that reads and
+# writes its value, the record attribute it fills and whether the key may be
+# left out.  The same table drives saving, strict loading and error locations.
 
 
-def _region_to_json(r: Region) -> dict:
-    if isinstance(r, Point):
-        return {"point": [r.x, r.y]}
-    if isinstance(r, Rect):
-        return {"rect": [r.min_x, r.min_y, r.max_x, r.max_y]}
-    if isinstance(r, Disc):
-        return {"disc": [r.cx, r.cy, r.radius]}
-    raise TypeError(f"not a region: {r!r}")
-
-
-def _schedule_to_json(s: WeeklySchedule, value_to_json: Callable[[Any], Any]) -> dict:
-    return {
-        "default": value_to_json(s.default),
-        "segments": [
-            {
-                "days": sorted(seg.days),
-                "start_min": int(seg.start_min),
-                "end_min": int(seg.end_min),
-                "value": value_to_json(seg.value),
-            }
-            for seg in s.segments
-        ],
-    }
-
-
-def to_json_dict(s: Scenario) -> dict:
-    """Scenario as a plain JSON-ready dict (stable layout)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "units": s.units,
-        "extent_km": [s.extent.min_x, s.extent.min_y, s.extent.max_x, s.extent.max_y],
-        "velocity_profile": {
-            "floor_kmh": s.velocity.floor_kmh,
-            "schedule": _schedule_to_json(s.velocity.schedule, float),
-        },
-        "categories": [
-            {"id": c.id, "name": c.name, "cat_priority": c.cat_priority, "cat_reward": c.cat_reward}
-            for c in s.categories
-        ],
-        "owners": [
-            {
-                "id": o.id,
-                "pto_priority": o.pto_priority,
-                "max_reward_raise": o.max_reward_raise,
-                "raise_increment": o.raise_increment,
-            }
-            for o in s.owners
-        ],
-        "workers": [
-            {
-                "id": w.id,
-                "pattern": _schedule_to_json(w.pattern, _region_to_json),
-                "status": _schedule_to_json(w.status, float),
-                "reward_demand": {str(k): v for k, v in sorted(w.reward_demand.items())},
-                "trust": {
-                    str(k): {
-                        "assigned": t.assigned,
-                        "accepted": t.accepted,
-                        "completed": t.completed,
-                        "initial_score": t.initial_score,
-                    }
-                    for k, t in sorted(w.trust.items())
-                },
-                "bookings": [[int(a), int(b)] for a, b in w.bookings],
-            }
-            for w in s.workers
-        ],
-        "tasks": [
-            _task_to_json(t)
-            for t in s.tasks
-        ],
-    }
-
-
-def _task_to_json(t: Task) -> dict:
-    out = {
-        "id": t.id,
-        "owner_id": t.owner_id,
-        "category_id": t.category_id,
-        "description": t.description,
-        "region": _region_to_json(t.region),
-        "duration_min": int(t.duration),
-        "expiration_min": int(t.expiration),
-        "reward": t.pto_reward,
-        "entered_priority": t.entered_priority,
-        "submit_min": int(t.submit_time),
-    }
-    if t.start_earliest is not None:
-        out["start_earliest_min"] = int(t.start_earliest)
-    if t.start_latest is not None:
-        out["start_latest_min"] = int(t.start_latest)
-    return out
-
-
-def save(scenario: Scenario, path: str | Path) -> None:
-    """Write the scenario as deterministic, human-diffable JSON."""
-    Path(path).write_text(json.dumps(to_json_dict(scenario), indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# JSON decoding (strict)
-
-
-def _fail(ctx: str, msg: str) -> None:
+def _fail(ctx: str, msg: str) -> NoReturn:
     raise ScenarioFormatError(f"{ctx}: {msg}")
 
 
-def _obj(v: Any, ctx: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+def _obj(v: Any, ctx: str, required: tuple[str, ...], allowed: frozenset[str]) -> None:
     if not isinstance(v, dict):
         _fail(ctx, f"expected an object, got {type(v).__name__}")
     for key in required:
         if key not in v:
             _fail(ctx, f"missing field '{key}'")
-    allowed = set(required) | set(optional)
-    for key in v:
-        if key not in allowed:
-            _fail(ctx, f"unknown field '{key}'")
+    if not allowed.issuperset(v):
+        _fail(ctx, f"unknown field '{next(key for key in v if key not in allowed)}'")
+
+
+def _list(v: Any, ctx: str) -> list:
+    if not isinstance(v, list):
+        _fail(ctx, f"expected an array, got {type(v).__name__}")
     return v
 
 
@@ -234,215 +141,262 @@ def _str(v: Any, ctx: str) -> str:
     return v
 
 
-def _list(v: Any, ctx: str) -> list:
-    if not isinstance(v, list):
-        _fail(ctx, f"expected an array, got {type(v).__name__}")
-    return v
+def _version(v: Any, ctx: str) -> int:
+    version = _int(v, ctx)
+    if version != SCHEMA_VERSION:
+        _fail(ctx, f"unsupported version {version}, expected {SCHEMA_VERSION}")
+    return version
 
 
-def _numbers(v: Any, ctx: str, n: int) -> list[float]:
-    items = _list(v, ctx)
-    if len(items) != n:
-        _fail(ctx, f"expected {n} numbers, got {len(items)}")
-    return [_num(x, f"{ctx}[{i}]") for i, x in enumerate(items)]
+class _Scalar:
+    """A JSON scalar: ``load(value, ctx)`` checks and converts, ``dump`` writes."""
+
+    def __init__(self, load: Callable[[Any, str], Any], dump: Callable[[Any], Any]):
+        self.load = load
+        self.dump = dump
 
 
-def _region_from_json(v: Any, ctx: str) -> Region:
-    d = _obj(v, ctx, (), ("point", "rect", "disc"))
-    if len(d) != 1:
-        _fail(ctx, "region must have exactly one of 'point', 'rect', 'disc'")
-    try:
-        if "point" in d:
-            x, y = _numbers(d["point"], f"{ctx}.point", 2)
-            return Point(x, y)
-        if "rect" in d:
-            a, b, c, e = _numbers(d["rect"], f"{ctx}.rect", 4)
-            return Rect(a, b, c, e)
-        cx, cy, r = _numbers(d["disc"], f"{ctx}.disc", 3)
-        return Disc(cx, cy, r)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{ctx}: {exc}") from None
+_NUMBER = _Scalar(_num, float)
+_INT = _Scalar(_int, int)
+_STR = _Scalar(_str, str)
+_MINUTES = _Scalar(_int_minutes, int)
+_VERSION = _Scalar(_version, int)
 
 
-def _schedule_from_json(v: Any, ctx: str, parse_value: Callable[[Any, str], Any]) -> WeeklySchedule:
-    d = _obj(v, ctx, ("default",), ("segments",))
-    default = parse_value(d["default"], f"{ctx}.default")
-    segments = []
-    for i, seg in enumerate(_list(d.get("segments", []), f"{ctx}.segments")):
-        sctx = f"{ctx}.segments[{i}]"
-        sd = _obj(seg, sctx, ("days", "start_min", "end_min", "value"))
-        days = frozenset(_int(x, f"{sctx}.days[{j}]") for j, x in enumerate(_list(sd["days"], f"{sctx}.days")))
+class _Array:
+    """A JSON array of one item codec; item ``i`` is located at ``ctx[i]``."""
+
+    def __init__(self, item: _Codec, sort: bool = False):
+        self.item = item
+        self.sort = sort
+
+    def load(self, v: Any, ctx: str) -> list:
+        load = self.item.load
+        return [load(x, f"{ctx}[{i}]") for i, x in enumerate(_list(v, ctx))]
+
+    def dump(self, values: Iterable) -> list:
+        return list(map(self.item.dump, sorted(values) if self.sort else values))
+
+
+class _Tuple:
+    """A fixed-length JSON array built into one value by ``make(*items)``."""
+
+    def __init__(
+        self, make: Callable, parts: Callable[[Any], tuple], n: int, item: _Codec = _NUMBER, shape: str = ""
+    ):
+        self.make = make
+        self.parts = parts
+        self.n = n
+        self.item = item
+        self.shape = shape or f"{n} numbers"
+
+    def load(self, v: Any, ctx: str) -> Any:
+        if len(_list(v, ctx)) != self.n:
+            _fail(ctx, f"expected {self.shape}, got {len(v)}")
+        load = self.item.load
+        items = [load(x, f"{ctx}[{i}]") for i, x in enumerate(v)]
         try:
-            segments.append(
-                Segment(
-                    days=days,
-                    start_min=_int_minutes(sd["start_min"], f"{sctx}.start_min"),
-                    end_min=_int_minutes(sd["end_min"], f"{sctx}.end_min"),
-                    value=parse_value(sd["value"], f"{sctx}.value"),
-                )
-            )
+            return self.make(*items)
         except ValueError as exc:
-            raise ScenarioFormatError(f"{sctx}: {exc}") from None
-    try:
-        return WeeklySchedule(tuple(segments), default)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioFormatError(f"{ctx}: {exc}") from None
+            raise ScenarioFormatError(f"{ctx}: {exc}") from None
+
+    def dump(self, value: Any) -> list:
+        return list(map(self.item.dump, self.parts(value)))
+
+
+class _Region:
+    """A region: an object with exactly one key, which names its shape."""
+
+    shapes = {
+        "point": _Tuple(Point, attrgetter("x", "y"), 2),
+        "rect": _Tuple(Rect, attrgetter("min_x", "min_y", "max_x", "max_y"), 4),
+        "disc": _Tuple(Disc, attrgetter("cx", "cy", "radius"), 3),
+    }
+    allowed = frozenset(shapes)
+    by_type = {shape.make: (key, shape) for key, shape in shapes.items()}
+
+    def load(self, v: Any, ctx: str) -> Region:
+        _obj(v, ctx, (), self.allowed)
+        if len(v) != 1:
+            _fail(ctx, "region must have exactly one of 'point', 'rect', 'disc'")
+        ((key, value),) = v.items()
+        return self.shapes[key].load(value, f"{ctx}.{key}")
+
+    def dump(self, region: Region) -> dict:
+        try:
+            key, shape = self.by_type[type(region)]
+        except KeyError:
+            raise TypeError(f"not a region: {region!r}") from None
+        return {key: shape.dump(region)}
+
+
+class _IdMap:
+    """A JSON object keyed by integer ids written as strings; entry ``k`` is located at ``ctx[k]``."""
+
+    def __init__(self, item: _Codec):
+        self.item = item
+
+    def load(self, v: Any, ctx: str) -> dict[int, Any]:
+        if not isinstance(v, dict):
+            _fail(ctx, f"expected an object, got {type(v).__name__}")
+        load = self.item.load
+        out = {}
+        for k, x in v.items():
+            try:
+                key = int(k)
+            except ValueError:
+                raise ScenarioFormatError(f"{ctx}: key {k!r} is not an integer id") from None
+            out[key] = load(x, f"{ctx}[{k}]")
+        return out
+
+    def dump(self, mapping: dict[int, Any]) -> dict[str, Any]:
+        dump = self.item.dump
+        return {str(k): dump(x) for k, x in sorted(mapping.items())}
+
+
+class _Field(NamedTuple):
+    """One key of a record: its codec, the attribute it fills (the key when
+    empty), and whether it may be left out, taking the constructor default."""
+
+    key: str
+    codec: _Codec
+    attr: str = ""
+    optional: bool = False
+
+
+class _Record:
+    """A JSON object declared by a field table and built by ``make(**fields)``.
+
+    Loading checks for missing and unknown keys, loads field ``key`` at
+    ``ctx.key`` and calls ``make`` once; only ``make``'s own ``ValueError`` is
+    located at ``ctx``.  Dumping writes, in table order, every field whose
+    attribute is not ``None``.
+    """
+
+    def __init__(self, make: Callable[..., Any], fields: Iterable[_Field]):
+        self.make = make
+        self.fields = tuple(fields)
+        self.required = tuple(f.key for f in self.fields if not f.optional)
+        self.allowed = frozenset(f.key for f in self.fields)
+        attrs = [f.attr or f.key for f in self.fields]
+        self.plan = tuple((f.key, "." + f.key, attr, f.codec.load) for f, attr in zip(self.fields, attrs))
+        self.keys_dumps = tuple((f.key, f.codec.dump) for f in self.fields)
+        self.values = attrgetter(*attrs)
+
+    def load(self, v: Any, ctx: str) -> Any:
+        _obj(v, ctx, self.required, self.allowed)
+        kwargs = {}
+        for key, dotted, attr, load in self.plan:
+            if key in v:
+                kwargs[attr] = load(v[key], ctx + dotted)
+        try:
+            return self.make(**kwargs)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"{ctx}: {exc}") from None
+
+    def dump(self, record: Any) -> dict:
+        out = {}
+        for (key, dump), value in zip(self.keys_dumps, self.values(record)):
+            if value is not None:
+                out[key] = dump(value)
+        return out
+
+
+_Codec = _Scalar | _Array | _Tuple | _Region | _IdMap | _Record
+
+_REGION = _Region()
+_DAYS = _Array(_INT, sort=True)
+_BOOKING = _Tuple(lambda start, end: (start, end), tuple, 2, _MINUTES, "[start, end]")
+
+
+def _schedule(value: _Codec) -> _Record:
+    segment = _Record(
+        Segment,
+        [_Field("days", _DAYS), _Field("start_min", _MINUTES), _Field("end_min", _MINUTES), _Field("value", value)],
+    )
+    return _Record(WeeklySchedule, [_Field("default", value), _Field("segments", _Array(segment), optional=True)])
+
+
+def _scenario(schema_version: int, **fields: Any) -> Scenario:
+    return Scenario(**fields)
+
+
+_VELOCITY = _Record(VelocityProfile, [_Field("floor_kmh", _NUMBER), _Field("schedule", _schedule(_NUMBER))])
+_CATEGORY = _Record(
+    TaskCategory,
+    [_Field("id", _INT), _Field("name", _STR), _Field("cat_priority", _NUMBER), _Field("cat_reward", _NUMBER)],
+)
+_OWNER = _Record(
+    TaskOwner,
+    [
+        _Field("id", _INT),
+        _Field("pto_priority", _NUMBER),
+        _Field("max_reward_raise", _NUMBER),
+        _Field("raise_increment", _NUMBER),
+    ],
+)
+_TRUST = _Record(
+    TrustCounters,
+    [_Field("assigned", _INT), _Field("accepted", _INT), _Field("completed", _INT), _Field("initial_score", _NUMBER)],
+)
+_WORKER = _Record(
+    Worker,
+    [
+        _Field("id", _INT),
+        _Field("pattern", _schedule(_REGION)),
+        _Field("status", _schedule(_NUMBER)),
+        _Field("reward_demand", _IdMap(_NUMBER), optional=True),
+        _Field("trust", _IdMap(_TRUST), optional=True),
+        _Field("bookings", _Array(_BOOKING), optional=True),
+    ],
+)
+_TASK = _Record(
+    Task,
+    [
+        _Field("id", _INT),
+        _Field("owner_id", _INT),
+        _Field("category_id", _INT),
+        _Field("description", _STR),
+        _Field("region", _REGION),
+        _Field("duration_min", _MINUTES, "duration"),
+        _Field("expiration_min", _MINUTES, "expiration"),
+        _Field("reward", _NUMBER, "pto_reward"),
+        _Field("entered_priority", _NUMBER),
+        _Field("submit_min", _MINUTES, "submit_time"),
+        _Field("start_earliest_min", _MINUTES, "start_earliest", optional=True),
+        _Field("start_latest_min", _MINUTES, "start_latest", optional=True),
+    ],
+)
+_SCENARIO = _Record(
+    _scenario,
+    [
+        _Field("schema_version", _VERSION),
+        _Field("units", _STR),
+        _Field("extent_km", _Region.shapes["rect"], "extent"),
+        _Field("velocity_profile", _VELOCITY, "velocity"),
+        _Field("categories", _Array(_CATEGORY)),
+        _Field("owners", _Array(_OWNER)),
+        _Field("workers", _Array(_WORKER)),
+        _Field("tasks", _Array(_TASK)),
+    ],
+)
+
+
+def to_json_dict(s: Scenario) -> dict:
+    """Scenario as a plain JSON-ready dict (stable layout)."""
+    return _SCENARIO.dump(s)
 
 
 def from_json_dict(doc: Any) -> Scenario:
     """Parse a scenario document; strict about structure and field names."""
-    d = _obj(
-        doc,
-        "scenario",
-        ("schema_version", "units", "extent_km", "velocity_profile", "categories", "owners", "workers", "tasks"),
-    )
-    version = _int(d["schema_version"], "scenario.schema_version")
-    if version != SCHEMA_VERSION:
-        _fail("scenario.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    units = _str(d["units"], "scenario.units")
-    a, b, c, e = _numbers(d["extent_km"], "scenario.extent_km", 4)
-    try:
-        extent = Rect(a, b, c, e)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"scenario.extent_km: {exc}") from None
-
-    vp = _obj(d["velocity_profile"], "scenario.velocity_profile", ("floor_kmh", "schedule"))
-    try:
-        velocity = VelocityProfile(
-            schedule=_schedule_from_json(vp["schedule"], "scenario.velocity_profile.schedule", _num),
-            floor_kmh=_num(vp["floor_kmh"], "scenario.velocity_profile.floor_kmh"),
-        )
-    except ValueError as exc:
-        raise ScenarioFormatError(f"scenario.velocity_profile: {exc}") from None
-
-    categories = []
-    for i, cv in enumerate(_list(d["categories"], "scenario.categories")):
-        ctx = f"scenario.categories[{i}]"
-        cd = _obj(cv, ctx, ("id", "name", "cat_priority", "cat_reward"))
-        categories.append(
-            TaskCategory(
-                id=_int(cd["id"], f"{ctx}.id"),
-                name=_str(cd["name"], f"{ctx}.name"),
-                cat_priority=_num(cd["cat_priority"], f"{ctx}.cat_priority"),
-                cat_reward=_num(cd["cat_reward"], f"{ctx}.cat_reward"),
-            )
-        )
-    owners = []
-    for i, ov in enumerate(_list(d["owners"], "scenario.owners")):
-        ctx = f"scenario.owners[{i}]"
-        od = _obj(ov, ctx, ("id", "pto_priority", "max_reward_raise", "raise_increment"))
-        owners.append(
-            TaskOwner(
-                id=_int(od["id"], f"{ctx}.id"),
-                pto_priority=_num(od["pto_priority"], f"{ctx}.pto_priority"),
-                max_reward_raise=_num(od["max_reward_raise"], f"{ctx}.max_reward_raise"),
-                raise_increment=_num(od["raise_increment"], f"{ctx}.raise_increment"),
-            )
-        )
-
-    workers = []
-    for i, wv in enumerate(_list(d["workers"], "scenario.workers")):
-        ctx = f"scenario.workers[{i}]"
-        wd = _obj(wv, ctx, ("id", "pattern", "status"), ("reward_demand", "trust", "bookings"))
-        demand: dict[int, float] = {}
-        for k, v in _any_obj(wd.get("reward_demand", {}), f"{ctx}.reward_demand").items():
-            demand[_key_int(k, f"{ctx}.reward_demand")] = _num(v, f"{ctx}.reward_demand[{k}]")
-        trust: dict[int, TrustCounters] = {}
-        for k, v in _any_obj(wd.get("trust", {}), f"{ctx}.trust").items():
-            tctx = f"{ctx}.trust[{k}]"
-            td = _obj(v, tctx, ("assigned", "accepted", "completed", "initial_score"))
-            trust[_key_int(k, f"{ctx}.trust")] = TrustCounters(
-                assigned=_int(td["assigned"], f"{tctx}.assigned"),
-                accepted=_int(td["accepted"], f"{tctx}.accepted"),
-                completed=_int(td["completed"], f"{tctx}.completed"),
-                initial_score=_num(td["initial_score"], f"{tctx}.initial_score"),
-            )
-        bookings = []
-        for j, bv in enumerate(_list(wd.get("bookings", []), f"{ctx}.bookings")):
-            s0, e0 = _numbers_int(bv, f"{ctx}.bookings[{j}]")
-            bookings.append((s0, e0))
-        workers.append(
-            Worker(
-                id=_int(wd["id"], f"{ctx}.id"),
-                pattern=_schedule_from_json(wd["pattern"], f"{ctx}.pattern", _region_from_json),
-                status=_schedule_from_json(wd["status"], f"{ctx}.status", _num),
-                reward_demand=demand,
-                trust=trust,
-                bookings=bookings,
-            )
-        )
-
-    tasks = []
-    for i, tv in enumerate(_list(d["tasks"], "scenario.tasks")):
-        ctx = f"scenario.tasks[{i}]"
-        td = _obj(
-            tv,
-            ctx,
-            (
-                "id",
-                "owner_id",
-                "category_id",
-                "description",
-                "region",
-                "duration_min",
-                "expiration_min",
-                "reward",
-                "entered_priority",
-                "submit_min",
-            ),
-            ("start_earliest_min", "start_latest_min"),
-        )
-        tasks.append(
-            Task(
-                id=_int(td["id"], f"{ctx}.id"),
-                owner_id=_int(td["owner_id"], f"{ctx}.owner_id"),
-                category_id=_int(td["category_id"], f"{ctx}.category_id"),
-                description=_str(td["description"], f"{ctx}.description"),
-                region=_region_from_json(td["region"], f"{ctx}.region"),
-                duration=_int_minutes(td["duration_min"], f"{ctx}.duration_min"),
-                expiration=_int_minutes(td["expiration_min"], f"{ctx}.expiration_min"),
-                pto_reward=_num(td["reward"], f"{ctx}.reward"),
-                entered_priority=_num(td["entered_priority"], f"{ctx}.entered_priority"),
-                submit_time=_int_minutes(td["submit_min"], f"{ctx}.submit_min"),
-                start_earliest=(
-                    _int_minutes(td["start_earliest_min"], f"{ctx}.start_earliest_min")
-                    if "start_earliest_min" in td
-                    else None
-                ),
-                start_latest=(
-                    _int_minutes(td["start_latest_min"], f"{ctx}.start_latest_min")
-                    if "start_latest_min" in td
-                    else None
-                ),
-            )
-        )
-
-    scenario = Scenario(
-        extent=extent, velocity=velocity, categories=categories, owners=owners, workers=workers, tasks=tasks,
-        units=units,
-    )
+    scenario = _SCENARIO.load(doc, "scenario")
     scenario.validate()
     return scenario
 
 
-def _any_obj(v: Any, ctx: str) -> dict:
-    if not isinstance(v, dict):
-        _fail(ctx, f"expected an object, got {type(v).__name__}")
-    return v
-
-
-def _key_int(k: str, ctx: str) -> int:
-    try:
-        return int(k)
-    except ValueError:
-        raise ScenarioFormatError(f"{ctx}: key {k!r} is not an integer id") from None
-
-
-def _numbers_int(v: Any, ctx: str) -> tuple[float, float]:
-    items = _list(v, ctx)
-    if len(items) != 2:
-        _fail(ctx, f"expected [start, end], got {len(items)} items")
-    return _int_minutes(items[0], f"{ctx}[0]"), _int_minutes(items[1], f"{ctx}[1]")
+def save(scenario: Scenario, path: str | Path) -> None:
+    """Write the scenario as deterministic, human-diffable JSON."""
+    Path(path).write_text(json.dumps(to_json_dict(scenario), indent=2, sort_keys=True) + "\n")
 
 
 def load(path: str | Path) -> Scenario:
@@ -478,35 +432,28 @@ class GenParams:
     urgent_lead_range: tuple[int, int] = (30, 240)
 
     def __post_init__(self) -> None:
-        def bad(msg: str):
-            return ParameterError(msg)
-
         if self.n_workers < 1:
-            raise bad(f"n_workers must be >= 1, got {self.n_workers}")
+            raise ParameterError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.n_tasks < 0:
-            raise bad(f"n_tasks must be >= 0, got {self.n_tasks}")
+            raise ParameterError(f"n_tasks must be >= 0, got {self.n_tasks}")
         if self.n_categories < 1:
-            raise bad(f"n_categories must be >= 1, got {self.n_categories}")
+            raise ParameterError(f"n_categories must be >= 1, got {self.n_categories}")
         if self.n_owners < 1:
-            raise bad(f"n_owners must be >= 1, got {self.n_owners}")
+            raise ParameterError(f"n_owners must be >= 1, got {self.n_owners}")
         if not (0 < self.map_size_km < math.inf):
-            raise bad(f"map_size_km must be finite and > 0, got {self.map_size_km}")
+            raise ParameterError(f"map_size_km must be finite and > 0, got {self.map_size_km}")
         for name in ("fraction_commuters", "urgent_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise bad(f"{name} must be in [0, 1], got {v}")
+                raise ParameterError(f"{name} must be in [0, 1], got {v}")
         if not self.status_levels or any(not 0.0 <= s <= 1.0 for s in self.status_levels):
-            raise bad(f"status_levels must be non-empty values in [0, 1], got {self.status_levels}")
-        for name in ("reward_range", "demand_range"):
+            raise ParameterError(f"status_levels must be non-empty values in [0, 1], got {self.status_levels}")
+        for name in ("reward_range", "demand_range", "duration_range", "lead_range", "urgent_lead_range"):
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
-                raise bad(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
-        for name in ("duration_range", "lead_range", "urgent_lead_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise bad(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+                raise ParameterError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
         if not (0 < self.horizon_min < math.inf):
-            raise bad(f"horizon_min must be finite and > 0, got {self.horizon_min}")
+            raise ParameterError(f"horizon_min must be finite and > 0, got {self.horizon_min}")
 
 
 def _count(n: int, fraction: float) -> int:
@@ -563,7 +510,7 @@ def generate(params: GenParams, seed: int) -> Scenario:
                     Segment(WEEKDAYS, 420, 540, mid),
                     Segment(WEEKDAYS, 540, 1020, lo),
                     Segment(WEEKDAYS, 1020, 1380, hi),
-                    Segment(frozenset({5, 6}), 540, 1380, hi),
+                    Segment(WEEKEND, 540, 1380, hi),
                 ),
                 default=lo,
             )

@@ -1,8 +1,10 @@
 """Scenario JSON round-trips, strict schema errors, and the generator."""
 
 import copy
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -60,6 +62,23 @@ def test_save_is_byte_stable(tmp_path):
     save(sc, p1)
     save(load(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_SAVED_SHA256 = {
+    "example1-flower-delivery": "ac6eef270a4c542d2b577abab85a45a0f56d8b87175ad646a143a82252a152b2",
+    "example2-high-entropy": "eb933755b110c351d0864e69d3f9313692b81c6846289b6fb4adf751d87f4a80",
+    "generated-30x80-seed4": "209a6f48a48c75f76760f9c73bf0ab3007a74fc730246c30d6739b0140a4c54d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAVED_SHA256))
+def test_saved_bytes_are_pinned(name, tmp_path):
+    # A round trip alone would not notice an encoder that changes every file
+    # the same way (say, writing 540.0 for 540); the pins do.
+    sc = builtin_scenarios().get(name) or generate(GenParams(n_workers=30, n_tasks=80), seed=4)
+    p = tmp_path / "scenario.json"
+    save(sc, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == _SAVED_SHA256[name]
 
 
 def test_load_reports_bad_json(tmp_path):
@@ -155,15 +174,90 @@ def test_nan_in_a_scenario_file_is_rejected(tmp_path):
 
 
 def test_wrong_container_types_located():
-    _expect_error(lambda d: d.__setitem__("workers", {}), "expected an array")
-    _expect_error(lambda d: d.__setitem__("velocity_profile", 3), "expected an object")
+    _expect_error(lambda d: d.__setitem__("workers", {}), "scenario.workers: expected an array")
+    _expect_error(lambda d: d.__setitem__("velocity_profile", 3), "scenario.velocity_profile: expected an object")
 
 
 def test_segment_day_out_of_range():
     doc = _doc()
     doc["workers"][0]["status"]["segments"] = [{"days": [7], "start_min": 0, "end_min": 60, "value": 1.0}]
-    with pytest.raises((ScenarioFormatError, ValueError)):
+    want = "scenario.workers[0].status.segments[0]: day indices must be in 0..6"
+    with pytest.raises(ScenarioFormatError, match=re.escape(want)):
         from_json_dict(doc)
+
+
+_ID_MAPS = {"reward_demand", "trust"}
+_OPTIONAL_KEYS = {"segments", "reward_demand", "trust", "bookings", "start_earliest_min", "start_latest_min"}
+_SHAPES = {"point", "rect", "disc"}
+
+
+def _rich_doc():
+    """A valid document that uses every part of the schema at least once."""
+    def segments(value):
+        return [{"days": [0, 4], "start_min": 420, "end_min": 540, "value": value}]
+
+    doc = _doc()
+    doc["velocity_profile"]["schedule"]["segments"] = segments(15.0)
+    worker = doc["workers"][0]
+    worker["pattern"]["segments"] = segments({"rect": [1.0, 1.0, 2.0, 2.0]})
+    worker["status"]["segments"] = segments(0.5)
+    worker["bookings"] = [[600, 630]]
+    task = doc["tasks"][0]
+    task["region"] = {"disc": [5.0, 5.0, 0.5]}
+    task["start_earliest_min"], task["start_latest_min"] = 560, 600
+    return doc
+
+
+def _walk(node, path=(), where="scenario", in_map=False):
+    """Yield (path, location, parent location, in an id map) for every key and element."""
+    for key, child in enumerate(node) if isinstance(node, list) else node.items():
+        loc = f"{where}[{key}]" if in_map or isinstance(node, list) else f"{where}.{key}"
+        yield path + (key,), loc, where, in_map
+        if isinstance(child, (dict, list)):
+            yield from _walk(child, path + (key,), loc, key in _ID_MAPS)
+
+
+def _mutated(path, *value):
+    """A fresh rich document with the entry at ``path`` set to ``value``, or deleted."""
+    doc = _rich_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value:
+        node[path[-1]] = value[0]
+    else:
+        del node[path[-1]]
+    return doc
+
+
+def test_every_fault_is_located_once():
+    """A null anywhere is rejected with its location named once, as the prefix.
+    Deleting a key is accepted only for optional keys and id-map entries;
+    any other deletion is reported as a missing field of the parent."""
+    from_json_dict(_rich_doc())
+    faults = []
+    for path, loc, parent, in_map in _walk(_rich_doc()):
+        try:
+            from_json_dict(_mutated(path, None))
+            faults.append(f"{loc} = null was accepted")
+        except ScenarioFormatError as exc:
+            msg = str(exc)
+            if not msg.startswith(f"{loc}: ") or msg.count(loc) != 1:
+                faults.append(f"{loc} = null: {msg}")
+        key = path[-1]
+        if isinstance(key, int):
+            continue
+        if key in _OPTIONAL_KEYS or in_map:
+            from_json_dict(_mutated(path))
+            continue
+        want = "region must have exactly one of 'point', 'rect', 'disc'" if key in _SHAPES else f"missing field '{key}'"
+        try:
+            from_json_dict(_mutated(path))
+            faults.append(f"deleting {loc} was accepted")
+        except ScenarioFormatError as exc:
+            if str(exc) != f"{parent}: {want}":
+                faults.append(f"deleting {loc}: {exc}")
+    assert not faults, "\n".join(faults)
 
 
 def test_semantic_violations_are_collected():
