@@ -26,29 +26,16 @@ from .model import (
     TaskOwner,
     TrustCounters,
     Worker,
-    centroid,
-    distance,
-    validate_scenario,
 )
-from .schedule import (
-    ALL_DAYS,
-    WEEK_MINUTES,
-    Segment,
-    WeeklySchedule,
-    availability_score,
-)
+from .schedule import Segment, WeeklySchedule
 from .scoring import (
     ScoreBreakdown,
     TaskExpiredError,
     TrustWeights,
     VelocityProfile,
-    reward_score,
-    task_priority_score,
-    time_score,
     total_score,
-    trustworthy_score,
 )
-from .simulate import POLICIES, SimConfig, SimReport, TaskState, accept_decision, run
+from .simulate import POLICIES, SimConfig, SimReport, TaskState, run
 from .workload import (
     GenParams,
     ParameterError,
@@ -64,7 +51,6 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_DAYS",
     "Assignment",
     "AssignOutcome",
     "Disc",
@@ -91,25 +77,15 @@ __all__ = [
     "TrustCounters",
     "TrustWeights",
     "VelocityProfile",
-    "WEEK_MINUTES",
     "WeeklySchedule",
     "Worker",
-    "accept_decision",
-    "availability_score",
     "baseline_nearest",
     "builtin_scenarios",
-    "centroid",
-    "distance",
     "generate",
     "load",
     "offline_assign",
     "online_assign",
-    "reward_score",
     "run",
     "save",
-    "task_priority_score",
-    "time_score",
     "total_score",
-    "trustworthy_score",
-    "validate_scenario",
 ]

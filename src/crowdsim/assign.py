@@ -197,7 +197,6 @@ class ScoreEngine:
     ):
         self.workers: list[Worker] = sorted(workers, key=lambda w: w.id)
         self.index_of: dict[int, int] = {w.id: i for i, w in enumerate(self.workers)}
-        self.worker_ids: np.ndarray = np.array([w.id for w in self.workers], dtype=int)
         self.velocity = velocity
         self.weights = weights
         n = len(self.workers)
@@ -512,7 +511,6 @@ def online_assign(
     category: TaskCategory,
     t: float,
     *,
-    allow_reward_raise: bool = True,
     already_raised: float = 0.0,
     exclude_workers: Iterable[int] = (),
 ) -> AssignOutcome:
@@ -520,10 +518,10 @@ def online_assign(
 
     Workers whose bookings overlap the candidate work interval are treated
     as unavailable.  When every time-feasible and available worker fails
-    only on the reward factor and ``allow_reward_raise`` is set, the owner's
-    raise policy bumps the offered reward by ``raise_increment`` (up to
-    ``max_reward_raise``, less ``already_raised``) and retries.  Ties on the
-    total are broken toward the lowest worker id.
+    only on the reward factor, the owner's raise policy bumps the offered
+    reward by ``raise_increment`` (up to ``max_reward_raise``, less
+    ``already_raised``) and retries; an owner with ``max_reward_raise = 0``
+    never raises.  Ties on the total are broken toward the lowest worker id.
     """
     if not (math.isfinite(task.pto_reward) and math.isfinite(already_raised)):
         # A NaN raise total never reaches max_reward_raise: the loop would spin.
@@ -559,12 +557,11 @@ def online_assign(
         reward_only = ts_ok & (s.avail > 0) & (s.tw > 0) & (s.rw == 0)
         if not reward_only.any():
             return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
-        if allow_reward_raise:
-            increment = min(owner.raise_increment, owner.max_reward_raise - raised)
-            if increment > 0:
-                raised += increment
-                eff_task = replace(eff_task, pto_reward=eff_task.pto_reward + increment)
-                continue
+        increment = min(owner.raise_increment, owner.max_reward_raise - raised)
+        if increment > 0:
+            raised += increment
+            eff_task = replace(eff_task, pto_reward=eff_task.pto_reward + increment)
+            continue
         partial = np.where(reward_only, (s.ts * s.avail) * s.tw, -np.inf)
         return AssignOutcome.failure(
             OutcomeKind.REWARD_INSUFFICIENT,

@@ -143,25 +143,11 @@ def compare_policies(scenario: Scenario, base: SimConfig, seeds: Sequence[int]) 
         policy_rows = []
         for seed in seeds:
             report = run(scenario, replace(base, policy=policy, seed=seed))
-            policy_rows.append(
-                {
-                    "policy": policy,
-                    "seed": seed,
-                    "performance_def1": report.performance_def1,
-                    "completion_fraction": report.completion_fraction,
-                    "mean_travel_km": report.mean_travel_km,
-                }
-            )
+            policy_rows.append(_metrics_row(report, policy, seed))
         rows.extend(policy_rows)
-        rows.append(
-            {
-                "policy": policy,
-                "seed": "mean",
-                "performance_def1": float(np.mean([r["performance_def1"] for r in policy_rows])),
-                "completion_fraction": float(np.mean([r["completion_fraction"] for r in policy_rows])),
-                "mean_travel_km": float(np.mean([r["mean_travel_km"] for r in policy_rows])),
-            }
-        )
+        metrics = COMPARE_COLUMNS[2:]  # the columns after policy and seed
+        means = {c: float(np.mean([r[c] for r in policy_rows])) for c in metrics}
+        rows.append({"policy": policy, "seed": "mean", **means})
     return rows
 
 
@@ -190,21 +176,7 @@ def cmd_run(args) -> int:
     config = _build_config(args, scenario, args.policy, args.seed)
     report = run(scenario, config)
     if args.events:
-        _write_csv(
-            args.events,
-            EVENT_COLUMNS,
-            (
-                {
-                    "time_min": r.time_min,
-                    "event_kind": r.event_kind,
-                    "task_id": r.task_id,
-                    "worker_id": r.worker_id,
-                    "score_total": r.score_total,
-                    "reward": r.reward,
-                }
-                for r in report.log
-            ),
-        )
+        _write_csv(args.events, EVENT_COLUMNS, map(vars, report.log))  # LogRow's fields are EVENT_COLUMNS
     _write_csv(args.out, METRIC_COLUMNS, [_metrics_row(report, args.policy, args.seed)])
     return 0
 

@@ -31,7 +31,7 @@ from .assign import (
     online_assign,
 )
 from .model import Task, Worker
-from .scoring import TrustWeights, VelocityProfile
+from .scoring import TrustWeights
 from .workload import Scenario
 
 #: Assignment policies the simulator can drive.
@@ -45,7 +45,6 @@ class SimConfig:
     ``offline_batch_times`` lists the minutes at which the batch assigner
     runs (ignored by the sc-nearest policy, which is purely online); each
     must be finite and >= 0, and those past ``duration_min`` never come.
-    ``velocity`` overrides the scenario's travel-speed profile when set.
     ``response_delay_min`` is how long a dispatched worker takes to accept
     or reject; rejections therefore cost real time.
     """
@@ -53,8 +52,6 @@ class SimConfig:
     duration_min: float
     offline_batch_times: tuple[float, ...] = ()
     grid: TimeGrid = field(default_factory=TimeGrid)
-    trust_weights: TrustWeights = field(default_factory=TrustWeights)
-    velocity: VelocityProfile | None = None
     seed: int = 0
     policy: str = "psc"
     response_delay_min: float = 5.0
@@ -132,68 +129,71 @@ def performance_metrics(
     return per_hour, fraction, mean_travel
 
 
-# Event ranks fix the processing order of same-time events.
+# Event ranks fix the processing order of same-time events; each is also
+# the index of its handler in ``_Sim.run``.
 _R_SUBMIT, _R_BATCH, _R_ONLINE, _R_DISPATCH, _R_DECISION, _R_COMPLETE, _R_EXPIRE = range(7)
+
+
+@dataclass(slots=True)
+class _Run:
+    """One submitted task as the run stands.
+
+    A task has at most one event pending in its online -> dispatch ->
+    decision -> complete chain.  Expiry runs beside the chain and only moves
+    a task to a terminal state, so a handler that finds the task in another
+    state than the one it expects drops its event.
+    """
+
+    task: Task
+    reward: float  # the offered reward, raises included
+    state: TaskState = TaskState.QUEUED
+    assignment: Assignment | None = None  # the held or dispatched offer
+    rejected_by: frozenset[int] = frozenset()
+    assigned: bool = False
+    accepted: bool = False
+    reason: OutcomeKind | None = None  # why the task is unassignable
 
 
 class _Sim:
     def __init__(self, scenario: Scenario, config: SimConfig):
         self.config = config
-        self.tasks: dict[int, Task] = {t.id: t for t in scenario.tasks}
         self.owners = {o.id: o for o in scenario.owners}
         self.categories = {c.id: c for c in scenario.categories}
         self.worker_ids = [w.id for w in scenario.workers]  # the order of final_workers
-        velocity = config.velocity if config.velocity is not None else scenario.velocity
-        self.engine = ScoreEngine(scenario.workers, scenario.categories, velocity, config.trust_weights)
+        self.engine = ScoreEngine(scenario.workers, scenario.categories, scenario.velocity, TrustWeights())
         self.rng = random.Random(config.seed)
-        self.batch_times = tuple(sorted(t for t in config.offline_batch_times if t <= config.duration_min))
+        # sc-nearest is the same loop without batches: every task goes online.
+        batch_times = () if config.policy == "sc-nearest" else config.offline_batch_times
+        self.batch_times = tuple(sorted(t for t in batch_times if t <= config.duration_min))
+        self.runs = {t.id: _Run(t, t.pto_reward) for t in scenario.tasks if t.submit_time <= config.duration_min}
 
         self.heap: list[tuple] = []
         self.seq = 0
-        self.state: dict[int, TaskState] = {}
-        self.epoch: dict[int, int] = {}
-        self.pending: dict[int, Assignment] = {}  # dispatched, not yet decided/finished
-        self.rejected_by: dict[int, set[int]] = {}
-        self.effective_reward: dict[int, float] = {}
         self.batch_queue: set[int] = set()
-        self.unassigned_reason: dict[int, OutcomeKind] = {}
         self.log: list[LogRow] = []
-        self.assigned_ever: set[int] = set()
-        self.accepted_ever: set[int] = set()
         self.travel_completed: list[float] = []
 
-    # -- plumbing -------------------------------------------------------
-
-    def push(self, t: float, rank: int, kind: str, *args) -> None:
+    def push(self, t: float, rank: int, tid: int | None = None) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (t, rank, self.seq, kind, args))
+        heapq.heappush(self.heap, (t, rank, self.seq, tid))
 
-    def emit(self, row: LogRow) -> None:
-        self.log.append(row)
+    def _hold(self, r: _Run, a: Assignment) -> None:
+        """Book the offer's worker and schedule its dispatch."""
+        r.state, r.assignment = TaskState.PENDING, a
+        self.engine.book(a.worker_id, *a.booking)
+        self.push(a.dispatch_time, _R_DISPATCH, r.task.id)
 
-    def _book(self, assignment: Assignment) -> None:
-        self.engine.book(assignment.worker_id, *assignment.booking)
-
-    def _unbook(self, assignment: Assignment) -> None:
-        self.engine.release(assignment.worker_id, *assignment.booking)
-
-    def _next_batch(self, submit: float, before: float) -> float | None:
-        i = bisect.bisect_left(self.batch_times, submit)
-        if i < len(self.batch_times) and self.batch_times[i] < before:
-            return self.batch_times[i]
-        return None
+    def _expire(self, r: _Run, t: float) -> None:
+        if r.state is TaskState.PENDING:
+            self.engine.release(r.assignment.worker_id, *r.assignment.booking)
+        r.state = TaskState.EXPIRED
+        self.log.append(LogRow(t, "expired", task_id=r.task.id))
 
     # -- event handlers ---------------------------------------------------
 
-    def on_submit(self, t: float, task: Task) -> None:
-        self.state[task.id] = TaskState.QUEUED
-        self.epoch[task.id] = 0
-        self.rejected_by[task.id] = set()
-        self.effective_reward[task.id] = task.pto_reward
-        self.emit(LogRow(t, "submitted", task_id=task.id))
-        if self.config.policy == "sc-nearest":
-            self.push(t, _R_ONLINE, "online", task.id, 0)
-            return
+    def on_submit(self, t: float, tid: int) -> None:
+        task = self.runs[tid].task
+        self.log.append(LogRow(t, "submitted", task_id=tid))
         # A task waits for the batch assigner only when the work would still
         # fit after the wait: the next batch must leave room for the full
         # duration plus two grid steps of travel/slippage margin before the
@@ -202,20 +202,17 @@ class _Sim:
         latest_useful = task.expiration - task.duration - margin
         if task.start_latest is not None:
             latest_useful = min(latest_useful, task.start_latest - margin)
-        batch_at = self._next_batch(task.submit_time, latest_useful)
-        if batch_at is None:
-            self.push(t, _R_ONLINE, "online", task.id, 0)
+        i = bisect.bisect_left(self.batch_times, task.submit_time)
+        if i < len(self.batch_times) and self.batch_times[i] < latest_useful:
+            self.batch_queue.add(tid)
         else:
-            self.batch_queue.add(task.id)
+            self.push(t, _R_ONLINE, tid)
 
-    def on_batch(self, t: float) -> None:
-        ready = [
-            self.tasks[tid]
-            for tid in sorted(self.batch_queue)
-            if self.state[tid] is TaskState.QUEUED and self.tasks[tid].expiration > t
-        ]
+    def on_batch(self, t: float, _tid: None) -> None:
+        waiting = [self.runs[tid] for tid in sorted(self.batch_queue)]
         self.batch_queue.clear()
-        self.emit(LogRow(t, "offline_batch"))
+        ready = [r.task for r in waiting if r.state is TaskState.QUEUED and r.task.expiration > t]
+        self.log.append(LogRow(t, "offline_batch"))
         if not ready:
             return
         assignments, unassigned = offline_assign(
@@ -228,163 +225,128 @@ class _Sim:
             rng_seed=self.config.seed,
         )
         for a in assignments:
-            self.state[a.task_id] = TaskState.PENDING
-            self.pending[a.task_id] = a
-            self._book(a)
-            self.push(a.dispatch_time, _R_DISPATCH, "dispatch", a.task_id, self.epoch[a.task_id])
+            self._hold(self.runs[a.task_id], a)
         for tid, _kind in unassigned:
             # One online attempt (reward raises allowed) before giving up.
-            self.push(t, _R_ONLINE, "online", tid, self.epoch[tid])
+            self.push(t, _R_ONLINE, tid)
 
-    def on_online(self, t: float, tid: int, epoch: int) -> None:
-        task = self.tasks[tid]
-        if self.state[tid] is not TaskState.QUEUED or self.epoch[tid] != epoch:
-            return
-        if t >= task.expiration:
-            return  # the expire event settles it
+    def on_online(self, t: float, tid: int) -> None:
+        r = self.runs[tid]
+        task = r.task
+        if r.state is not TaskState.QUEUED or t >= task.expiration:
+            return  # settled already, or the expire event settles it
         owner = self.owners[task.owner_id]
         category = self.categories[task.category_id]
-        reward_now = self.effective_reward[tid]
-        eff_task = task if reward_now == task.pto_reward else replace(task, pto_reward=reward_now)
-        if self.config.policy == "sc-nearest":
-            outcome = baseline_nearest(eff_task, self.engine, t, owner, category, exclude_workers=self.rejected_by[tid])
-        else:
+        eff_task = task if r.reward == task.pto_reward else replace(task, pto_reward=r.reward)
+        if self.config.policy == "psc":
             outcome = online_assign(
                 eff_task,
                 self.engine,
                 owner,
                 category,
                 t,
-                already_raised=reward_now - task.pto_reward,
-                exclude_workers=self.rejected_by[tid],
+                already_raised=r.reward - task.pto_reward,
+                exclude_workers=r.rejected_by,
             )
+        else:
+            outcome = baseline_nearest(eff_task, self.engine, t, owner, category, exclude_workers=r.rejected_by)
         if outcome.kind is OutcomeKind.ASSIGNED:
-            a = outcome.assignment
-            assert a is not None
-            self.effective_reward[tid] = outcome.effective_reward
-            self.state[tid] = TaskState.PENDING
-            self.pending[tid] = a
-            self._book(a)
-            self.push(t, _R_DISPATCH, "dispatch", tid, self.epoch[tid])
+            r.reward = outcome.effective_reward
+            self._hold(r, outcome.assignment)
             return
         if outcome.kind is OutcomeKind.NO_SUITABLE_WORKER:
             # Usually transient congestion (everyone booked right now), so
             # retry one grid step later as long as the deadline allows.
             retry_at = t + self.config.grid.step_min
             if retry_at < task.expiration and retry_at <= self.config.duration_min:
-                self.push(retry_at, _R_ONLINE, "online", tid, epoch)
+                self.push(retry_at, _R_ONLINE, tid)
                 return
-        self.state[tid] = TaskState.UNASSIGNABLE
-        self.unassigned_reason[tid] = outcome.kind
-        self.emit(LogRow(t, "unassignable", task_id=tid))
+        r.state, r.reason = TaskState.UNASSIGNABLE, outcome.kind
+        self.log.append(LogRow(t, "unassignable", task_id=tid))
 
-    def on_dispatch(self, t: float, tid: int, epoch: int) -> None:
-        if self.state[tid] is not TaskState.PENDING or self.epoch[tid] != epoch:
+    def on_dispatch(self, t: float, tid: int) -> None:
+        r = self.runs[tid]
+        if r.state is not TaskState.PENDING:
             return
-        a = self.pending[tid]
-        self.assigned_ever.add(tid)
-        self.engine.refresh_trust(a.worker_id, self.tasks[tid].category_id, "assigned")
-        self.emit(
-            LogRow(
-                t,
-                "dispatch",
-                task_id=tid,
-                worker_id=a.worker_id,
-                score_total=a.breakdown.total,
-                reward=self.effective_reward[tid],
-            )
-        )
-        self.push(t + self.config.response_delay_min, _R_DECISION, "decision", tid, epoch)
+        a = r.assignment
+        r.assigned = True
+        self.engine.refresh_trust(a.worker_id, r.task.category_id, "assigned")
+        self.log.append(LogRow(t, "dispatch", tid, a.worker_id, a.breakdown.total, r.reward))
+        self.push(t + self.config.response_delay_min, _R_DECISION, tid)
 
-    def on_decision(self, t: float, tid: int, epoch: int) -> None:
-        if self.state[tid] is not TaskState.PENDING or self.epoch[tid] != epoch:
+    def on_decision(self, t: float, tid: int) -> None:
+        r = self.runs[tid]
+        if r.state is not TaskState.PENDING:
             return
-        a = self.pending[tid]
-        done_at = max(a.dispatch_time + a.ttc_min, t)
+        a = r.assignment
         if accept_decision(a, self.rng):
-            self.accepted_ever.add(tid)
-            self.engine.refresh_trust(a.worker_id, self.tasks[tid].category_id, "accepted")
-            self.state[tid] = TaskState.IN_PROGRESS
-            self.emit(LogRow(t, "accepted", task_id=tid, worker_id=a.worker_id))
-            self.push(done_at, _R_COMPLETE, "complete", tid, epoch)
+            r.state, r.accepted = TaskState.IN_PROGRESS, True
+            self.engine.refresh_trust(a.worker_id, r.task.category_id, "accepted")
+            self.log.append(LogRow(t, "accepted", task_id=tid, worker_id=a.worker_id))
+            self.push(max(a.dispatch_time + a.ttc_min, t), _R_COMPLETE, tid)
         else:
-            self.emit(LogRow(t, "rejected", task_id=tid, worker_id=a.worker_id))
-            self._unbook(a)
-            self.rejected_by[tid].add(a.worker_id)
-            del self.pending[tid]
-            self.state[tid] = TaskState.QUEUED
-            self.epoch[tid] += 1
-            self.push(t, _R_ONLINE, "online", tid, self.epoch[tid])
+            self.log.append(LogRow(t, "rejected", task_id=tid, worker_id=a.worker_id))
+            self.engine.release(a.worker_id, *a.booking)
+            r.rejected_by |= {a.worker_id}
+            r.state = TaskState.QUEUED
+            self.push(t, _R_ONLINE, tid)
 
-    def on_complete(self, t: float, tid: int, epoch: int) -> None:
-        if self.state[tid] is not TaskState.IN_PROGRESS or self.epoch[tid] != epoch:
-            return
-        a = self.pending.pop(tid)
-        self.engine.refresh_trust(a.worker_id, self.tasks[tid].category_id, "completed")
-        self.state[tid] = TaskState.COMPLETED
+    def on_complete(self, t: float, tid: int) -> None:
+        # No state check: only this event moves a task on from in-progress.
+        r = self.runs[tid]
+        a = r.assignment
+        self.engine.refresh_trust(a.worker_id, r.task.category_id, "completed")
+        r.state = TaskState.COMPLETED
         self.travel_completed.append(a.travel_km)
-        self.emit(
-            LogRow(t, "completed", task_id=tid, worker_id=a.worker_id, reward=self.effective_reward[tid])
-        )
+        self.log.append(LogRow(t, "completed", task_id=tid, worker_id=a.worker_id, reward=r.reward))
 
     def on_expire(self, t: float, tid: int) -> None:
-        st = self.state[tid]
-        if st in TERMINAL_STATES or st is TaskState.IN_PROGRESS:
-            return  # accepted work runs to completion
-        if st is TaskState.PENDING:
-            self._unbook(self.pending.pop(tid))
-        self.batch_queue.discard(tid)
-        self.epoch[tid] += 1
-        self.state[tid] = TaskState.EXPIRED
-        self.emit(LogRow(t, "expired", task_id=tid))
+        r = self.runs[tid]
+        if r.state in (TaskState.QUEUED, TaskState.PENDING):  # accepted work runs to completion
+            self._expire(r, t)
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> SimReport:
         duration = self.config.duration_min
-        submitted = [t for t in self.tasks.values() if t.submit_time <= duration]
-        for task in submitted:
-            self.push(task.submit_time, _R_SUBMIT, "submit", task.id)
-            if task.expiration <= duration:
-                self.push(task.expiration, _R_EXPIRE, "expire", task.id)
+        for tid, r in self.runs.items():
+            self.push(r.task.submit_time, _R_SUBMIT, tid)
+            if r.task.expiration <= duration:
+                self.push(r.task.expiration, _R_EXPIRE, tid)
         for bt in self.batch_times:
-            if self.config.policy != "sc-nearest":
-                self.push(bt, _R_BATCH, "batch", None)
+            self.push(bt, _R_BATCH)
 
-        handlers = {
-            "submit": lambda t, tid: self.on_submit(t, self.tasks[tid]),
-            "batch": lambda t, _none: self.on_batch(t),
-            "online": self.on_online,
-            "dispatch": self.on_dispatch,
-            "decision": self.on_decision,
-            "complete": self.on_complete,
-            "expire": self.on_expire,
-        }
+        handlers = (
+            self.on_submit,
+            self.on_batch,
+            self.on_online,
+            self.on_dispatch,
+            self.on_decision,
+            self.on_complete,
+            self.on_expire,
+        )
         while self.heap:
-            t, _rank, _seq, kind, args = heapq.heappop(self.heap)
+            t, rank, _seq, tid = heapq.heappop(self.heap)
             if t > duration:
                 break
-            handlers[kind](t, *args)
+            handlers[rank](t, tid)
 
         # Horizon sweep: nothing submitted may stay in a live state.
-        for task in sorted(submitted, key=lambda x: x.id):
-            if self.state.get(task.id) not in TERMINAL_STATES:
-                if self.state.get(task.id) is TaskState.PENDING:
-                    self._unbook(self.pending.pop(task.id))
-                self.state[task.id] = TaskState.EXPIRED
-                self.emit(LogRow(duration, "expired", task_id=task.id))
+        for tid in sorted(self.runs):
+            if self.runs[tid].state not in TERMINAL_STATES:
+                self._expire(self.runs[tid], duration)
 
-        completed = sum(1 for s in self.state.values() if s is TaskState.COMPLETED)
-        per_hour, fraction, mean_travel = performance_metrics(
-            completed, len(submitted), duration, self.travel_completed
-        )
+        runs = self.runs.values()
+        states = [r.state for r in runs]
+        completed = states.count(TaskState.COMPLETED)
+        per_hour, fraction, mean_travel = performance_metrics(completed, len(runs), duration, self.travel_completed)
         counts = {
-            "submitted": len(submitted),
-            "assigned": len(self.assigned_ever),
-            "accepted": len(self.accepted_ever),
+            "submitted": len(runs),
+            "assigned": sum(r.assigned for r in runs),
+            "accepted": sum(r.accepted for r in runs),
             "completed": completed,
-            "expired": sum(1 for s in self.state.values() if s is TaskState.EXPIRED),
-            "unassignable": sum(1 for s in self.state.values() if s is TaskState.UNASSIGNABLE),
+            "expired": states.count(TaskState.EXPIRED),
+            "unassignable": states.count(TaskState.UNASSIGNABLE),
         }
         return SimReport(
             counts=counts,
@@ -394,8 +356,8 @@ class _Sim:
             mean_travel_km=mean_travel,
             log=tuple(self.log),
             final_workers=tuple(self.engine.live_worker(wid) for wid in self.worker_ids),
-            task_state=dict(self.state),
-            unassigned_reason=dict(self.unassigned_reason),
+            task_state={tid: r.state for tid, r in self.runs.items()},
+            unassigned_reason={tid: r.reason for tid, r in self.runs.items() if r.reason is not None},
         )
 
 

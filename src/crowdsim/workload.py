@@ -245,7 +245,9 @@ class _IdMap:
             try:
                 key = int(k)
             except ValueError:
-                raise ScenarioFormatError(f"{ctx}: key {k!r} is not an integer id") from None
+                key = None
+            if str(key) != k:  # "01", " 1 " or "1_0" would alias another key
+                raise ScenarioFormatError(f"{ctx}: key {k!r} is not an integer id")
             out[key] = load(x, f"{ctx}[{k}]")
         return out
 

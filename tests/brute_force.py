@@ -162,7 +162,6 @@ def online_oracle(
     velocity: VelocityProfile,
     weights: TrustWeights,
     *,
-    allow_reward_raise: bool = True,
     exclude=frozenset(),
     already_raised: float = 0.0,
 ):
@@ -190,7 +189,7 @@ def online_oracle(
             return "assigned", best_id, eff.pto_reward
         stats = [(b.time_score, b.availability, b.reward, b.trust_weighted) for _, b in rows]
         kind = _classify(stats)
-        if kind == "reward-insufficient" and allow_reward_raise:
+        if kind == "reward-insufficient":
             inc = min(owner.raise_increment, owner.max_reward_raise - raised)
             if inc > 0:
                 raised += inc

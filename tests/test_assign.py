@@ -307,11 +307,10 @@ def test_online_matches_oracle(seed):
     t = inst.now + rng.uniform(0.0, max(task.expiration - inst.now - 0.5, 0.1))
     if t >= task.expiration:
         t = inst.now
-    allow_raise = rng.random() < 0.7
+    if rng.random() >= 0.7:  # no raise budget: the same seeds cover the no-raise path
+        owner = replace(owner, max_reward_raise=0.0)
     exclude = frozenset(w.id for w in inst.workers if rng.random() < 0.2)
-    out = online_assign(
-        task, inst.engine(), owner, cat, t, allow_reward_raise=allow_raise, exclude_workers=exclude
-    )
+    out = online_assign(task, inst.engine(), owner, cat, t, exclude_workers=exclude)
     kind, wid, eff = brute_force.online_oracle(
         task,
         inst.workers,
@@ -320,7 +319,6 @@ def test_online_matches_oracle(seed):
         t,
         inst.velocity,
         inst.weights,
-        allow_reward_raise=allow_raise,
         exclude=exclude,
     )
     assert out.kind.value == kind, f"seed {seed}"
@@ -362,10 +360,8 @@ def test_online_reward_raise_exhausted_reports_reward_insufficient():
 
 
 def test_online_raise_disabled():
-    owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=5.0)
-    out = online_assign(
-        _task(1, pto_reward=10.0), _engine([_worker(demand=12.0)]), owner, CAT, 0.0, allow_reward_raise=False
-    )
+    owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=0.0, raise_increment=5.0)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=12.0)]), owner, CAT, 0.0)
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
 
 

@@ -16,7 +16,7 @@ _length = st.one_of(st.just(0.0), st.integers(1, 20).map(float), st.floats(0.0, 
 
 
 def _check_against_oracle(engine: ScoreEngine, held: dict[int, list], data) -> None:
-    ids = engine.worker_ids.tolist()
+    ids = [w.id for w in engine.workers]
     for wid in ids:
         assert engine.bookings_of(wid) == sorted(held[wid])
 

@@ -1,6 +1,7 @@
 """Command-line interface: pipelines, CSV determinism, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -181,6 +182,36 @@ def test_compare_is_byte_identical(tmp_path):
     assert main(argv + [str(a)]) == 0
     assert main(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- pinned output bytes -----------------------------------------------------------
+
+_OUTPUT_SHA256 = {
+    "run-psc-metrics": "bf67de6a624b5a85d1eb0eb423ec01459e6af73654324c72da8b3937403cf92f",
+    "run-psc-events": "913238d6df732320e70bc5053b2bcbf2eb5b436b622ba5faf15ec0e8bc95d7fa",
+    "run-sc-nearest-metrics": "6cc5b350aff1a76b9123884d5cfefdc032f417f10cccf4914bf0121fbd8b40cf",
+    "run-sc-nearest-events": "fa028b5e283a2f47e2352898b72d69105865d1b0608754e80682e316fefdcddf",
+    "compare": "2c213ad28c07e3c479998e505f4e7d9e9630c5809e3a1e99a5c4b6062a1ae0d5",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path):
+    # A refactor of the simulator or the CSV writer must not move one byte.
+    from crowdsim.workload import GenParams, generate, save
+
+    scenario = tmp_path / "scenario.json"
+    save(generate(GenParams(n_workers=30, n_tasks=80), seed=4), scenario)
+    batches = ",".join(str(180 * k) for k in range(1, 57))  # every 3 h over the week
+    out = {}
+    for policy in ("psc", "sc-nearest"):
+        m, e = tmp_path / f"{policy}-m.csv", tmp_path / f"{policy}-e.csv"
+        argv = ["run", "--scenario", str(scenario), "--policy", policy, "--seed", "0"]
+        assert main(argv + ["--batch-times", batches, "--out", str(m), "--events", str(e)]) == 0
+        out[f"run-{policy}-metrics"], out[f"run-{policy}-events"] = m, e
+    out["compare"] = tmp_path / "compare.csv"
+    assert main(["compare", "--scenario", EXAMPLE, "--seeds", "0..2", "--out", str(out["compare"])]) == 0
+    got = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in out.items()}
+    assert got == _OUTPUT_SHA256
 
 
 # -- score -------------------------------------------------------------------------

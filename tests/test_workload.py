@@ -287,6 +287,15 @@ def test_json_ids_in_demand_maps_are_string_keyed():
     assert sc.workers[0].reward_demand == {1: 5.0}
 
 
+@pytest.mark.parametrize("key", ["01", " 1 ", "+1", "1_0", "x"])
+def test_id_map_keys_must_be_canonical(key):
+    # int() reads each of these keys, so "01" could overwrite "1" unseen.
+    def mutate(d):
+        d["workers"][0]["reward_demand"] = {"1": 5.0, key: 9.0}
+
+    _expect_error(mutate, f"scenario.workers[0].reward_demand: key {key!r} is not an integer id")
+
+
 # -- generator --------------------------------------------------------------------
 
 
