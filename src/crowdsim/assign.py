@@ -590,10 +590,10 @@ def baseline_nearest(
     times = np.array([t])
     x, y = engine._positions(times)
     dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
-    mask = _availability_mask(engine, ttc, t, exclude_workers)
-    if not mask.any():
+    free = np.flatnonzero(_availability_mask(engine, ttc, t, exclude_workers))
+    if not len(free):
         return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
-    i = int(np.argmin(np.where(mask, dist, np.inf)))
+    i = int(free[np.argmin(dist[free])])
     worker = engine.live_worker(engine.workers[i].id)
     assignment = Assignment(
         task_id=task.id,
@@ -618,26 +618,32 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
 
 
 class _Candidates:
-    """Per-task candidate pairs sorted by (total desc, worker id asc, time asc).
+    """One batched task: its candidate pairs and the pair it proposes.
 
-    Only a prefix of that order is materialised, found by a threshold search
-    (Fagin, Lotem & Naor, PODS 2001) over per-worker score bounds that need
-    no distances.  When the pointer runs past the prefix, the search runs
-    again for a prefix twice as long.
+    Pairs are sorted by (total desc, worker id asc, time asc); the proposal
+    is the pair at ``pointer``.  Only a prefix of that order is materialised,
+    found by a threshold search (Fagin, Lotem & Naor, PODS 2001) over
+    per-worker score bounds that need no distances.  When the pointer runs
+    past the prefix, the search runs again for a prefix twice as long.
     """
 
-    __slots__ = ("task", "priority", "reason", "n_positive", "pointer", "w", "time", "pairs", "_grid")
+    __slots__ = (
+        "task", "priority", "reason", "pointer", "w", "time", "pairs", "_grid",
+        "worker", "t0", "t1", "total", "clash",
+    )
 
     def __init__(self, task: Task, priority: float):
         self.task = task
         self.priority = priority
-        self.reason: OutcomeKind | None = None
-        self.n_positive = 0  # positive pairs in the scored rows
+        self.reason: OutcomeKind | None = None  # why the task is not placed, once that is known
         self.pointer = 0
         self.w: np.ndarray = np.empty(0, dtype=np.intp)  # worker index of each pair
         self.time: np.ndarray = np.empty(0)  # dispatch time of each pair
         self.pairs: _Scores | None = None  # the pairs' factors, in the same order
         self._grid = None  # (score, bound, times) while positive pairs may lie past the prefix
+        self.worker = -1  # worker index of the proposed pair
+        self.t0 = self.t1 = self.total = 0.0  # its work interval [t0, t1) and total
+        self.clash = False  # whether [t0, t1) overlaps one of the worker's bookings
 
     def load(self, score, bound: np.ndarray, times: np.ndarray, cap: int) -> None:
         """Keep the first ``cap`` positive pairs of the grid over ``times``, scoring rows only as needed.
@@ -668,8 +674,8 @@ class _Candidates:
             found = np.concatenate((found, g.total[g.total > 0.0]))
             start += len(rows)
             size *= 2
-        self.n_positive = len(found)
-        if self.n_positive == 0:
+        n_positive = len(found)
+        if n_positive == 0:
             g = score(slice(None))
             ts_ok = g.ts > 0
             if not ts_ok.any():
@@ -682,9 +688,9 @@ class _Candidates:
         # Every pair at or above the cap-th best total (or every positive
         # pair, when fewer were found), so that after the lexsort the kept
         # pairs are the exact prefix of the full preference order.
-        m = min(cap, self.n_positive)
+        m = min(cap, n_positive)
         cutoff = np.partition(found, -m)[-m]
-        self._grid = (score, bound, times) if self.n_positive > cap or start < live else None
+        self._grid = (score, bound, times) if n_positive > cap or start < live else None
         cols = []
         for rows, g in blocks:
             sel = np.flatnonzero(g.total >= cutoff)
@@ -705,19 +711,20 @@ class _Candidates:
             tw=tw[order],
         )
 
-    def current(self):
+    def propose(self) -> bool:
+        """Make the pair at the pointer the proposal; False, with a reason, when no pair is left."""
         if self.pointer == len(self.w) and self._grid is not None:
             self.load(*self._grid, 2 * len(self.w))
-        if self.pointer >= len(self.w):
-            return None
         i = self.pointer
-        return (
-            int(self.w[i]),
-            float(self.time[i]),
-            float(self.pairs.total[i]),
-            float(self.pairs.ttc[i]),
-            i,
-        )
+        if i >= len(self.w):
+            # Every positive pair was lost to bookings or competition.
+            self.reason = OutcomeKind.NO_SUITABLE_WORKER
+            return False
+        self.worker = int(self.w[i])
+        self.t0 = float(self.time[i])
+        self.t1 = self.t0 + float(self.pairs.ttc[i])
+        self.total = float(self.pairs.total[i])
+        return True
 
 
 def offline_assign(
@@ -760,7 +767,7 @@ def offline_assign(
     ctx = engine.grid_context(times) if len(times) else None
     cum_exps = engine._cumulative(np.array([t.expiration for t in tasks_sorted]))
 
-    cands: dict[int, _Candidates] = {}
+    cands: list[_Candidates] = []
     for j, task in enumerate(tasks_sorted):
         owner = owners[task.owner_id]
         category = categories[task.category_id]
@@ -776,82 +783,58 @@ def offline_assign(
                 ctx.times,
                 _CANDIDATE_BLOCK,
             )
-        cands[task.id] = cand
+        cands.append(cand)
 
-    # Proposals and their booking clashes persist across rounds.  A worker
-    # that only lost refused proposals keeps the rest: they were pairwise
-    # disjoint and free of bookings, and no booking changes in this call.
-    proposals: dict[int, tuple[int, float, float, float, int]] = {}
-    clashes: dict[int, bool] = {}
-    by_worker: dict[int, set[int]] = {}
-    movers = [t.id for t in tasks_sorted if cands[t.id].n_positive > 0]
-    while True:
-        new: dict[int, tuple[int, float, float, float, int]] = {}
-        for tid in movers:
-            cur = cands[tid].current()
-            if cur is not None:
-                new[tid] = cur
-
+    # Honoured proposals persist across rounds.  A worker that only lost
+    # refused proposals keeps the rest: they were pairwise disjoint and free
+    # of bookings, and no booking changes in this call.
+    held: dict[int, list[_Candidates]] = {}
+    movers = [c for c in cands if c.reason is None]
+    while movers:
+        movers = [c for c in movers if c.propose()]
         # The round's new proposals against the live bookings at once.
-        props = np.array(list(new.values()), dtype=float).reshape(-1, 5)
-        t0s = props[:, 1]
-        booked = engine.booked(t0s, t0s + props[:, 3], props[:, 0].astype(np.intp))
-        clashes.update(zip(new, booked.tolist()))
-        proposals.update(new)
-        for tid, (w, _t, _total, _ttc, _i) in new.items():
-            by_worker.setdefault(w, set()).add(tid)
+        booked = engine.booked(
+            np.array([c.t0 for c in movers]),
+            np.array([c.t1 for c in movers]),
+            np.array([c.worker for c in movers], dtype=np.intp),
+        )
+        for c, clash in zip(movers, booked.tolist()):
+            c.clash = clash
+            held.setdefault(c.worker, []).append(c)
 
-        rejected: list[int] = []
-        for w in sorted({p[0] for p in new.values()}):
-            tids = sorted(by_worker[w], key=lambda tid: (-cands[tid].priority, -proposals[tid][2], tid))
-            # A seeded draw decides exact (priority, total) ties.
-            ordered: list[int] = []
-            for _key, group in groupby(tids, key=lambda tid: (cands[tid].priority, proposals[tid][2])):
+        refused: list[_Candidates] = []
+        for w in sorted({c.worker for c in movers}):
+            ranked = sorted(held[w], key=lambda c: (-c.priority, -c.total, c.task.id))
+            kept = held[w] = []
+            for _key, group in groupby(ranked, key=lambda c: (c.priority, c.total)):
                 run = list(group)
+                # A seeded draw decides exact (priority, total) ties.
                 if len(run) > 1:
-                    winner = _tie_pick(rng_seed, engine.workers[w].id, run)
-                    run = [winner] + [tid for tid in run if tid != winner]
-                ordered.extend(run)
-            taken: list[tuple[float, float]] = []
-            for tid in ordered:
-                _w, t0, _total, ttc, _i = proposals[tid]
-                t1 = t0 + ttc
-                clash = clashes[tid]
-                if not clash:
-                    for s, e in taken:
-                        if s < t1 and t0 < e:
-                            clash = True
-                            break
-                if clash:
-                    rejected.append(tid)
-                else:
-                    taken.append((t0, t1))
-        if not rejected:
-            break
-        for tid in rejected:
-            by_worker[proposals.pop(tid)[0]].discard(tid)
-            cands[tid].pointer += 1
-        movers = rejected
+                    winner = _tie_pick(rng_seed, engine.workers[w].id, [c.task.id for c in run])
+                    run.sort(key=lambda c: c.task.id != winner)  # the winner, then the rest in id order
+                for c in run:
+                    if c.clash or any(h.t0 < c.t1 and c.t0 < h.t1 for h in kept):
+                        c.pointer += 1
+                        refused.append(c)
+                    else:
+                        kept.append(c)
+        movers = refused
 
     assignments: list[Assignment] = []
     unassigned: list[tuple[int, OutcomeKind]] = []
-    for task in tasks_sorted:
-        cand = cands[task.id]
-        if task.id in proposals:
-            w, t0, _total, ttc, i = proposals[task.id]
-            assignments.append(
-                Assignment(
-                    task_id=task.id,
-                    worker_id=engine.workers[w].id,
-                    dispatch_time=t0,
-                    breakdown=_breakdown(cand.pairs, i),
-                    ttc_min=ttc,
-                    travel_km=float(cand.pairs.travel_km[i]),
-                )
+    for c in cands:
+        if c.reason is not None:
+            unassigned.append((c.task.id, c.reason))
+            continue
+        i = c.pointer
+        assignments.append(
+            Assignment(
+                task_id=c.task.id,
+                worker_id=engine.workers[c.worker].id,
+                dispatch_time=c.t0,
+                breakdown=_breakdown(c.pairs, i),
+                ttc_min=float(c.pairs.ttc[i]),
+                travel_km=float(c.pairs.travel_km[i]),
             )
-        elif cand.reason is not None:
-            unassigned.append((task.id, cand.reason))
-        else:
-            # Had positive pairs but lost all of them to bookings/competition.
-            unassigned.append((task.id, OutcomeKind.NO_SUITABLE_WORKER))
+        )
     return assignments, unassigned

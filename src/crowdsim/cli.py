@@ -1,8 +1,8 @@
 """Command-line front end: generate scenarios, run simulations, compare policies.
 
-Exit codes: 0 on success, 2 for usage or input-validation problems, 1 for
-internal faults.  All file output (scenario JSON, CSV) is byte-deterministic
-for a fixed command line.
+Exit codes: 0 on success, 2 for usage or input-validation problems and for
+paths that cannot be read or written, 1 for internal faults.  All file
+output (scenario JSON, CSV) is byte-deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScenarioValidationError, ParameterError, FileNotFoundError, ValueError) as exc:
+    except (ScenarioFormatError, ScenarioValidationError, ParameterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is an internal fault

@@ -9,6 +9,7 @@ the single source of truth for the formulas; the vectorised engine in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, distance
@@ -130,6 +131,8 @@ def total_score(
     begin before ``start_earliest`` (the worker idles after travelling) and
     a begin time past ``start_latest`` makes the pair infeasible outright.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"task {task.id}: dispatch time must be finite, got {t}")
     if t >= task.expiration:
         raise TaskExpiredError(f"task {task.id} expired at {task.expiration}, scored at t={t}")
     d = distance(task.region, worker.pattern.value_at(t))

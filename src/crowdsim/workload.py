@@ -402,10 +402,10 @@ def save(scenario: Scenario, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> Scenario:
-    """Read and validate a scenario file."""
+    """Read and validate a scenario file of UTF-8 JSON."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from None
     return from_json_dict(doc)
 

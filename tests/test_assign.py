@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import brute_force
-from instances import random_instance
+from instances import Instance, random_instance
 
 import crowdsim
 from crowdsim import assign
@@ -29,6 +29,7 @@ from crowdsim.assign import (
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
 from crowdsim.schedule import WEEK_MINUTES, Segment, WeeklySchedule
 from crowdsim.scoring import TaskExpiredError, TrustWeights, VelocityProfile, total_score
+from crowdsim.workload import GenParams, generate
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
 W = TrustWeights()
@@ -185,6 +186,37 @@ def test_offline_matches_oracle(seed, block, rows, ties, monkeypatch):
         assert draws, f"seed {seed}"
 
 
+@pytest.mark.parametrize("ties", [False, True], ids=["plain", "ties"])
+def test_offline_matches_oracle_on_a_contended_batch(ties, monkeypatch):
+    # The micro-instances hold at most 4 tasks.  This generated batch queues
+    # 120 tasks on 20 workers and runs 141 proposal rounds; with every task
+    # cloned under a fresh id it holds 240 tasks and draws 2830 ties.
+    draws = []
+    tie_pick = assign._tie_pick
+    monkeypatch.setattr(assign, "_tie_pick", lambda *args: draws.append(args) or tie_pick(*args))
+    scenario = generate(GenParams(20, 300, urgent_fraction=0.5, horizon_min=1440.0), seed=4)
+    now = 1260.0
+    inst = Instance(
+        tasks=[t for t in scenario.tasks if t.submit_time <= now < t.expiration],
+        workers=scenario.workers,
+        owners={o.id: o for o in scenario.owners},
+        categories={c.id: c for c in scenario.categories},
+        now=now,
+        step=15.0,
+        horizon=WEEK_MINUTES,
+        velocity=scenario.velocity,
+        weights=W,
+        seed=5,
+    )
+    if ties:
+        inst = _with_clones(inst)
+    got_triples, got_kinds, want_triples, want_kinds = _run_both(inst)
+    assert len(inst.tasks) == (240 if ties else 120)
+    assert bool(draws) == ties
+    assert got_triples == want_triples
+    assert got_kinds == want_kinds
+
+
 def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     # Row 1's bound (2T) puts it first, and its one pair scores T. Row 0's
     # bound is exactly T and its pair also scores T, which wins the tie on
@@ -210,13 +242,15 @@ def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     # Moving past the prefix searches again with twice the cap; row 3 is
     # scored only once the cap exceeds the pairs at or above its bound.
     cand.pointer = 1
-    assert cand.current()[0] == 1
+    assert cand.propose()
+    assert cand.worker == 1
     assert len(scored) == 4
     cand.pointer = 2
-    assert cand.current()[:3] == (2, 0.0, T / 2)
+    assert cand.propose()
+    assert (cand.worker, cand.t0, cand.total) == (2, 0.0, T / 2)
     assert scored[-3:] == [[1], [0, 2], [3]]
     cand.pointer = 4
-    assert cand.current() is None
+    assert not cand.propose()
 
 
 def test_offline_outcomes_cover_every_task():
@@ -430,6 +464,19 @@ def test_nearest_ignores_scores_entirely():
     far = _worker(2, x=9.0)
     out = baseline_nearest(_task(1), _engine([near, far]), 0.0, OWNER, CAT)
     assert out.assignment.worker_id == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("blocked_by", ["exclude", "booking"])
+def test_nearest_picks_only_free_workers_when_every_distance_is_infinite(blocked_by):
+    # 1e200 km squared overflows, so every distance is inf.  Worker 1 is
+    # excluded or booked; the tie among the free workers goes to worker 2.
+    task = _task(1, region=Point(1e200, 0.0))
+    bookings = [(0.0, 1e9)] if blocked_by == "booking" else []
+    workers = [_worker(1, x=0.0, bookings=bookings), _worker(2, x=0.0), _worker(3, x=0.0)]
+    exclude = frozenset({1}) if blocked_by == "exclude" else frozenset()
+    out = baseline_nearest(task, _engine(workers), 0.0, OWNER, CAT, exclude_workers=exclude)
+    assert out.assignment.worker_id == brute_force.nearest_oracle(task, workers, 0.0, VEL, exclude=exclude) == 2
 
 
 def test_nearest_distance_tie_prefers_lower_id():

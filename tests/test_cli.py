@@ -314,6 +314,28 @@ def test_nan_reward_in_scenario_file_exits_2(tmp_path, capsys):
     assert "scenario.tasks[0].reward: expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "{dir}"],
+        ["run", "--scenario", EXAMPLE, "--out", "{dir}"],
+        ["generate", "--workers", "2", "--tasks", "2", "--out", "{dir}"],
+    ],
+    ids=["run-scenario", "run-out", "generate-out"],
+)
+def test_directory_paths_exit_2(argv, tmp_path, capsys):
+    rc = main([a.format(dir=tmp_path) for a in argv])
+    assert rc == 2
+    assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-inf", "nan", "inf"])
+def test_score_non_finite_time_exits_2(value, capsys):
+    rc = main(["score", "--scenario", EXAMPLE, "--task-id", "1", "--worker-id", "1", f"--time={value}"])
+    assert rc == 2
+    assert f"task 1: dispatch time must be finite, got {value}" in capsys.readouterr().err
+
+
 def test_bad_generator_params_exit_2(tmp_path, capsys):
     rc = main(["generate", "--workers", "0", "--tasks", "5", "--out", str(tmp_path / "x.json")])
     assert rc == 2

@@ -295,6 +295,12 @@ def test_total_score_rejects_expired_dispatch():
         total_score(make_task(), make_worker(), OWNER, CAT, 120.0, VEL, W)
 
 
+@pytest.mark.parametrize("t", [-math.inf, math.nan, math.inf])
+def test_total_score_rejects_non_finite_dispatch(t):
+    with pytest.raises(ValueError, match=f"task 1: dispatch time must be finite, got {t}"):
+        total_score(make_task(), make_worker(), OWNER, CAT, t, VEL, W)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 119.0))
 def test_time_score_decreases_as_dispatch_slips(t):

@@ -81,10 +81,15 @@ def test_saved_bytes_are_pinned(name, tmp_path):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == _SAVED_SHA256[name]
 
 
-def test_load_reports_bad_json(tmp_path):
+@pytest.mark.parametrize(
+    "content", [b"{not json", b"[" * 100_000, b'{"units": "\xff"}'], ids=["syntax", "deep-nesting", "not-utf8"]
+)
+def test_load_reports_bad_json(tmp_path, content):
+    # Deep nesting once escaped as a RecursionError, and bytes that are not
+    # UTF-8 as a UnicodeDecodeError that named no path.
     p = tmp_path / "broken.json"
-    p.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ScenarioFormatError):
+    p.write_bytes(content)
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{p}: invalid JSON")):
         load(p)
 
 
