@@ -31,7 +31,6 @@ from .schedule import Segment, WeeklySchedule
 from .scoring import (
     ScoreBreakdown,
     TaskExpiredError,
-    TrustWeights,
     VelocityProfile,
     total_score,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "TaskState",
     "TimeGrid",
     "TrustCounters",
-    "TrustWeights",
     "VelocityProfile",
     "WeeklySchedule",
     "Worker",

@@ -24,7 +24,6 @@ from .scoring import (
     MIN_PRIORITY_EXPONENT_BASE,
     ScoreBreakdown,
     TaskExpiredError,
-    TrustWeights,
     VelocityProfile,
     task_priority_score,
     total_score,
@@ -90,7 +89,6 @@ class AssignOutcome:
 
     kind: OutcomeKind
     assignment: Assignment | None = None
-    best_feasible_worker_id: int | None = None
     effective_reward: float | None = None
 
     @classmethod
@@ -98,8 +96,8 @@ class AssignOutcome:
         return cls(OutcomeKind.ASSIGNED, assignment=assignment, effective_reward=effective_reward)
 
     @classmethod
-    def failure(cls, kind: OutcomeKind, best_feasible_worker_id: int | None = None) -> "AssignOutcome":
-        return cls(kind, best_feasible_worker_id=best_feasible_worker_id)
+    def failure(cls, kind: OutcomeKind) -> "AssignOutcome":
+        return cls(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +178,29 @@ class _PieceTable:
 class ScoreEngine:
     """Vectorised evaluation of the total score for a fixed worker population.
 
-    Workers are kept sorted by id, so "first index" tie-breaks equal
-    "lowest worker id".  The engine owns the run state: it copies each
-    worker's trust counters and bookings once and never changes the
-    ``Worker`` records.  The simulator advances a counter through
-    :meth:`refresh_trust` and changes bookings through :meth:`book` and
-    :meth:`release`; :meth:`live_worker` reports a worker as the run stands.
+    The engine is the registry a run assigns against: its workers, the task
+    categories and owners by id, and the travel speed.  Each task's owner and
+    category are looked up from the task's own ids.  Workers are kept sorted
+    by id, so "first index" tie-breaks equal "lowest worker id".  The engine
+    owns the run state: it copies each worker's trust counters and bookings
+    once and never changes the ``Worker`` records.  The simulator advances a
+    counter through :meth:`refresh_trust` and changes bookings through
+    :meth:`book` and :meth:`release`; :meth:`live_worker` reports a worker as
+    the run stands.
     """
 
     def __init__(
         self,
         workers: Sequence[Worker],
         categories: Sequence[TaskCategory],
+        owners: Sequence[TaskOwner],
         velocity: VelocityProfile,
-        weights: TrustWeights,
     ):
         self.workers: list[Worker] = sorted(workers, key=lambda w: w.id)
         self.index_of: dict[int, int] = {w.id: i for i, w in enumerate(self.workers)}
+        self.categories: dict[int, TaskCategory] = {c.id: c for c in categories}
+        self.owners: dict[int, TaskOwner] = {o.id: o for o in owners}
         self.velocity = velocity
-        self.weights = weights
         n = len(self.workers)
         self._rows = np.arange(n)
 
@@ -220,20 +222,19 @@ class ScoreEngine:
         self._speed_table = _PieceTable([velocity.schedule])
         self._speed = np.maximum([float(v) for v in velocity.schedule.piece_values], velocity.floor_kmh)
 
-        self._categories: dict[int, TaskCategory] = {c.id: c for c in categories}
         self._demand: dict[int, np.ndarray] = {
             c.id: np.array([w.reward_demand.get(c.id, c.cat_reward) for w in self.workers])
-            for c in categories
+            for c in self.categories.values()
         }
         # Live trust counters per worker, and the raw trust per category as
         # Python floats (for bit-exact scalar powers) with its powered
         # vectors cached per category and exponent.
         self._trust: list[dict[int, TrustCounters]] = [dict(w.trust) for w in self.workers]
         self._trust_raw: dict[int, list[float]] = {
-            c.id: [trustworthy_score(w.trust_for(c.id), weights) for w in self.workers]
-            for c in categories
+            c.id: [trustworthy_score(w.trust_for(c.id)) for w in self.workers]
+            for c in self.categories.values()
         }
-        self._trust_pow: dict[int, dict[float, np.ndarray]] = {c.id: {} for c in categories}
+        self._trust_pow: dict[int, dict[float, np.ndarray]] = {c: {} for c in self.categories}
 
         # Live bookings, one column per worker: the first ``_bk_count[i]``
         # rows of column i hold its half-open [start, end) bookings in no
@@ -315,20 +316,20 @@ class ScoreEngine:
         else:
             raise ValueError(f"unknown trust event {event!r}")
         self._trust[i][category_id] = c
-        raw = trustworthy_score(c, self.weights)
+        raw = trustworthy_score(c)
         self._trust_raw[category_id][i] = raw
         for exponent, vec in self._trust_pow[category_id].items():
             vec[i] = raw**exponent
 
-    def _trust_vector(self, category_id: int, owner: TaskOwner) -> np.ndarray:
-        base = owner.pto_priority
+    def _trust_vector(self, task: Task) -> np.ndarray:
+        base = self.owners[task.owner_id].pto_priority
         if base < MIN_PRIORITY_EXPONENT_BASE:
             base = MIN_PRIORITY_EXPONENT_BASE
         exponent = 1.0 / base
-        cached = self._trust_pow[category_id]
+        cached = self._trust_pow[task.category_id]
         vec = cached.get(exponent)
         if vec is None:
-            vec = cached[exponent] = np.array([r**exponent for r in self._trust_raw[category_id]])
+            vec = cached[exponent] = np.array([r**exponent for r in self._trust_raw[task.category_id]])
         return vec
 
     # -- time lookups ----------------------------------------------------
@@ -383,14 +384,12 @@ class ScoreEngine:
         ttc = np.add(eff, task.duration)
         return dist, eff, np.subtract(ttc, times, out=ttc)
 
-    def _factors(
-        self, task: Task, owner: TaskOwner, category: TaskCategory, cum_exp: np.ndarray | None = None
-    ) -> _TaskFactors:
+    def _factors(self, task: Task, cum_exp: np.ndarray | None = None) -> _TaskFactors:
         """The task's time-independent factors; ``cum_exp`` may come from one lookup for many tasks."""
-        margin = task.pto_reward - self._demand[category.id]
+        margin = task.pto_reward - self._demand[task.category_id]
         return _TaskFactors(
             rw=np.where(margin > 0, margin / task.pto_reward, 0.0),
-            tw=self._trust_vector(category.id, owner),
+            tw=self._trust_vector(task),
             cum_exp=self._cumulative(np.array([task.expiration]))[:, 0] if cum_exp is None else cum_exp,
         )
 
@@ -413,39 +412,24 @@ class ScoreEngine:
         np.multiply(total, tw[:, None], out=total)
         return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, travel_km=dist, rw=rw, tw=tw)
 
-    def score_at(self, task: Task, owner: TaskOwner, category: TaskCategory, t: float) -> _Scores:
+    def score_at(self, task: Task, t: float) -> _Scores:
         """Score every worker for ``task`` dispatched at the single time ``t``."""
-        s = self._score(task, self._factors(task, owner, category), self._context(np.array([t])), 1)
+        s = self._score(task, self._factors(task), self._context(np.array([t])), 1)
         return replace(
             s, total=s.total[:, 0], ts=s.ts[:, 0], avail=s.avail[:, 0], ttc=s.ttc[:, 0], travel_km=s.travel_km[:, 0]
         )
 
     def score_grid(
-        self,
-        task: Task,
-        owner: TaskOwner,
-        category: TaskCategory,
-        ctx: GridContext,
-        k: int,
-        rows=slice(None),
-        factors: _TaskFactors | None = None,
+        self, task: Task, ctx: GridContext, k: int, rows=slice(None), factors: _TaskFactors | None = None
     ) -> _Scores:
         """Score the worker ``rows`` (every worker by default) for ``task`` over the first ``k`` grid times.
 
         ``factors`` from :meth:`_factors` may be shared between calls for one task.
         """
-        f = self._factors(task, owner, category) if factors is None else factors
+        f = self._factors(task) if factors is None else factors
         return self._score(task, f, ctx, k, rows)
 
-    def row_bounds(
-        self,
-        task: Task,
-        owner: TaskOwner,
-        category: TaskCategory,
-        ctx: GridContext,
-        k: int,
-        factors: _TaskFactors | None = None,
-    ) -> np.ndarray:
+    def row_bounds(self, task: Task, ctx: GridContext, k: int, factors: _TaskFactors | None = None) -> np.ndarray:
         """Per worker, a bound at or above every positive total :meth:`score_grid` gives over the first ``k`` times.
 
         The bound takes no distance.  Travel is never negative, so the
@@ -459,7 +443,7 @@ class ScoreEngine:
         can round down) could turn a negative time score into a positive
         total, so its bound is +inf.
         """
-        f = self._factors(task, owner, category) if factors is None else factors
+        f = self._factors(task) if factors is None else factors
         times = ctx.times[:k]
         exp = task.expiration
         left = exp - times
@@ -507,8 +491,6 @@ def _availability_mask(
 def online_assign(
     task: Task,
     engine: ScoreEngine,
-    owner: TaskOwner,
-    category: TaskCategory,
     t: float,
     *,
     already_raised: float = 0.0,
@@ -534,7 +516,7 @@ def online_assign(
     raised = already_raised
     eff_task = task
     while True:
-        s = engine.score_at(eff_task, owner, category, t)
+        s = engine.score_at(eff_task, t)
         mask = _availability_mask(engine, s.ttc, t, exclude)
         if not mask.any():
             return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
@@ -557,16 +539,13 @@ def online_assign(
         reward_only = ts_ok & (s.avail > 0) & (s.tw > 0) & (s.rw == 0)
         if not reward_only.any():
             return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
+        owner = engine.owners[task.owner_id]
         increment = min(owner.raise_increment, owner.max_reward_raise - raised)
         if increment > 0:
             raised += increment
             eff_task = replace(eff_task, pto_reward=eff_task.pto_reward + increment)
             continue
-        partial = np.where(reward_only, (s.ts * s.avail) * s.tw, -np.inf)
-        return AssignOutcome.failure(
-            OutcomeKind.REWARD_INSUFFICIENT,
-            best_feasible_worker_id=engine.workers[int(np.argmax(partial))].id,
-        )
+        return AssignOutcome.failure(OutcomeKind.REWARD_INSUFFICIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +556,6 @@ def baseline_nearest(
     task: Task,
     engine: ScoreEngine,
     t: float,
-    owner: TaskOwner,
-    category: TaskCategory,
     *,
     exclude_workers: Iterable[int] = (),
 ) -> AssignOutcome:
@@ -599,7 +576,9 @@ def baseline_nearest(
         task_id=task.id,
         worker_id=worker.id,
         dispatch_time=t,
-        breakdown=total_score(task, worker, owner, category, t, engine.velocity, engine.weights),
+        breakdown=total_score(
+            task, worker, engine.owners[task.owner_id], engine.categories[task.category_id], t, engine.velocity
+        ),
         ttc_min=float(ttc[i]),
         travel_km=float(dist[i]),
     )
@@ -730,8 +709,6 @@ class _Candidates:
 def offline_assign(
     tasks: Sequence[Task],
     engine: ScoreEngine,
-    owners: dict[int, TaskOwner],
-    categories: dict[int, TaskCategory],
     now: float,
     grid: TimeGrid,
     rng_seed: int = 0,
@@ -769,17 +746,17 @@ def offline_assign(
 
     cands: list[_Candidates] = []
     for j, task in enumerate(tasks_sorted):
-        owner = owners[task.owner_id]
-        category = categories[task.category_id]
-        cand = _Candidates(task, task_priority_score(task, owner, category))
+        cand = _Candidates(
+            task, task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id])
+        )
         k = int(np.searchsorted(times, task.expiration, side="left")) if ctx is not None else 0
         if k == 0:
             cand.reason = OutcomeKind.DEADLINE_INFEASIBLE
         else:
-            f = engine._factors(task, owner, category, cum_exps[:, j])
+            f = engine._factors(task, cum_exps[:, j])
             cand.load(
-                partial(engine.score_grid, task, owner, category, ctx, k, factors=f),
-                engine.row_bounds(task, owner, category, ctx, k, factors=f),
+                partial(engine.score_grid, task, ctx, k, factors=f),
+                engine.row_bounds(task, ctx, k, factors=f),
                 ctx.times,
                 _CANDIDATE_BLOCK,
             )

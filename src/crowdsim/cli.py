@@ -191,7 +191,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .scoring import TrustWeights, total_score
+    from .scoring import total_score
 
     scenario = _resolve_scenario(args.scenario)
     tasks = {t.id: t for t in scenario.tasks}
@@ -204,7 +204,7 @@ def cmd_score(args) -> int:
     worker = workers[args.worker_id]
     owner = next(o for o in scenario.owners if o.id == task.owner_id)
     category = next(c for c in scenario.categories if c.id == task.category_id)
-    b = total_score(task, worker, owner, category, args.time, scenario.velocity, TrustWeights())
+    b = total_score(task, worker, owner, category, args.time, scenario.velocity)
     c = centroid(worker.pattern.value_at(args.time))
     print(f"task {task.id} -> worker {worker.id} at t={_fmt(args.time)}")
     print(f"worker expected at ({_fmt(c.x)}, {_fmt(c.y)})")

@@ -19,6 +19,11 @@ from .schedule import WeeklySchedule, availability_score
 #: exponent, so a near-zero priority cannot blow the exponent up.
 MIN_PRIORITY_EXPONENT_BASE = 0.05
 
+#: Weights of the acceptance and completion ratios in the trust score;
+#: completion counts for more.
+ACCEPT_WEIGHT = 1.0
+COMPLETION_WEIGHT = 2.0
+
 
 class TaskExpiredError(ValueError):
     """Raised when a task is scored at or after its expiration time."""
@@ -38,18 +43,6 @@ class VelocityProfile:
     def speed_at(self, t: float) -> float:
         v = float(self.schedule.value_at(t))
         return v if v > self.floor_kmh else self.floor_kmh
-
-
-@dataclass(frozen=True)
-class TrustWeights:
-    """Relative weight of the acceptance ratio (m1) vs the completion ratio (m2)."""
-
-    m1: float = 1.0
-    m2: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.m1 < self.m2):
-            raise ValueError(f"need 0 < m1 < m2, got m1={self.m1}, m2={self.m2}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ def reward_score(task: Task, worker: Worker, category: TaskCategory) -> float:
     return margin / task.pto_reward
 
 
-def trustworthy_score(counters: TrustCounters, weights: TrustWeights) -> float:
+def trustworthy_score(counters: TrustCounters) -> float:
     """Weighted mix of acceptance and completion ratios in [0, 1].
 
     With no history at all the worker's registered initial score stands in
@@ -102,7 +95,7 @@ def trustworthy_score(counters: TrustCounters, weights: TrustWeights) -> float:
         completion_ratio = counters.completed / counters.accepted
     else:
         completion_ratio = counters.initial_score
-    return (weights.m1 * accept_ratio + weights.m2 * completion_ratio) / (weights.m1 + weights.m2)
+    return (ACCEPT_WEIGHT * accept_ratio + COMPLETION_WEIGHT * completion_ratio) / (ACCEPT_WEIGHT + COMPLETION_WEIGHT)
 
 
 def task_priority_score(task: Task, owner: TaskOwner, category: TaskCategory) -> float:
@@ -123,7 +116,6 @@ def total_score(
     category: TaskCategory,
     t: float,
     velocity: VelocityProfile,
-    weights: TrustWeights,
 ) -> ScoreBreakdown:
     """Full factor breakdown for assigning ``task`` to ``worker`` at time ``t``.
 
@@ -147,7 +139,7 @@ def total_score(
         ts = time_score(task, ttc, t)
     avail = availability_score(worker.status, t, task.expiration)
     rw = reward_score(task, worker, category)
-    raw_trust = trustworthy_score(worker.trust_for(category.id), weights)
+    raw_trust = trustworthy_score(worker.trust_for(category.id))
     base = owner.pto_priority
     if base < MIN_PRIORITY_EXPONENT_BASE:
         base = MIN_PRIORITY_EXPONENT_BASE

@@ -31,7 +31,6 @@ from .assign import (
     online_assign,
 )
 from .model import Task, Worker
-from .scoring import TrustWeights
 from .workload import Scenario
 
 #: Assignment policies the simulator can drive.
@@ -157,10 +156,8 @@ class _Run:
 class _Sim:
     def __init__(self, scenario: Scenario, config: SimConfig):
         self.config = config
-        self.owners = {o.id: o for o in scenario.owners}
-        self.categories = {c.id: c for c in scenario.categories}
         self.worker_ids = [w.id for w in scenario.workers]  # the order of final_workers
-        self.engine = ScoreEngine(scenario.workers, scenario.categories, scenario.velocity, TrustWeights())
+        self.engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
         self.rng = random.Random(config.seed)
         # sc-nearest is the same loop without batches: every task goes online.
         batch_times = () if config.policy == "sc-nearest" else config.offline_batch_times
@@ -215,15 +212,7 @@ class _Sim:
         self.log.append(LogRow(t, "offline_batch"))
         if not ready:
             return
-        assignments, unassigned = offline_assign(
-            ready,
-            self.engine,
-            self.owners,
-            self.categories,
-            now=t,
-            grid=self.config.grid,
-            rng_seed=self.config.seed,
-        )
+        assignments, unassigned = offline_assign(ready, self.engine, t, self.config.grid, self.config.seed)
         for a in assignments:
             self._hold(self.runs[a.task_id], a)
         for tid, _kind in unassigned:
@@ -235,21 +224,13 @@ class _Sim:
         task = r.task
         if r.state is not TaskState.QUEUED or t >= task.expiration:
             return  # settled already, or the expire event settles it
-        owner = self.owners[task.owner_id]
-        category = self.categories[task.category_id]
         eff_task = task if r.reward == task.pto_reward else replace(task, pto_reward=r.reward)
         if self.config.policy == "psc":
             outcome = online_assign(
-                eff_task,
-                self.engine,
-                owner,
-                category,
-                t,
-                already_raised=r.reward - task.pto_reward,
-                exclude_workers=r.rejected_by,
+                eff_task, self.engine, t, already_raised=r.reward - task.pto_reward, exclude_workers=r.rejected_by
             )
         else:
-            outcome = baseline_nearest(eff_task, self.engine, t, owner, category, exclude_workers=r.rejected_by)
+            outcome = baseline_nearest(eff_task, self.engine, t, exclude_workers=r.rejected_by)
         if outcome.kind is OutcomeKind.ASSIGNED:
             r.reward = outcome.effective_reward
             self._hold(r, outcome.assignment)
@@ -265,9 +246,10 @@ class _Sim:
         self.log.append(LogRow(t, "unassignable", task_id=tid))
 
     def on_dispatch(self, t: float, tid: int) -> None:
+        # No state check: a dispatch time is before the task's expiration (a
+        # batch grid time, or the online decision time), so this event comes
+        # before its expiry, and nothing else moves a pending task on.
         r = self.runs[tid]
-        if r.state is not TaskState.PENDING:
-            return
         a = r.assignment
         r.assigned = True
         self.engine.refresh_trust(a.worker_id, r.task.category_id, "assigned")

@@ -11,12 +11,7 @@ import random
 from dataclasses import replace
 
 from crowdsim.model import Task, TaskCategory, TaskOwner, Worker, distance
-from crowdsim.scoring import (
-    TrustWeights,
-    VelocityProfile,
-    task_priority_score,
-    total_score,
-)
+from crowdsim.scoring import VelocityProfile, task_priority_score, total_score
 
 
 def grid_times(now: float, step: float, horizon: float, before: float) -> list[float]:
@@ -69,7 +64,6 @@ def offline_oracle(
     step: float,
     horizon: float,
     velocity: VelocityProfile,
-    weights: TrustWeights,
     seed: int = 0,
 ):
     """Reference batch assigner; returns (triples, unassigned_kinds).
@@ -87,7 +81,7 @@ def offline_oracle(
         rows, keep = [], []
         for w in workers:
             for t in grid_times(now, step, horizon, task.expiration):
-                b = total_score(task, w, owner, cat, t, velocity, weights)
+                b = total_score(task, w, owner, cat, t, velocity)
                 rows.append((b.time_score, b.availability, b.reward, b.trust_weighted))
                 if b.total > 0:
                     _, end = work_interval(task, w, t, velocity)
@@ -160,7 +154,6 @@ def online_oracle(
     category: TaskCategory,
     t: float,
     velocity: VelocityProfile,
-    weights: TrustWeights,
     *,
     exclude=frozenset(),
     already_raised: float = 0.0,
@@ -174,7 +167,7 @@ def online_oracle(
         for w in workers:
             if w.id in exclude:
                 continue
-            b = total_score(eff, w, owner, category, t, velocity, weights)
+            b = total_score(eff, w, owner, category, t, velocity)
             iv = work_interval(eff, w, t, velocity)
             if _overlaps(iv, w.bookings):
                 continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from crowdsim.assign import ScoreEngine
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import ALL_DAYS, Segment, WeeklySchedule
-from crowdsim.scoring import TrustWeights, VelocityProfile
+from crowdsim.scoring import VelocityProfile
 
 
 @dataclass
@@ -28,12 +28,11 @@ class Instance:
     step: float
     horizon: float
     velocity: VelocityProfile
-    weights: TrustWeights
     seed: int
 
     def engine(self) -> ScoreEngine:
-        """A fresh engine over the instance's workers and categories."""
-        return ScoreEngine(self.workers, list(self.categories.values()), self.velocity, self.weights)
+        """A fresh engine over the instance's workers, categories and owners."""
+        return ScoreEngine(self.workers, list(self.categories.values()), list(self.owners.values()), self.velocity)
 
 
 def _random_status(rng: random.Random) -> WeeklySchedule:
@@ -145,6 +144,5 @@ def random_instance(seed: int) -> Instance:
         step=step,
         horizon=horizon,
         velocity=velocity,
-        weights=TrustWeights(),
         seed=seed,
     )

@@ -20,7 +20,6 @@ from crowdsim.cli import main
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import ALL_DAYS, Segment, WeeklySchedule, WEEK_MINUTES
 from crowdsim.scoring import (
-    TrustWeights,
     VelocityProfile,
     reward_score,
     time_score,
@@ -101,9 +100,7 @@ def test_criterion_3_offline_oracle_equivalence(verdict):
     for seed in range(200):
         inst = random_instance(seed)
         grid = TimeGrid(step_min=inst.step, horizon_min=inst.horizon)
-        assignments, unassigned = offline_assign(
-            inst.tasks, inst.engine(), inst.owners, inst.categories, inst.now, grid, rng_seed=inst.seed
-        )
+        assignments, unassigned = offline_assign(inst.tasks, inst.engine(), inst.now, grid, rng_seed=inst.seed)
         got = {(a.task_id, a.worker_id, a.dispatch_time) for a in assignments}
         got_kinds = {tid: kind.value for tid, kind in unassigned}
         want, want_kinds = brute_force.offline_oracle(
@@ -115,7 +112,6 @@ def test_criterion_3_offline_oracle_equivalence(verdict):
             inst.step,
             inst.horizon,
             inst.velocity,
-            inst.weights,
             seed=inst.seed,
         )
         assert got == want, f"instance seed {seed}"
@@ -156,7 +152,7 @@ def test_criterion_4_formula_unit_values(verdict):
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=0.0, raise_increment=1.0)
     cat = TaskCategory(1, "c", 1.0, 5.0)
     vel = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
-    b = total_score(task, worker, owner, cat, 0.0, vel, TrustWeights())
+    b = total_score(task, worker, owner, cat, 0.0, vel)
     assert abs(b.availability - 0.5) < tol
 
     # Reward 10 against demand 4.
@@ -164,7 +160,7 @@ def test_criterion_4_formula_unit_values(verdict):
 
     # (1*(8/10) + 2*(6/8)) / 3 = 0.7666...
     counters = TrustCounters(assigned=10, accepted=8, completed=6)
-    assert abs(trustworthy_score(counters, TrustWeights()) - 0.7666666666666666) < tol
+    assert abs(trustworthy_score(counters) - 0.7666666666666666) < tol
 
     verdict(4, "frozen formula values (0.5, 0.5, 0.6, 0.76667) at 1e-9")
 
@@ -175,7 +171,6 @@ def test_criterion_4_formula_unit_values(verdict):
 def _scoring_properties(n_cases: int) -> None:
     rng = random.Random(91)
     vel = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
-    weights = TrustWeights()
     for _ in range(n_cases):
         window = rng.uniform(10.0, 600.0)
         task = Task(
@@ -207,7 +202,7 @@ def _scoring_properties(n_cases: int) -> None:
         owner = TaskOwner(1, rng.uniform(0.05, 1.0), 0.0, 1.0)
         cat = TaskCategory(1, "c", rng.uniform(0.1, 1.0), rng.uniform(1.0, 10.0))
         t = rng.uniform(0.0, window * 0.95)
-        b = total_score(task, worker, owner, cat, t, vel, weights)
+        b = total_score(task, worker, owner, cat, t, vel)
         # Ranges.
         assert b.time_score <= 1.0
         assert 0.0 <= b.availability <= 1.0 + 1e-12

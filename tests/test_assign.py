@@ -28,11 +28,10 @@ from crowdsim.assign import (
 )
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
 from crowdsim.schedule import WEEK_MINUTES, Segment, WeeklySchedule
-from crowdsim.scoring import TaskExpiredError, TrustWeights, VelocityProfile, total_score
+from crowdsim.scoring import TaskExpiredError, VelocityProfile, total_score
 from crowdsim.workload import GenParams, generate
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
-W = TrustWeights()
 
 
 def _task(tid=1, **kw) -> Task:
@@ -66,8 +65,8 @@ OWNER = TaskOwner(1, pto_priority=1.0, max_reward_raise=0.0, raise_increment=1.0
 CAT = TaskCategory(1, "c", 1.0, 5.0)
 
 
-def _engine(workers, categories=(CAT,), velocity=VEL) -> ScoreEngine:
-    return ScoreEngine(workers, list(categories), velocity, W)
+def _engine(workers, categories=(CAT,), owners=(OWNER,), velocity=VEL) -> ScoreEngine:
+    return ScoreEngine(workers, list(categories), list(owners), velocity)
 
 
 # -- TimeGrid -------------------------------------------------------------------
@@ -123,9 +122,7 @@ def test_grid_times_match_oracle():
 
 def _run_both(inst):
     grid = TimeGrid(step_min=inst.step, horizon_min=inst.horizon)
-    assignments, unassigned = offline_assign(
-        inst.tasks, inst.engine(), inst.owners, inst.categories, inst.now, grid, rng_seed=inst.seed
-    )
+    assignments, unassigned = offline_assign(inst.tasks, inst.engine(), inst.now, grid, rng_seed=inst.seed)
     got_triples = {(a.task_id, a.worker_id, a.dispatch_time) for a in assignments}
     got_kinds = {tid: kind.value for tid, kind in unassigned}
     want_triples, want_kinds = brute_force.offline_oracle(
@@ -137,7 +134,6 @@ def _run_both(inst):
         inst.step,
         inst.horizon,
         inst.velocity,
-        inst.weights,
         seed=inst.seed,
     )
     return got_triples, got_kinds, want_triples, want_kinds
@@ -205,7 +201,6 @@ def test_offline_matches_oracle_on_a_contended_batch(ties, monkeypatch):
         step=15.0,
         horizon=WEEK_MINUTES,
         velocity=scenario.velocity,
-        weights=W,
         seed=5,
     )
     if ties:
@@ -273,21 +268,31 @@ def test_offline_respects_existing_bookings():
     # Worker booked for the whole window: nothing can be placed on them.
     worker = _worker(1, bookings=[(0.0, 10_000.0)])
     grid = TimeGrid(15.0, 10_000.0)
-    assignments, unassigned = offline_assign([_task(1)], _engine([worker]), {1: OWNER}, {1: CAT}, 0.0, grid)
+    assignments, unassigned = offline_assign([_task(1)], _engine([worker]), 0.0, grid)
     assert assignments == []
     assert unassigned == [(1, OutcomeKind.NO_SUITABLE_WORKER)]
 
 
 def test_offline_rejects_expired_input():
     with pytest.raises(ValueError):
-        offline_assign([_task(1, expiration=50.0)], _engine([_worker()]), {1: OWNER}, {1: CAT}, 50.0, TimeGrid())
+        offline_assign([_task(1, expiration=50.0)], _engine([_worker()]), 50.0, TimeGrid())
 
 
 def test_offline_empty_inputs():
-    assert offline_assign([], _engine([_worker()]), {1: OWNER}, {1: CAT}, 0.0, TimeGrid()) == ([], [])
-    assignments, unassigned = offline_assign([_task(1)], _engine([]), {1: OWNER}, {1: CAT}, 0.0, TimeGrid())
+    assert offline_assign([], _engine([_worker()]), 0.0, TimeGrid()) == ([], [])
+    assignments, unassigned = offline_assign([_task(1)], _engine([]), 0.0, TimeGrid())
     assert assignments == []
     assert unassigned == [(1, OutcomeKind.NO_SUITABLE_WORKER)]
+
+
+def test_offline_grid_ending_before_now_leaves_every_task_deadline_infeasible():
+    tasks = [_task(1), _task(2, expiration=500.0)]
+    grid = TimeGrid(step_min=15.0, horizon_min=30.0)
+    assignments, unassigned = offline_assign(tasks, _engine([_worker()]), 60.0, grid)
+    assert assignments == []
+    assert unassigned == [(1, OutcomeKind.DEADLINE_INFEASIBLE), (2, OutcomeKind.DEADLINE_INFEASIBLE)]
+    _, want = brute_force.offline_oracle(tasks, [_worker()], {1: OWNER}, {1: CAT}, 60.0, 15.0, 30.0, VEL)
+    assert {tid: kind.value for tid, kind in unassigned} == want
 
 
 def test_offline_conflict_cascade_with_seeded_tie():
@@ -296,7 +301,7 @@ def test_offline_conflict_cascade_with_seeded_tie():
     tasks = [_task(1), _task(2)]
     worker = _worker(1)
     grid = TimeGrid(step_min=15.0, horizon_min=10_000.0)
-    assignments, unassigned = offline_assign(tasks, _engine([worker]), {1: OWNER}, {1: CAT}, 0.0, grid, rng_seed=3)
+    assignments, unassigned = offline_assign(tasks, _engine([worker]), 0.0, grid, rng_seed=3)
     assert unassigned == []
     by_task = {a.task_id: a for a in assignments}
     winner = brute_force.tie_pick(3, 1, [1, 2])
@@ -304,7 +309,7 @@ def test_offline_conflict_cascade_with_seeded_tie():
     assert by_task[winner].dispatch_time == 0.0
     assert by_task[loser].dispatch_time == 15.0
     # Different seed, possibly different winner — but always the same shape.
-    assignments2, _ = offline_assign(tasks, _engine([worker]), {1: OWNER}, {1: CAT}, 0.0, grid, rng_seed=4)
+    assignments2, _ = offline_assign(tasks, _engine([worker]), 0.0, grid, rng_seed=4)
     assert sorted(a.dispatch_time for a in assignments2) == [0.0, 15.0]
     winner2 = brute_force.tie_pick(4, 1, [1, 2])
     assert {a.task_id for a in assignments2 if a.dispatch_time == 0.0} == {winner2}
@@ -317,7 +322,7 @@ def test_offline_priority_wins_conflicts():
     urgent = _task(1, entered_priority=1.0)
     casual = _task(2, entered_priority=0.5)
     grid = TimeGrid(step_min=15.0, horizon_min=10_000.0)
-    assignments, _ = offline_assign([casual, urgent], _engine([_worker()], [cat]), {1: OWNER}, {1: cat}, 0.0, grid)
+    assignments, _ = offline_assign([casual, urgent], _engine([_worker()], [cat]), 0.0, grid)
     by_task = {a.task_id: a.dispatch_time for a in assignments}
     assert by_task[1] == 0.0
     assert by_task[2] == 15.0
@@ -343,8 +348,9 @@ def test_online_matches_oracle(seed):
         t = inst.now
     if rng.random() >= 0.7:  # no raise budget: the same seeds cover the no-raise path
         owner = replace(owner, max_reward_raise=0.0)
+        inst = replace(inst, owners={**inst.owners, owner.id: owner})
     exclude = frozenset(w.id for w in inst.workers if rng.random() < 0.2)
-    out = online_assign(task, inst.engine(), owner, cat, t, exclude_workers=exclude)
+    out = online_assign(task, inst.engine(), t, exclude_workers=exclude)
     kind, wid, eff = brute_force.online_oracle(
         task,
         inst.workers,
@@ -352,7 +358,6 @@ def test_online_matches_oracle(seed):
         cat,
         t,
         inst.velocity,
-        inst.weights,
         exclude=exclude,
     )
     assert out.kind.value == kind, f"seed {seed}"
@@ -364,14 +369,14 @@ def test_online_matches_oracle(seed):
 def test_online_picks_highest_total_lowest_id_tie():
     # Identical twins: the lower id wins the exact tie.
     workers = [_worker(2, x=4.0), _worker(1, x=4.0)]
-    out = online_assign(_task(1), _engine(workers), OWNER, CAT, 0.0)
+    out = online_assign(_task(1), _engine(workers), 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.assignment.worker_id == 1
 
 
 def test_online_reward_raise_steps_until_covered():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=5.0)
-    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=12.0)]), owner, CAT, 0.0)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=12.0)], owners=[owner]), 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.effective_reward == 15.0
     assert out.assignment.breakdown.reward == pytest.approx((15.0 - 12.0) / 15.0)
@@ -380,58 +385,58 @@ def test_online_reward_raise_steps_until_covered():
 def test_online_reward_raise_partial_final_increment():
     # Budget 5 in steps of 4: second step is the 1-unit remainder.
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=4.0)
-    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=14.5)]), owner, CAT, 0.0)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=14.5)], owners=[owner]), 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.effective_reward == 15.0
 
 
 def test_online_reward_raise_exhausted_reports_reward_insufficient():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=4.0)
-    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=19.0)]), owner, CAT, 0.0)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=19.0)], owners=[owner]), 0.0)
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
     assert out.assignment is None
-    assert out.best_feasible_worker_id == 1
 
 
 def test_online_raise_disabled():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=0.0, raise_increment=5.0)
-    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=12.0)]), owner, CAT, 0.0)
+    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=12.0)], owners=[owner]), 0.0)
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
 
 
 def test_online_already_raised_reduces_budget():
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=5.0)
-    out = online_assign(_task(1, pto_reward=13.0), _engine([_worker(demand=19.0)]), owner, CAT, 0.0, already_raised=3.0)
+    engine = _engine([_worker(demand=19.0)], owners=[owner])
+    out = online_assign(_task(1, pto_reward=13.0), engine, 0.0, already_raised=3.0)
     # Only 2 of the 5-unit budget remains: 13 + 2 = 15 < 19.
     assert out.kind is OutcomeKind.REWARD_INSUFFICIENT
     kind, _, _ = brute_force.online_oracle(
-        _task(1, pto_reward=13.0), [_worker(demand=19.0)], owner, CAT, 0.0, VEL, W, already_raised=3.0
+        _task(1, pto_reward=13.0), [_worker(demand=19.0)], owner, CAT, 0.0, VEL, already_raised=3.0
     )
     assert kind == "reward-insufficient"
 
 
 def test_online_deadline_infeasible():
-    out = online_assign(_task(1, duration=500.0, expiration=240.0), _engine([_worker()]), OWNER, CAT, 0.0)
+    out = online_assign(_task(1, duration=500.0, expiration=240.0), _engine([_worker()]), 0.0)
     assert out.kind is OutcomeKind.DEADLINE_INFEASIBLE
 
 
 def test_online_no_workers_or_all_excluded():
-    out = online_assign(_task(1), _engine([]), OWNER, CAT, 0.0)
+    out = online_assign(_task(1), _engine([]), 0.0)
     assert out.kind is OutcomeKind.NO_SUITABLE_WORKER
-    out = online_assign(_task(1), _engine([_worker()]), OWNER, CAT, 0.0, exclude_workers={1})
+    out = online_assign(_task(1), _engine([_worker()]), 0.0, exclude_workers={1})
     assert out.kind is OutcomeKind.NO_SUITABLE_WORKER
 
 
 def test_online_booked_worker_is_skipped():
     busy = _worker(1, x=5.0, bookings=[(0.0, 60.0)])
     free = _worker(2, x=2.0)
-    out = online_assign(_task(1), _engine([busy, free]), OWNER, CAT, 0.0)
+    out = online_assign(_task(1), _engine([busy, free]), 0.0)
     assert out.assignment.worker_id == 2
 
 
 def test_online_expired_task_raises():
     with pytest.raises(TaskExpiredError):
-        online_assign(_task(1, expiration=100.0), _engine([_worker()]), OWNER, CAT, 100.0)
+        online_assign(_task(1, expiration=100.0), _engine([_worker()]), 100.0)
 
 
 # -- nearest baseline ---------------------------------------------------------------
@@ -444,9 +449,7 @@ def test_nearest_matches_oracle(seed):
     task = rng.choice(inst.tasks)
     t = inst.now
     exclude = frozenset(w.id for w in inst.workers if rng.random() < 0.25)
-    out = baseline_nearest(
-        task, inst.engine(), t, inst.owners[task.owner_id], inst.categories[task.category_id], exclude_workers=exclude
-    )
+    out = baseline_nearest(task, inst.engine(), t, exclude_workers=exclude)
     want = brute_force.nearest_oracle(task, inst.workers, t, inst.velocity, exclude=exclude)
     got = out.assignment.worker_id if out.assignment else None
     assert got == want, f"seed {seed}"
@@ -462,7 +465,7 @@ def test_nearest_ignores_scores_entirely():
         reward_demand={1: 99.0},
     )
     far = _worker(2, x=9.0)
-    out = baseline_nearest(_task(1), _engine([near, far]), 0.0, OWNER, CAT)
+    out = baseline_nearest(_task(1), _engine([near, far]), 0.0)
     assert out.assignment.worker_id == 1
 
 
@@ -475,12 +478,12 @@ def test_nearest_picks_only_free_workers_when_every_distance_is_infinite(blocked
     bookings = [(0.0, 1e9)] if blocked_by == "booking" else []
     workers = [_worker(1, x=0.0, bookings=bookings), _worker(2, x=0.0), _worker(3, x=0.0)]
     exclude = frozenset({1}) if blocked_by == "exclude" else frozenset()
-    out = baseline_nearest(task, _engine(workers), 0.0, OWNER, CAT, exclude_workers=exclude)
+    out = baseline_nearest(task, _engine(workers), 0.0, exclude_workers=exclude)
     assert out.assignment.worker_id == brute_force.nearest_oracle(task, workers, 0.0, VEL, exclude=exclude) == 2
 
 
 def test_nearest_distance_tie_prefers_lower_id():
-    out = baseline_nearest(_task(1), _engine([_worker(2, x=6.0), _worker(1, x=4.0)]), 0.0, OWNER, CAT)
+    out = baseline_nearest(_task(1), _engine([_worker(2, x=6.0), _worker(1, x=4.0)]), 0.0)
     assert out.assignment.worker_id == 1
 
 
@@ -489,24 +492,25 @@ def test_nearest_distance_tie_prefers_lower_id():
 
 def test_engine_trust_refresh_changes_scores():
     worker = _worker(1, x=5.0)
-    engine = _engine([worker])
-    owners = [OWNER, replace(OWNER, pto_priority=0.4)]  # trust exponents 1 and 2.5
-    before = [engine.score_at(_task(1), o, CAT, 0.0).total[0] for o in owners]
+    owners = [OWNER, replace(OWNER, id=2, pto_priority=0.4)]  # trust exponents 1 and 2.5
+    engine = _engine([worker], owners=owners)
+    tasks = [_task(1, owner_id=o.id) for o in owners]
+    before = [engine.score_at(task, 0.0).total[0] for task in tasks]
     for event in ["assigned"] * 10 + ["accepted"]:
         engine.refresh_trust(worker.id, 1, event)
     live = engine.live_worker(worker.id)
     assert live.trust == {1: TrustCounters(assigned=10, accepted=1, completed=0)}
     assert worker.trust == {}
-    for owner, old in zip(owners, before):
-        s = engine.score_at(_task(1), owner, CAT, 0.0)
-        want = total_score(_task(1), live, owner, CAT, 0.0, VEL, W)
+    for task, owner, old in zip(tasks, owners, before):
+        s = engine.score_at(task, 0.0)
+        want = total_score(task, live, owner, CAT, 0.0, VEL)
         assert s.tw[0] == want.trust_weighted
         assert s.total[0] == want.total
         assert s.total[0] < old
 
 
 def test_outcome_constructors():
-    out = AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER, best_feasible_worker_id=None)
+    out = AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
     assert out.assignment is None and out.effective_reward is None
     assert np.isscalar(out.kind.value)
 
@@ -524,16 +528,16 @@ def test_online_assign_rejects_non_finite_reward(reward, raised):
         from crowdsim.assign import ScoreEngine, online_assign
         from crowdsim.model import Point, Task, TaskCategory, TaskOwner, Worker
         from crowdsim.schedule import WeeklySchedule
-        from crowdsim.scoring import TrustWeights, VelocityProfile
+        from crowdsim.scoring import VelocityProfile
 
         vel = VelocityProfile(WeeklySchedule((), default=30.0), floor_kmh=5.0)
         worker = Worker(7, WeeklySchedule((), default=Point(5.0, 5.0)), WeeklySchedule((), default=1.0), {{1: 5.0}})
         owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=1.0)
         cat = TaskCategory(1, "c", 1.0, 5.0)
         task = Task(42, 1, 1, "t", Point(5.0, 5.0), 10.0, 240.0, {reward}, 1.0, 0.0)
-        engine = ScoreEngine([worker], [cat], vel, TrustWeights())
+        engine = ScoreEngine([worker], [cat], [owner], vel)
         try:
-            online_assign(task, engine, owner, cat, 0.0, already_raised={raised})
+            online_assign(task, engine, 0.0, already_raised={raised})
         except ValueError as exc:
             print("rejected:", exc)
         """
@@ -568,11 +572,11 @@ def test_engine_factors_equal_scalar_scores(seed):
             end = rng.choice(ends)
             times |= {end, float(np.nextafter(end, -np.inf)), float(np.nextafter(end, np.inf))}
         times = sorted(t for t in times if t < task.expiration)
-        grid = engine.score_grid(task, owner, cat, engine.grid_context(np.array(times)), len(times))
+        grid = engine.score_grid(task, engine.grid_context(np.array(times)), len(times))
         for j, t in enumerate(times):
-            at = engine.score_at(task, owner, cat, t)
+            at = engine.score_at(task, t)
             for i, w in enumerate(engine.workers):
-                b = total_score(task, w, owner, cat, t, inst.velocity, inst.weights)
+                b = total_score(task, w, owner, cat, t, inst.velocity)
                 want = (b.time_score, b.availability, b.reward, b.trust_weighted, b.total)
                 end_want = brute_force.work_interval(task, w, t, inst.velocity)[1]
                 for s, k in ((at, i), (grid, (i, j))):
@@ -596,13 +600,12 @@ def test_row_bounds_cover_every_positive_total(seed):
         k = int(np.searchsorted(times, task.expiration, side="left"))
         if k == 0:
             continue
-        owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
-        bound = engine.row_bounds(task, owner, cat, ctx, k)
-        full = engine.score_grid(task, owner, cat, ctx, k)
+        bound = engine.row_bounds(task, ctx, k)
+        full = engine.score_grid(task, ctx, k)
         for i, j in zip(*np.nonzero(full.total > 0.0)):
             assert bound[i] >= full.total[i, j], (seed, task.id, i, j)
         rows = np.arange(len(engine.workers))[::-1]
-        sub = engine.score_grid(task, owner, cat, ctx, k, rows)
+        sub = engine.score_grid(task, ctx, k, rows)
         for name in ("total", "ts", "avail", "ttc", "travel_km", "rw", "tw"):
             assert np.array_equal(getattr(sub, name), getattr(full, name)[rows]), (seed, task.id, name)
 
@@ -615,8 +618,8 @@ def test_row_bound_is_reached_by_a_worker_at_the_task(start_earliest):
     engine = _engine([_worker(1, x=5.0, y=5.0), _worker(2, x=1.0, y=9.0)])
     times = TimeGrid(15.0, 10_000.0).times(0.0, before=task.expiration)
     ctx = engine.grid_context(times)
-    bound = engine.row_bounds(task, OWNER, CAT, ctx, len(times))
-    total = engine.score_grid(task, OWNER, CAT, ctx, len(times)).total
+    bound = engine.row_bounds(task, ctx, len(times))
+    total = engine.score_grid(task, ctx, len(times)).total
     assert total[0].max() > 0.0
     assert bound[0] == total[0].max()
     assert bound[1] > total[1].max()
@@ -631,7 +634,7 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
     scenario = generate(GenParams(200, 500, urgent_fraction=0.5), seed=0)
     now = 1260.0
     tasks = [t for t in scenario.tasks if t.submit_time <= now < t.expiration]
-    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.velocity, W)
+    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
     grid = TimeGrid(15.0, WEEK_MINUTES)
     times = grid.times(now, before=max(t.expiration for t in tasks))
     full = sum(len(engine.workers) * int(np.searchsorted(times, t.expiration)) for t in tasks)
@@ -644,9 +647,7 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
         return s
 
     monkeypatch.setattr(ScoreEngine, "score_grid", counted)
-    owners = {o.id: o for o in scenario.owners}
-    categories = {c.id: c for c in scenario.categories}
-    assignments, _ = offline_assign(tasks, engine, owners, categories, now, grid)
+    assignments, _ = offline_assign(tasks, engine, now, grid)
     assert len(tasks) >= 20 and assignments
     assert sum(cells) < full / 2, (sum(cells), full)
 
@@ -669,10 +670,10 @@ def test_scalar_and_vectorised_lookups_agree_just_below_zero():
     for j, t in enumerate(times):
         assert night.pattern.value_at(t) == Point(9.0, 1.0)
         assert ctx.speed[j] == vel.speed_at(t) == 12.0
-        s = engine.score_at(task, OWNER, CAT, t)
+        s = engine.score_at(task, t)
         for i, w in enumerate(engine.workers):
             c = centroid(w.pattern.value_at(t))
             assert (ctx.x[i, j], ctx.y[i, j]) == (c.x, c.y)
             assert ctx.cum_status[i, j] == w.status.cumulative(t)
-            b = total_score(task, w, OWNER, CAT, t, vel, W)
+            b = total_score(task, w, OWNER, CAT, t, vel)
             assert (s.ts[i], s.avail[i], s.total[i]) == (b.time_score, b.availability, b.total)

@@ -83,6 +83,17 @@ def test_validate_clean_scenario():
         (lambda t, w, o, c: o.append(TaskOwner(2, 0.0, 0.0, 1.0)), "pto_priority"),
         (lambda t, w, o, c: o.append(TaskOwner(3, 0.5, -1.0, 1.0)), "max_reward_raise"),
         (lambda t, w, o, c: o.append(TaskOwner(4, 0.5, 1.0, 0.0)), "raise_increment"),
+        (lambda t, w, o, c: w.append(w[0]), "duplicate"),
+        (lambda t, w, o, c: t.append(t[0]), "duplicate"),
+        (
+            lambda t, w, o, c: w.append(replace(w[0], id=2, trust={9: TrustCounters()})),
+            "trust counters for unknown category",
+        ),
+        (
+            lambda t, w, o, c: w.append(replace(w[0], id=2, trust={1: TrustCounters(-1, -1, -1)})),
+            "trust counters must be >= 0",
+        ),
+        (lambda t, w, o, c: w.append(replace(w[0], id=2, bookings=[(50.0, 60.0), (10.0, 20.0)])), "sorted"),
     ],
 )
 def test_validate_flags_bad_entities(mutate, fragment):

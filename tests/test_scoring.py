@@ -12,7 +12,6 @@ from crowdsim.schedule import Segment, WeeklySchedule
 from crowdsim.scoring import (
     ScoreBreakdown,
     TaskExpiredError,
-    TrustWeights,
     VelocityProfile,
     reward_score,
     task_priority_score,
@@ -22,7 +21,6 @@ from crowdsim.scoring import (
 )
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
-W = TrustWeights()
 
 
 def make_task(**kw) -> Task:
@@ -58,7 +56,7 @@ CAT = TaskCategory(1, "c", 1.0, 5.0)
 
 def engine_ttc(task: Task, worker: Worker) -> float:
     """Travel plus work minutes for ``worker`` dispatched at time 0, as the engine computes them."""
-    return float(ScoreEngine([worker], [CAT], VEL, W).score_at(task, OWNER, CAT, 0.0).ttc[0])
+    return float(ScoreEngine([worker], [CAT], [OWNER], VEL).score_at(task, 0.0).ttc[0])
 
 
 # -- time ---------------------------------------------------------------------
@@ -76,7 +74,7 @@ def test_time_score_half_when_ttc_is_half_window():
 
 def test_time_score_frozen_value_with_travel():
     # ttc = 10 min travel + 20 min work = 30; window 120 -> (120-30)/120.
-    assert total_score(make_task(), make_worker(), OWNER, CAT, 0.0, VEL, W).time_score == 0.75
+    assert total_score(make_task(), make_worker(), OWNER, CAT, 0.0, VEL).time_score == 0.75
 
 
 def test_time_score_negative_when_cannot_finish():
@@ -125,26 +123,19 @@ def test_reward_score_missing_demand_falls_back_to_category():
 def test_trustworthy_frozen_value():
     counters = TrustCounters(assigned=5, accepted=4, completed=3)
     # (1*(4/5) + 2*(3/4)) / 3
-    assert trustworthy_score(counters, W) == pytest.approx(0.7666666666666666, abs=1e-9)
+    assert trustworthy_score(counters) == pytest.approx(0.7666666666666666, abs=1e-9)
 
 
 def test_trustworthy_never_assigned_uses_initial():
     counters = TrustCounters(initial_score=0.42)
-    assert trustworthy_score(counters, W) == pytest.approx(0.42, abs=1e-12)
+    assert trustworthy_score(counters) == pytest.approx(0.42, abs=1e-12)
 
 
 def test_trustworthy_assigned_but_never_accepted():
     counters = TrustCounters(assigned=3, accepted=0, completed=0, initial_score=0.6)
     # acceptance ratio 0/3, completion ratio substituted by the initial score
     expected = (1.0 * 0.0 + 2.0 * 0.6) / 3.0
-    assert trustworthy_score(counters, W) == pytest.approx(expected, abs=1e-12)
-
-
-def test_trust_weights_validation():
-    with pytest.raises(ValueError):
-        TrustWeights(m1=2.0, m2=1.0)
-    with pytest.raises(ValueError):
-        TrustWeights(m1=0.0, m2=1.0)
+    assert trustworthy_score(counters) == pytest.approx(expected, abs=1e-12)
 
 
 # -- priority ---------------------------------------------------------------------
@@ -175,7 +166,7 @@ def test_total_score_frozen_product():
     # ts=0.5 (duration 60, no travel), avail=0.5, reward=0.6, trust=0.8^1.
     task = make_task(duration=60.0)
     worker = make_worker(x=0.0, status=_half_status(), trust=TrustCounters(initial_score=0.8))
-    b = total_score(task, worker, OWNER, CAT, 0.0, VEL, W)
+    b = total_score(task, worker, OWNER, CAT, 0.0, VEL)
     assert b.time_score == 0.5
     assert b.availability == 0.5
     assert b.reward == 0.6
@@ -189,7 +180,7 @@ def test_total_score_priority_exponent():
     task = make_task(duration=60.0)
     worker = make_worker(x=0.0, status=_half_status(), trust=TrustCounters(initial_score=0.8))
     owner = TaskOwner(1, pto_priority=0.5, max_reward_raise=0.0, raise_increment=1.0)
-    b = total_score(task, worker, owner, CAT, 0.0, VEL, W)
+    b = total_score(task, worker, owner, CAT, 0.0, VEL)
     assert b.trust_weighted == pytest.approx(0.6400000000000001, abs=0.0)
     assert b.total == pytest.approx(0.09600000000000002, abs=1e-15)
 
@@ -198,17 +189,17 @@ def test_total_score_exponent_base_floor():
     # Tiny priorities clamp at 0.05 instead of exploding the exponent.
     worker = make_worker(x=0.0, trust=TrustCounters(initial_score=0.9))
     owner = TaskOwner(1, pto_priority=0.001, max_reward_raise=0.0, raise_increment=1.0)
-    b = total_score(make_task(), worker, owner, CAT, 0.0, VEL, W)
+    b = total_score(make_task(), worker, owner, CAT, 0.0, VEL)
     assert b.trust_weighted == pytest.approx(0.9 ** (1.0 / 0.05), rel=1e-12)
 
 
 def test_total_score_start_window_shifts_and_blocks():
     task = make_task(start_earliest=50.0, start_latest=60.0)
     worker = make_worker(x=0.0)
-    b = total_score(task, worker, OWNER, CAT, 0.0, VEL, W)
+    b = total_score(task, worker, OWNER, CAT, 0.0, VEL)
     # Work cannot start before 50, so ttc = 50 + 20.
     assert b.time_score == time_score(task, 70.0, 0.0)
-    late = total_score(task, worker, OWNER, CAT, 61.0, VEL, W)
+    late = total_score(task, worker, OWNER, CAT, 61.0, VEL)
     assert late.time_score == -1.0
     assert not late.time_feasible
 
@@ -216,7 +207,7 @@ def test_total_score_start_window_shifts_and_blocks():
 def test_total_score_negative_factors_allowed_but_flagged():
     # Too far to finish: time score negative, total not positive.
     task = make_task(duration=115.0)
-    b = total_score(task, make_worker(x=5.0), OWNER, CAT, 0.0, VEL, W)
+    b = total_score(task, make_worker(x=5.0), OWNER, CAT, 0.0, VEL)
     assert b.time_score < 0.0
     assert not b.time_feasible
     assert b.total <= 0.0
@@ -263,7 +254,7 @@ def test_trustworthy_in_unit_range(assigned, accepted, completed, initial):
     accepted = min(accepted, assigned)
     completed = min(completed, accepted)
     counters = TrustCounters(assigned=assigned, accepted=accepted, completed=completed, initial_score=initial)
-    v = trustworthy_score(counters, W)
+    v = trustworthy_score(counters)
     assert 0.0 <= v <= 1.0 + 1e-12
 
 
@@ -279,7 +270,7 @@ def test_total_zero_when_any_gate_fails(x, reward, status_level, pto_priority, e
     task = make_task(pto_reward=reward, entered_priority=entered)
     owner = TaskOwner(1, pto_priority=pto_priority, max_reward_raise=0.0, raise_increment=1.0)
     worker = make_worker(x=x, status=status_level, demand=reward + 1.0)
-    b = total_score(task, worker, owner, CAT, 0.0, VEL, W)
+    b = total_score(task, worker, owner, CAT, 0.0, VEL)
     assert b.reward == 0.0
     assert b.total == 0.0 or b.total == -0.0
 
@@ -292,13 +283,13 @@ def test_breakdown_is_frozen():
 
 def test_total_score_rejects_expired_dispatch():
     with pytest.raises(TaskExpiredError):
-        total_score(make_task(), make_worker(), OWNER, CAT, 120.0, VEL, W)
+        total_score(make_task(), make_worker(), OWNER, CAT, 120.0, VEL)
 
 
 @pytest.mark.parametrize("t", [-math.inf, math.nan, math.inf])
 def test_total_score_rejects_non_finite_dispatch(t):
     with pytest.raises(ValueError, match=f"task 1: dispatch time must be finite, got {t}"):
-        total_score(make_task(), make_worker(), OWNER, CAT, t, VEL, W)
+        total_score(make_task(), make_worker(), OWNER, CAT, t, VEL)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from crowdsim.assign import Assignment, OutcomeKind, ScoreEngine
 from crowdsim.model import Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import WeeklySchedule
-from crowdsim.scoring import ScoreBreakdown, TrustWeights, VelocityProfile, total_score
+from crowdsim.scoring import ScoreBreakdown, VelocityProfile, total_score
 from crowdsim.simulate import SimConfig, TaskState, accept_decision, performance_metrics, run
 from crowdsim.workload import GenParams, Scenario, builtin_scenarios, generate
 
@@ -170,7 +170,7 @@ def test_accept_probability_clamped():
 def _trust_engine(trust=None) -> ScoreEngine:
     w = Worker(1, WeeklySchedule((), default=Point(0, 0)), WeeklySchedule((), default=1.0), trust=trust or {})
     categories = [TaskCategory(1, "a", 1.0, 5.0), TaskCategory(3, "c", 1.0, 5.0)]
-    return ScoreEngine([w], categories, VelocityProfile(WeeklySchedule((), default=30.0), 5.0), TrustWeights())
+    return ScoreEngine([w], categories, [], VelocityProfile(WeeklySchedule((), default=30.0), 5.0))
 
 
 def test_trust_update_sequence():
@@ -262,9 +262,7 @@ def test_nearest_scores_its_winner_on_live_counters():
         if r.event_kind == "dispatch":
             # The baseline picks and scores its winner at the dispatch time,
             # before the dispatch advances the counters.
-            want = total_score(
-                task, w, owners[task.owner_id], categories[task.category_id], r.time_min, sc.velocity, TrustWeights()
-            )
+            want = total_score(task, w, owners[task.owner_id], categories[task.category_id], r.time_min, sc.velocity)
             assert r.score_total == want.total
             advanced += c != given[w.id].trust_for(task.category_id)
         c = replace(c, **{field[r.event_kind]: getattr(c, field[r.event_kind]) + 1})
