@@ -91,14 +91,6 @@ class AssignOutcome:
     assignment: Assignment | None = None
     effective_reward: float | None = None
 
-    @classmethod
-    def assigned_to(cls, assignment: Assignment, effective_reward: float) -> "AssignOutcome":
-        return cls(OutcomeKind.ASSIGNED, assignment=assignment, effective_reward=effective_reward)
-
-    @classmethod
-    def failure(cls, kind: OutcomeKind) -> "AssignOutcome":
-        return cls(kind)
-
 
 # ---------------------------------------------------------------------------
 # vectorised scoring engine
@@ -297,24 +289,13 @@ class ScoreEngine:
         """Advance one trust counter on ``event`` and update the cached trust of that category."""
         i = self.index_of[worker_id]
         c = self._trust[i].get(category_id) or TrustCounters()
-        if event == "assigned":
-            c = replace(c, assigned=c.assigned + 1)
-        elif event == "accepted":
-            if c.accepted + 1 > c.assigned:
-                raise RuntimeError(
-                    f"internal fault: worker {worker_id} accepted more category-{category_id} "
-                    f"tasks than were assigned"
-                )
-            c = replace(c, accepted=c.accepted + 1)
-        elif event == "completed":
-            if c.completed + 1 > c.accepted:
-                raise RuntimeError(
-                    f"internal fault: worker {worker_id} completed a category-{category_id} "
-                    f"task that was never accepted"
-                )
-            c = replace(c, completed=c.completed + 1)
-        else:
+        if event not in ("assigned", "accepted", "completed"):
             raise ValueError(f"unknown trust event {event!r}")
+        c = replace(c, **{event: getattr(c, event) + 1})
+        if not (c.completed <= c.accepted <= c.assigned):
+            raise RuntimeError(
+                f"internal fault: worker {worker_id} {event} a category-{category_id} task out of order"
+            )
         self._trust[i][category_id] = c
         raw = trustworthy_score(c)
         self._trust_raw[category_id][i] = raw
@@ -519,7 +500,7 @@ def online_assign(
         s = engine.score_at(eff_task, t)
         mask = _availability_mask(engine, s.ttc, t, exclude)
         if not mask.any():
-            return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
+            return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
         masked_total = np.where(mask, s.total, -np.inf)
         best = float(masked_total.max())
         if best > 0.0:
@@ -532,20 +513,20 @@ def online_assign(
                 ttc_min=float(s.ttc[i]),
                 travel_km=float(s.travel_km[i]),
             )
-            return AssignOutcome.assigned_to(assignment, eff_task.pto_reward)
+            return AssignOutcome(OutcomeKind.ASSIGNED, assignment, eff_task.pto_reward)
         ts_ok = mask & (s.ts > 0)
         if not ts_ok.any():
-            return AssignOutcome.failure(OutcomeKind.DEADLINE_INFEASIBLE)
+            return AssignOutcome(OutcomeKind.DEADLINE_INFEASIBLE)
         reward_only = ts_ok & (s.avail > 0) & (s.tw > 0) & (s.rw == 0)
         if not reward_only.any():
-            return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
+            return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
         owner = engine.owners[task.owner_id]
         increment = min(owner.raise_increment, owner.max_reward_raise - raised)
         if increment > 0:
             raised += increment
             eff_task = replace(eff_task, pto_reward=eff_task.pto_reward + increment)
             continue
-        return AssignOutcome.failure(OutcomeKind.REWARD_INSUFFICIENT)
+        return AssignOutcome(OutcomeKind.REWARD_INSUFFICIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +550,7 @@ def baseline_nearest(
     dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
     free = np.flatnonzero(_availability_mask(engine, ttc, t, exclude_workers))
     if not len(free):
-        return AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
+        return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
     i = int(free[np.argmin(dist[free])])
     worker = engine.live_worker(engine.workers[i].id)
     assignment = Assignment(
@@ -582,7 +563,7 @@ def baseline_nearest(
         ttc_min=float(ttc[i]),
         travel_km=float(dist[i]),
     )
-    return AssignOutcome.assigned_to(assignment, task.pto_reward)
+    return AssignOutcome(OutcomeKind.ASSIGNED, assignment, task.pto_reward)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ KM_PER_MILE = 1.609
 #: Trust score assumed for a (worker, category) pair with no registered entry.
 DEFAULT_INITIAL_TRUST = 0.5
 
+#: Largest |x| or |y| of a task's or worker's place; squaring a coordinate
+#: difference overflows to infinity near 1.3e154 km.
+MAX_COORDINATE_KM = 1e6
+
 
 # ---------------------------------------------------------------------------
 # regions
@@ -167,6 +171,18 @@ def _check_unit(violations: list[Violation], entity: str, eid: int, name: str, v
         violations.append(Violation(entity, eid, f"{name} must be in [0, 1], got {value}"))
 
 
+def _check_place(violations: list[Violation], entity: str, eid: int, place: Region) -> None:
+    try:
+        c = centroid(place)
+    except TypeError:
+        violations.append(Violation(entity, eid, f"place is not a region: {place!r}"))
+        return
+    if not (abs(c.x) <= MAX_COORDINATE_KM and abs(c.y) <= MAX_COORDINATE_KM):
+        violations.append(
+            Violation(entity, eid, f"place ({c.x}, {c.y}) has a coordinate beyond {MAX_COORDINATE_KM:g} km")
+        )
+
+
 def validate_scenario(
     tasks: list[Task],
     workers: list[Worker],
@@ -208,8 +224,9 @@ def validate_scenario(
         if worker.id in worker_ids:
             out.append(Violation("worker", worker.id, "duplicate id"))
         worker_ids.add(worker.id)
-        status_values = list(worker.status.piece_values)
-        for value in status_values:
+        for place in (worker.pattern.default, *(seg.value for seg in worker.pattern.segments)):
+            _check_place(out, "worker", worker.id, place)
+        for value in worker.status.piece_values:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 out.append(Violation("worker", worker.id, f"status value is not a number: {value!r}"))
             elif not (0.0 <= value <= 1.0):
@@ -251,6 +268,7 @@ def validate_scenario(
             out.append(Violation("task", task.id, f"unknown owner {task.owner_id}"))
         if task.category_id not in cat_ids:
             out.append(Violation("task", task.id, f"unknown category {task.category_id}"))
+        _check_place(out, "task", task.id, task.region)
         if not (task.submit_time >= 0):
             out.append(Violation("task", task.id, f"submit_time must be >= 0, got {task.submit_time}"))
         if not (task.submit_time <= task.expiration):

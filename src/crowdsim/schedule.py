@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Generic, Iterable, TypeVar
-
-import numpy as np
+from itertools import accumulate
+from dataclasses import dataclass, field
+from typing import Generic, TypeVar
 
 V = TypeVar("V")
 
@@ -51,32 +50,31 @@ class Segment(Generic[V]):
             )
 
 
+@dataclass(frozen=True, slots=True)
 class WeeklySchedule(Generic[V]):
     """Immutable weekly schedule of constant pieces.
 
     Segments that overlap on the same day are rejected at construction, so
-    evaluation is unambiguous.  Internally the week is flattened into a
-    sorted list of half-open pieces tiling [0, 10080) minutes; gaps carry
-    the default value.
+    evaluation is unambiguous.  Internally the week is flattened into sorted
+    half-open pieces tiling [0, 10080) minutes, as tuples of piece starts,
+    ends and values; gaps carry the default value.  Only the segments and
+    the default are compared, hashed and printed.
     """
 
-    __slots__ = (
-        "segments",
-        "default",
-        "piece_starts",
-        "piece_ends",
-        "piece_values",
-        "piece_prefix",
-        "week_integral",
-        "_ends_list",
-    )
+    segments: tuple[Segment[V], ...] = ()
+    default: V = 0.0
+    piece_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    piece_ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    piece_values: tuple[V, ...] = field(init=False, repr=False, compare=False)
+    #: Integral from the week's start to each piece start, then to the week's
+    #: end; ``None`` for a schedule over something other than numbers.
+    piece_prefix: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
+    week_integral: float | None = field(init=False, repr=False, compare=False)
 
-    def __init__(self, segments: Iterable[Segment[V]] = (), default: V = 0.0):
-        self.segments: tuple[Segment[V], ...] = tuple(segments)
-        self.default: V = default
-
+    def __post_init__(self) -> None:
+        segments = tuple(self.segments)
         covered: list[tuple[float, float, V]] = []
-        for seg in self.segments:
+        for seg in segments:
             for day in seg.days:
                 covered.append(
                     (day * DAY_MINUTES + seg.start_min, day * DAY_MINUTES + seg.end_min, seg.value)
@@ -88,6 +86,7 @@ class WeeklySchedule(Generic[V]):
                     f"schedule segments overlap: [{s0:g}, {e0:g}) and starting at {s1:g}"
                 )
 
+        default = self.default
         starts: list[float] = []
         values: list[V] = []
         cursor = 0.0
@@ -95,38 +94,34 @@ class WeeklySchedule(Generic[V]):
             if s > cursor:
                 starts.append(cursor)
                 values.append(default)
-            starts.append(s)
+            starts.append(float(s))
             values.append(v)
-            cursor = e
+            cursor = float(e)
         if cursor < WEEK_MINUTES:
             starts.append(cursor)
             values.append(default)
+        ends = starts[1:] + [WEEK_MINUTES]
 
-        self.piece_starts: np.ndarray = np.array(starts, dtype=float)
-        self.piece_ends: np.ndarray = np.append(self.piece_starts[1:], WEEK_MINUTES)
-        self.piece_values: tuple[V, ...] = tuple(values)
-        self._ends_list: list[float] = self.piece_ends.tolist()
-
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-        if numeric and (isinstance(default, (int, float)) and not isinstance(default, bool)):
-            prefix = np.empty(len(values) + 1, dtype=float)
-            acc = 0.0
-            for i, v in enumerate(values):
-                prefix[i] = acc
-                acc = acc + float(v) * (self._ends_list[i] - starts[i])
-            prefix[len(values)] = acc
-            self.piece_prefix: np.ndarray | None = prefix
-            self.week_integral: float | None = acc
-        else:
-            self.piece_prefix = None
-            self.week_integral = None
+        prefix = week = None
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (*values, default)):
+            prefix = tuple(accumulate((float(v) * (e - s) for v, s, e in zip(values, starts, ends)), initial=0.0))
+            week = prefix[-1]
+        for name, value in (
+            ("segments", segments),
+            ("piece_starts", tuple(starts)),
+            ("piece_ends", tuple(ends)),
+            ("piece_values", tuple(values)),
+            ("piece_prefix", prefix),
+            ("week_integral", week),
+        ):
+            object.__setattr__(self, name, value)
 
     # -- value lookup -------------------------------------------------
 
     def value_at(self, t: float) -> V:
         """Value at time ``t`` (minutes); the schedule repeats weekly."""
         tm = t % WEEK_MINUTES
-        return self.piece_values[min(bisect_right(self._ends_list, tm), len(self.piece_values) - 1)]
+        return self.piece_values[min(bisect_right(self.piece_ends, tm), len(self.piece_values) - 1)]
 
     # -- exact integration (numeric schedules only) --------------------
 
@@ -136,7 +131,7 @@ class WeeklySchedule(Generic[V]):
             raise TypeError("cumulative() needs a schedule over numbers")
         nw = math.floor(t / WEEK_MINUTES)
         tm = t - nw * WEEK_MINUTES
-        i = min(bisect_right(self._ends_list, tm), len(self.piece_values) - 1)
+        i = min(bisect_right(self.piece_ends, tm), len(self.piece_values) - 1)
         return (
             nw * self.week_integral
             + self.piece_prefix[i]
@@ -148,19 +143,6 @@ class WeeklySchedule(Generic[V]):
         if t1 < t0:
             raise ValueError(f"integral needs t0 <= t1, got [{t0!r}, {t1!r}]")
         return self.cumulative(t1) - self.cumulative(t0)
-
-    # -- plumbing -------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeeklySchedule):
-            return NotImplemented
-        return self.segments == other.segments and self.default == other.default
-
-    def __hash__(self) -> int:
-        return hash((self.segments, self.default))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeeklySchedule({len(self.segments)} segments, default={self.default!r})"
 
 
 def availability_score(status: WeeklySchedule[float], t: float, expiration: float) -> float:

@@ -24,6 +24,10 @@ MIN_PRIORITY_EXPONENT_BASE = 0.05
 ACCEPT_WEIGHT = 1.0
 COMPLETION_WEIGHT = 2.0
 
+#: Lowest travel-speed floor, km/h, so every trip between places in range
+#: takes a finite time.
+MIN_FLOOR_KMH = 0.1
+
 
 class TaskExpiredError(ValueError):
     """Raised when a task is scored at or after its expiration time."""
@@ -37,8 +41,8 @@ class VelocityProfile:
     floor_kmh: float
 
     def __post_init__(self) -> None:
-        if not (self.floor_kmh > 0):
-            raise ValueError(f"floor_kmh must be > 0, got {self.floor_kmh}")
+        if not (self.floor_kmh >= MIN_FLOOR_KMH):
+            raise ValueError(f"floor_kmh must be >= {MIN_FLOOR_KMH}, got {self.floor_kmh}")
 
     def speed_at(self, t: float) -> float:
         v = float(self.schedule.value_at(t))

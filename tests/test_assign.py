@@ -510,9 +510,23 @@ def test_engine_trust_refresh_changes_scores():
 
 
 def test_outcome_constructors():
-    out = AssignOutcome.failure(OutcomeKind.NO_SUITABLE_WORKER)
+    out = AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
     assert out.assignment is None and out.effective_reward is None
     assert np.isscalar(out.kind.value)
+
+
+def test_engine_rejects_a_status_schedule_that_is_not_numeric():
+    worker = replace(_worker(3), status=WeeklySchedule((), default="free"))
+    with pytest.raises(TypeError, match="worker 3 status schedule is not numeric"):
+        _engine([_worker(1), worker])
+
+
+def test_engine_clamps_a_small_owner_priority_as_the_scalar_reference_does():
+    owner = TaskOwner(1, pto_priority=0.01, max_reward_raise=0.0, raise_increment=1.0)
+    worker = _worker(trust={1: TrustCounters(initial_score=0.9)})
+    want = total_score(_task(), worker, owner, CAT, 0.0, VEL).trust_weighted
+    assert want == 0.9 ** (1.0 / 0.05)
+    assert _engine([worker], owners=[owner]).score_at(_task(), 0.0).tw[0] == want
 
 
 # -- non-finite input and week-boundary lookups -----------------------------------
@@ -567,7 +581,7 @@ def test_engine_factors_equal_scalar_scores(seed):
     for task in inst.tasks:
         owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
         times = {inst.now, rng.uniform(inst.now, task.expiration)}
-        ends = sorted({e for s in schedules for e in s.piece_ends.tolist() if inst.now < e < task.expiration})
+        ends = sorted({e for s in schedules for e in s.piece_ends if inst.now < e < task.expiration})
         if ends:
             end = rng.choice(ends)
             times |= {end, float(np.nextafter(end, -np.inf)), float(np.nextafter(end, np.inf))}

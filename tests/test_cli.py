@@ -229,6 +229,9 @@ def test_score_unknown_ids_fail_cleanly(capsys):
     rc = main(["score", "--scenario", EXAMPLE, "--task-id", "99", "--worker-id", "1", "--time", "540"])
     assert rc == 2
     assert "no task with id 99" in capsys.readouterr().err
+    rc = main(["score", "--scenario", EXAMPLE, "--task-id", "1", "--worker-id", "99", "--time", "540"])
+    assert rc == 2
+    assert "no worker with id 99" in capsys.readouterr().err
 
 
 # -- exit codes ---------------------------------------------------------------------
@@ -239,6 +242,51 @@ def test_usage_errors_exit_2(capsys):
     assert main(["run"]) == 2  # missing --scenario
     assert main(["run", "--scenario", EXAMPLE, "--policy", "bogus"]) == 2
     capsys.readouterr()  # swallow argparse noise
+
+
+def test_empty_seed_range_exits_2(capsys):
+    assert main(["compare", "--scenario", EXAMPLE, "--seeds", "5..3"]) == 2
+    assert "empty seed range '5..3'" in capsys.readouterr().err
+
+
+def _scenario_file(tmp_path, edit):
+    from crowdsim.workload import builtin_scenarios, to_json_dict
+
+    doc = to_json_dict(builtin_scenarios()[EXAMPLE])
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_run_without_tasks_simulates_one_day(tmp_path):
+    scenario = _scenario_file(tmp_path, lambda d: d.__setitem__("tasks", []))
+    metrics = tmp_path / "metrics.csv"
+    assert main(["run", "--scenario", scenario, "--out", str(metrics)]) == 0
+    assert _read_csv(metrics)[0]["sim_minutes"] == "1440"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["tasks"][0].__setitem__("region", {"point": [1e308, 1e308]}),
+            "task 1: place (1e+308, 1e+308) has a coordinate beyond 1e+06 km",
+        ),
+        (
+            lambda d: d["velocity_profile"].update(floor_kmh=1e-310, schedule={"default": 0.0}),
+            "scenario.velocity_profile: floor_kmh must be >= 0.1, got 1e-310",
+        ),
+    ],
+    ids=["far-task", "speed-floor"],
+)
+def test_overflowing_travel_exits_2(edit, message, tmp_path, capsys):
+    # Each scenario once ran to exit 0 and logged score_total -inf and nan.
+    events = tmp_path / "events.csv"
+    rc = main(["run", "--scenario", _scenario_file(tmp_path, edit), "--policy", "sc-nearest", "--events", str(events)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not events.exists()
 
 
 def test_unknown_scenario_exits_2(capsys):

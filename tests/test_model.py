@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from crowdsim.model import (
+    MAX_COORDINATE_KM,
     Disc,
     Point,
     Rect,
@@ -25,6 +26,11 @@ def test_region_centroids():
     assert centroid(Point(2.0, 3.0)) == Point(2.0, 3.0)
     assert centroid(Rect(0.0, 0.0, 4.0, 2.0)) == Point(2.0, 1.0)
     assert centroid(Disc(1.0, -1.0, 5.0)) == Point(1.0, -1.0)
+
+
+def test_centroid_rejects_a_place_that_is_not_a_region():
+    with pytest.raises(TypeError, match="not a region: 'home'"):
+        centroid("home")
 
 
 def test_region_validation():
@@ -198,3 +204,30 @@ def test_validate_rejects_nan(mutate, fragment):
     mutate(tasks, workers, owners, categories)
     messages = " | ".join(str(v) for v in validate_scenario(tasks, workers, owners, categories))
     assert fragment in messages and "nan" in messages, messages
+
+
+def test_validate_rejects_places_beyond_the_coordinate_limit():
+    # Places about 1.3e154 km apart once got an infinite distance, which put
+    # -inf and NaN score totals in the event log.
+    tasks, workers, owners, categories = _mini_scenario()
+    edge = replace(tasks[0], region=Point(MAX_COORDINATE_KM, -MAX_COORDINATE_KM))
+    assert validate_scenario([edge], workers, owners, categories) == []
+    tasks[0] = replace(tasks[0], region=Point(1e308, 1e308))
+    far = Rect(MAX_COORDINATE_KM, 0.0, 3 * MAX_COORDINATE_KM, 0.0)
+    pattern = WeeklySchedule((Segment(frozenset({0, 1}), 0, 60, far),), default=Point(0.0, 0.0))
+    workers[0] = replace(workers[0], pattern=pattern)
+    # The worker's far place fills two pieces of its week and is reported once.
+    assert [str(v) for v in validate_scenario(tasks, workers, owners, categories)] == [
+        "worker 1: place (2000000.0, 0.0) has a coordinate beyond 1e+06 km",
+        "task 1: place (1e+308, 1e+308) has a coordinate beyond 1e+06 km",
+    ]
+
+
+def test_validate_reports_a_place_that_is_not_a_region():
+    tasks, workers, owners, categories = _mini_scenario()
+    workers[0] = replace(workers[0], pattern=WeeklySchedule((), default=["home"]))
+    tasks[0] = replace(tasks[0], region="shop")
+    assert [str(v) for v in validate_scenario(tasks, workers, owners, categories)] == [
+        "worker 1: place is not a region: ['home']",
+        "task 1: place is not a region: 'shop'",
+    ]

@@ -1,5 +1,6 @@
 """Weekly schedule: lookups, exact integration, and periodicity properties."""
 
+import dataclasses
 import math
 
 import pytest
@@ -162,3 +163,30 @@ def test_value_at_just_below_zero_is_the_last_piece():
     assert -1e-13 % WEEK_MINUTES == WEEK_MINUTES
     assert s.value_at(-1e-13) == 0.25
     assert s.cumulative(-1e-13) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_schedules_compare_and_hash_on_segments_and_default():
+    seg = Segment(frozenset({0}), 540, 550, 0.9)
+    as_list = WeeklySchedule([seg], default=0.0)
+    as_tuple = WeeklySchedule((seg,), default=0.0)
+    assert as_list == as_tuple
+    assert hash(as_list) == hash(as_tuple)
+    assert as_list.segments == (seg,)
+    assert as_list != WeeklySchedule((seg,), default=0.1)
+    assert repr(as_list) == f"WeeklySchedule(segments=({seg!r},), default=0.0)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        as_list.default = 1.0
+
+
+def test_pieces_are_tuples_of_floats():
+    s = WeeklySchedule((Segment(frozenset({0}), 540, 550, 1),), default=0)
+    assert s.piece_starts == (0.0, 540.0, 550.0)
+    assert s.piece_ends == (540.0, 550.0, WEEK_MINUTES)
+    assert s.piece_values == (0, 1, 0)
+    assert s.piece_prefix == (0.0, 0.0, 10.0, 10.0)
+    for pieces in (s.piece_starts, s.piece_ends, s.piece_prefix):
+        assert type(pieces) is tuple and all(type(x) is float for x in pieces)
+    assert type(s.week_integral) is float
+    places = WeeklySchedule((), default="home")
+    assert places.piece_values == ("home",)
+    assert places.piece_prefix is None and places.week_integral is None

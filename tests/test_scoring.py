@@ -1,15 +1,19 @@
 """Scalar score formulas: frozen expected values and range/monotonicity laws."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdsim
 from crowdsim.assign import ScoreEngine
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import Segment, WeeklySchedule
 from crowdsim.scoring import (
+    MIN_FLOOR_KMH,
     ScoreBreakdown,
     TaskExpiredError,
     VelocityProfile,
@@ -308,3 +312,36 @@ def test_distance_affects_ttc_monotonically():
     far = engine_ttc(task, make_worker(x=9.0))
     assert near < far
     assert math.isclose(far - near, (8.0 / 30.0) * 60.0)
+
+
+def test_velocity_floor_has_a_minimum():
+    # A floor of 1e-310 km/h once made travel times overflow to infinity.
+    slowest = VelocityProfile(schedule=WeeklySchedule((), default=0.0), floor_kmh=MIN_FLOOR_KMH)
+    assert slowest.speed_at(0.0) == 0.1
+    for bad in (0.09, 1e-310, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"floor_kmh must be >= 0\.1, got"):
+            VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=bad)
+
+
+def test_scalar_reference_returns_python_floats():
+    status = WeeklySchedule((Segment(frozenset({0}), 0, 60, 1.0),), default=0.25)
+    b = total_score(make_task(), make_worker(status=status), OWNER, CAT, 30.0, VEL)
+    for name in ("time_score", "availability", "reward", "trust_weighted", "total"):
+        assert type(getattr(b, name)) is float, name
+    assert type(status.cumulative(90.0)) is float
+
+
+def test_scalar_reference_imports_no_numpy():
+    # The scalar formulas stay plain Python; numpy belongs to the engine.
+    package = Path(crowdsim.__file__).parent
+    for name in ("model", "schedule", "scoring"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "numpy", f"{name}.py line {node.lineno} imports {module}"

@@ -203,6 +203,13 @@ def test_trust_update_rejects_impossible_orderings():
     assert engine.live_worker(1).trust == {1: TrustCounters(1, 1, 1)}
 
 
+def test_trust_update_counts_only_the_three_events():
+    engine = _trust_engine({1: TrustCounters(1, 1, 0, initial_score=0.5)})
+    with pytest.raises(ValueError, match="unknown trust event 'initial_score'"):
+        engine.refresh_trust(1, 1, "initial_score")
+    assert engine.live_worker(1).trust == {1: TrustCounters(1, 1, 0, initial_score=0.5)}
+
+
 def _partly_trusted_scenario() -> Scenario:
     sc = generate(GenParams(n_workers=20, n_tasks=60, horizon_min=2880.0), seed=4)
     # Even-numbered workers register no trust entry for category 1.

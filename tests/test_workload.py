@@ -5,10 +5,12 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from crowdsim.model import Point, Rect
+from crowdsim.schedule import WeeklySchedule
 from crowdsim.workload import (
     GenParams,
     ParameterError,
@@ -132,6 +134,32 @@ def test_region_arity_checked():
         lambda d: d["tasks"][0].__setitem__("region", {"rect": [0, 1, 2]}),
         "expected 4 numbers, got 3",
     )
+
+
+def test_region_constructor_error_is_located():
+    _expect_error(
+        lambda d: d["tasks"][0].__setitem__("region", {"rect": [5, 0, 1, 1]}),
+        "scenario.tasks[0].region.rect: rect needs min <= max on both axes",
+    )
+
+
+def test_speed_floor_below_the_minimum_is_located():
+    _expect_error(
+        lambda d: d["velocity_profile"].__setitem__("floor_kmh", 1e-310),
+        "scenario.velocity_profile: floor_kmh must be >= 0.1, got 1e-310",
+    )
+
+
+def test_places_beyond_the_coordinate_limit_are_rejected():
+    doc = _doc()
+    doc["tasks"][0]["region"] = {"point": [1e308, 1e308]}
+    doc["workers"][1]["pattern"]["default"] = {"disc": [0.0, -2e6, 1.0]}
+    with pytest.raises(ScenarioValidationError) as err:
+        from_json_dict(doc)
+    assert [str(v) for v in err.value.violations] == [
+        "worker 2: place (0.0, -2000000.0) has a coordinate beyond 1e+06 km",
+        "task 1: place (1e+308, 1e+308) has a coordinate beyond 1e+06 km",
+    ]
 
 
 def test_fractional_minutes_rejected():
@@ -380,6 +408,19 @@ def test_gen_params_validation():
         GenParams(n_workers=1, n_tasks=1, duration_range=(0, 10))
     with pytest.raises(ParameterError):
         GenParams(n_workers=1, n_tasks=1, horizon_min=0.0)
+
+
+@pytest.mark.parametrize("name", ["n_categories", "n_owners"])
+def test_gen_params_need_a_category_and_an_owner(name):
+    with pytest.raises(ParameterError, match=f"{name} must be >= 1, got 0"):
+        GenParams(n_workers=1, n_tasks=1, **{name: 0})
+
+
+def test_saving_a_place_that_is_not_a_region_fails():
+    sc = builtin_scenarios()[EXAMPLE]
+    worker = replace(sc.workers[0], pattern=WeeklySchedule((), default="home"))
+    with pytest.raises(TypeError, match="not a region: 'home'"):
+        to_json_dict(replace(sc, workers=[worker]))
 
 
 @pytest.mark.parametrize("name", ["map_size_km", "horizon_min"])
