@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -34,6 +35,9 @@ from .scoring import (
 _CANDIDATE_BLOCK = 64
 #: Worker rows scored in a task's first block of the threshold search; each later block doubles.
 _ROW_BLOCK = 16
+#: Bytes of piece-index columns each piece table memoises (at the week shape's
+#: 1000 workers, 1048 columns; the status table there has 112 ranks).
+_COLUMN_MEMO_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -140,31 +144,47 @@ def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
 class _PieceTable:
     """The piece ends of many weekly schedules, one row each, for one exact lookup.
 
-    Every inner piece end (all but a schedule's last, which is the week's
-    end) is keyed ``row * (len(cuts) + 1) + rank``, where ``rank`` is its
-    place among ``cuts``, the sorted unique inner ends of all rows.  A week
-    minute is keyed the same way by its own rank, so one ``searchsorted``
-    over integer keys counts the row's ends at or before it.  Float keys
-    such as ``end + row * WEEK_MINUTES`` would round near piece ends.
-    Leaving out the last end puts minutes that round up to the week's end
-    in the last piece, the clamp ``WeeklySchedule`` applies.
+    A week minute's rank is its place among ``cuts``, the sorted unique
+    inner piece ends of all rows (all but a schedule's last end, which is the
+    week's end).  Every row's piece at a minute depends only on that rank, so
+    :meth:`index` serves each rank's column of piece indexes from a memo
+    bounded by ``_COLUMN_MEMO_BYTES`` (least recently used goes first).  A
+    column is built by keying every inner end ``row * (len(cuts) + 1) +
+    rank``, and the rank the same way, so one ``searchsorted`` over integer
+    keys counts each row's ends at or before it.  Float keys such as ``end +
+    row * WEEK_MINUTES`` would round near piece ends.  Leaving out the last
+    end puts minutes that round up to the week's end in the last piece, the
+    clamp ``WeeklySchedule`` applies.
     """
 
     def __init__(self, schedules: Sequence[WeeklySchedule]):
         inner = [s.piece_ends[:-1] for s in schedules]
         ends = _concat(inner)
         self._cuts = np.unique(ends)
-        self._width = len(self._cuts) + 1
-        rows = np.repeat(np.arange(len(inner)), [len(e) for e in inner])
-        self._keys = rows * self._width + np.searchsorted(self._cuts, ends)
+        self._rows = np.arange(len(inner))
+        self._row_keys = self._rows * (len(self._cuts) + 1)
+        self._keys = np.repeat(self._row_keys, [len(e) for e in inner]) + np.searchsorted(self._cuts, ends)
+        self._columns: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._capacity = max(1, _COLUMN_MEMO_BYTES // max(1, self._rows.nbytes))
 
-    def index(self, rows: np.ndarray, tm: np.ndarray) -> np.ndarray:
-        """Index into the rows' concatenated pieces of the piece holding week minute ``tm``.
+    def index(self, tm: np.ndarray) -> np.ndarray:
+        """Every row's piece index (into the rows' concatenated pieces) at each week minute, shaped (minutes, rows)."""
+        ranks = np.searchsorted(self._cuts, tm, side="right").tolist()
+        if len(ranks) == 1:  # an online lookup: the memoised column itself
+            return self._column(ranks[0])[None]
+        return np.stack([self._column(r) for r in ranks])
 
-        ``rows`` and ``tm`` broadcast against each other.
-        """
-        keys = rows * self._width + np.searchsorted(self._cuts, tm, side="right")
-        return np.searchsorted(self._keys, keys) + rows
+    def _column(self, rank: int) -> np.ndarray:
+        col = self._columns.get(rank)
+        if col is not None:
+            self._columns.move_to_end(rank)
+            return col
+        col = np.searchsorted(self._keys, self._row_keys + rank) + self._rows
+        col.flags.writeable = False
+        self._columns[rank] = col
+        if len(self._columns) > self._capacity:
+            self._columns.popitem(last=False)
+        return col
 
 
 class ScoreEngine:
@@ -194,7 +214,6 @@ class ScoreEngine:
         self.owners: dict[int, TaskOwner] = {o.id: o for o in owners}
         self.velocity = velocity
         n = len(self.workers)
-        self._rows = np.arange(n)
 
         # Piece values, concatenated in the row order of each piece table.
         patterns = [w.pattern for w in self.workers]
@@ -232,51 +251,82 @@ class ScoreEngine:
         # rows of column i hold its half-open [start, end) bookings in no
         # particular order, and the (+inf, -inf) padding overlaps nothing.
         # Worker-major columns make the per-worker reduction in
-        # :meth:`booked` run along contiguous rows.
+        # :meth:`booked` run along contiguous rows.  Bookings that ended
+        # before every later query are moved to ``_retired`` (see :meth:`book`).
         depth = max([len(w.bookings) for w in self.workers] + [1])
         self._bk_start = np.full((depth, n), np.inf)
         self._bk_end = np.full((depth, n), -np.inf)
         self._bk_count = [0] * n
+        self._retired: list[list[tuple[float, float]]] = [[] for _ in range(n)]
         for w in self.workers:
             for start, end in w.bookings:
                 self.book(w.id, start, end)
 
     # -- live state ----------------------------------------------------
 
-    def book(self, worker_id: int, start: float, end: float) -> None:
-        """Book a worker for [start, end); the table doubles in depth when a column fills."""
+    def book(self, worker_id: int, start: float, end: float, now: float = -math.inf) -> None:
+        """Book a worker for [start, end) at time ``now``; no later query may start before ``now``.
+
+        So a booking that ends at or before ``now`` overlaps no later query.
+        When the worker's column is full, every such booking is retired and
+        the table is compacted to the least power of two that holds the live
+        bookings; it doubles only if the column is still full.
+        """
         i = self.index_of[worker_id]
+        if self._bk_count[i] == len(self._bk_start):
+            self._compact(now, i)
         j = self._bk_count[i]
-        if j == len(self._bk_start):
-            self._bk_start = np.vstack((self._bk_start, np.full_like(self._bk_start, np.inf)))
-            self._bk_end = np.vstack((self._bk_end, np.full_like(self._bk_end, -np.inf)))
         self._bk_start[j, i] = start
         self._bk_end[j, i] = end
         self._bk_count[i] = j + 1
 
+    def _compact(self, now: float, full: int) -> None:
+        """Retire the bookings that ended by ``now`` and resize the table, with room in column ``full``."""
+        start, end = self._bk_start, self._bk_end
+        held = np.arange(len(start))[:, None] < np.array(self._bk_count)
+        ended = held & (end <= now)
+        for j, i in zip(*np.nonzero(ended)):
+            self._retired[i].append((float(start[j, i]), float(end[j, i])))
+        held &= ~ended
+        counts = held.sum(axis=0)
+        depth = 1 << (max(int(counts.max(initial=0)), 1) - 1).bit_length()
+        if counts[full] == depth:
+            depth *= 2
+        j, i = np.nonzero(held)
+        row = np.cumsum(held, axis=0)[j, i] - 1  # each kept booking's place in its column
+        self._bk_start = np.full((depth, len(counts)), np.inf)
+        self._bk_end = np.full((depth, len(counts)), -np.inf)
+        self._bk_start[row, i] = start[j, i]
+        self._bk_end[row, i] = end[j, i]
+        self._bk_count = counts.tolist()
+
     def release(self, worker_id: int, start: float, end: float) -> None:
-        """Drop one booking of [start, end) that :meth:`book` placed."""
+        """Drop one booking of [start, end) that :meth:`book` placed, live or retired."""
         i = self.index_of[worker_id]
         last = self._bk_count[i] - 1
         starts, ends = self._bk_start[:, i], self._bk_end[:, i]
         hits = np.flatnonzero((starts[: last + 1] == start) & (ends[: last + 1] == end))
-        if not len(hits):
+        if len(hits):
+            j = hits[0]
+            starts[j], ends[j] = starts[last], ends[last]
+            starts[last], ends[last] = np.inf, -np.inf
+            self._bk_count[i] = last
+        elif (start, end) in self._retired[i]:
+            self._retired[i].remove((start, end))
+        else:
             raise ValueError(f"worker {worker_id} holds no booking [{start}, {end})")
-        j = hits[0]
-        starts[j], ends[j] = starts[last], ends[last]
-        starts[last], ends[last] = np.inf, -np.inf
-        self._bk_count[i] = last
 
     def bookings_of(self, worker_id: int) -> list[tuple[float, float]]:
-        """A worker's live bookings as (start, end) tuples in ascending order."""
+        """A worker's bookings, retired ones included, as (start, end) tuples in ascending order."""
         i = self.index_of[worker_id]
         k = self._bk_count[i]
-        return sorted(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist()))
+        return sorted(self._retired[i] + list(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist())))
 
     def booked(self, start, end, rows=slice(None)) -> np.ndarray:
-        """Whether [start, end) overlaps a live booking, for each worker index in ``rows``.
+        """Whether [start, end) overlaps a booking, for each worker index in ``rows``.
 
-        ``start`` and ``end`` are scalars or arrays aligned with ``rows``.
+        ``start`` and ``end`` are scalars or arrays aligned with ``rows``,
+        and no start is before the latest ``now`` given to :meth:`book`.
         """
         return ((self._bk_start[:, rows] < end) & (self._bk_end[:, rows] > start)).any(axis=0)
 
@@ -317,7 +367,7 @@ class ScoreEngine:
 
     def _positions(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every worker's expected centroid at each time, shaped (workers, times)."""
-        p = self._pattern.index(self._rows[:, None], np.mod(times, WEEK_MINUTES))
+        p = self._pattern.index(np.mod(times, WEEK_MINUTES)).T
         return self._cx[p], self._cy[p]
 
     def _cumulative(self, times: np.ndarray) -> np.ndarray:
@@ -327,12 +377,12 @@ class ScoreEngine:
         """
         nw = np.floor(times / WEEK_MINUTES)[:, None]
         tm = times[:, None] - nw * WEEK_MINUTES
-        p = self._status.index(self._rows, tm)
+        p = self._status.index(tm[:, 0])
         return (nw * self._st_week + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])).T
 
     def _speeds(self, times: np.ndarray) -> np.ndarray:
         """The floored travel speed at each time, shaped (times,)."""
-        return self._speed[self._speed_table.index(0, np.mod(times, WEEK_MINUTES))]
+        return self._speed[self._speed_table.index(np.mod(times, WEEK_MINUTES))[:, 0]]
 
     def grid_context(self, times: np.ndarray) -> GridContext:
         """Precompute positions, cumulative status and speed at shared batch grid times."""

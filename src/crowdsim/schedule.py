@@ -14,7 +14,8 @@ import math
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass, field
-from typing import Generic, TypeVar
+from types import GenericAlias
+from typing import Any, Generic, TypeVar
 
 V = TypeVar("V")
 
@@ -51,7 +52,7 @@ class Segment(Generic[V]):
 
 
 @dataclass(frozen=True, slots=True)
-class WeeklySchedule(Generic[V]):
+class WeeklySchedule:
     """Immutable weekly schedule of constant pieces.
 
     Segments that overlap on the same day are rejected at construction, so
@@ -61,19 +62,24 @@ class WeeklySchedule(Generic[V]):
     the default are compared, hashed and printed.
     """
 
-    segments: tuple[Segment[V], ...] = ()
-    default: V = 0.0
+    segments: tuple[Segment, ...] = ()
+    default: Any = 0.0
     piece_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     piece_ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    piece_values: tuple[V, ...] = field(init=False, repr=False, compare=False)
+    piece_values: tuple[Any, ...] = field(init=False, repr=False, compare=False)
     #: Integral from the week's start to each piece start, then to the week's
     #: end; ``None`` for a schedule over something other than numbers.
     piece_prefix: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
     week_integral: float | None = field(init=False, repr=False, compare=False)
 
+    # ``WeeklySchedule[float]`` may name the value type.  The alias is not
+    # ``typing.Generic``'s: calling that one sets ``__orig_class__`` on the
+    # new record and lets the slotted frozen ``__setattr__``'s TypeError out.
+    __class_getitem__ = classmethod(GenericAlias)
+
     def __post_init__(self) -> None:
         segments = tuple(self.segments)
-        covered: list[tuple[float, float, V]] = []
+        covered: list[tuple[float, float, Any]] = []
         for seg in segments:
             for day in seg.days:
                 covered.append(
@@ -88,7 +94,7 @@ class WeeklySchedule(Generic[V]):
 
         default = self.default
         starts: list[float] = []
-        values: list[V] = []
+        values: list[Any] = []
         cursor = 0.0
         for s, e, v in covered:
             if s > cursor:
@@ -118,7 +124,7 @@ class WeeklySchedule(Generic[V]):
 
     # -- value lookup -------------------------------------------------
 
-    def value_at(self, t: float) -> V:
+    def value_at(self, t: float) -> Any:
         """Value at time ``t`` (minutes); the schedule repeats weekly."""
         tm = t % WEEK_MINUTES
         return self.piece_values[min(bisect_right(self.piece_ends, tm), len(self.piece_values) - 1)]
@@ -145,7 +151,7 @@ class WeeklySchedule(Generic[V]):
         return self.cumulative(t1) - self.cumulative(t0)
 
 
-def availability_score(status: WeeklySchedule[float], t: float, expiration: float) -> float:
+def availability_score(status: WeeklySchedule, t: float, expiration: float) -> float:
     """Mean declared availability over [t, expiration); 0 for an empty window."""
     if expiration <= t:
         return 0.0

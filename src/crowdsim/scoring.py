@@ -37,7 +37,7 @@ class TaskExpiredError(ValueError):
 class VelocityProfile:
     """Global travel speed by time of week, km/h, floored at ``floor_kmh``."""
 
-    schedule: WeeklySchedule[float]
+    schedule: WeeklySchedule
     floor_kmh: float
 
     def __post_init__(self) -> None:

@@ -174,10 +174,10 @@ class _Sim:
         self.seq += 1
         heapq.heappush(self.heap, (t, rank, self.seq, tid))
 
-    def _hold(self, r: _Run, a: Assignment) -> None:
-        """Book the offer's worker and schedule its dispatch."""
+    def _hold(self, r: _Run, a: Assignment, t: float) -> None:
+        """Book the offer's worker at event time ``t`` and schedule its dispatch."""
         r.state, r.assignment = TaskState.PENDING, a
-        self.engine.book(a.worker_id, *a.booking)
+        self.engine.book(a.worker_id, *a.booking, t)
         self.push(a.dispatch_time, _R_DISPATCH, r.task.id)
 
     def _expire(self, r: _Run, t: float) -> None:
@@ -214,7 +214,7 @@ class _Sim:
             return
         assignments, unassigned = offline_assign(ready, self.engine, t, self.config.grid, self.config.seed)
         for a in assignments:
-            self._hold(self.runs[a.task_id], a)
+            self._hold(self.runs[a.task_id], a, t)
         for tid, _kind in unassigned:
             # One online attempt (reward raises allowed) before giving up.
             self.push(t, _R_ONLINE, tid)
@@ -233,7 +233,7 @@ class _Sim:
             outcome = baseline_nearest(eff_task, self.engine, t, exclude_workers=r.rejected_by)
         if outcome.kind is OutcomeKind.ASSIGNED:
             r.reward = outcome.effective_reward
-            self._hold(r, outcome.assignment)
+            self._hold(r, outcome.assignment, t)
             return
         if outcome.kind is OutcomeKind.NO_SUITABLE_WORKER:
             # Usually transient congestion (everyone booked right now), so

@@ -568,35 +568,80 @@ def test_online_assign_rejects_non_finite_reward(reward, raised):
     assert proc.stdout.startswith("rejected: task 42:"), proc.stdout
 
 
-@pytest.mark.parametrize("seed", range(300))
-def test_engine_factors_equal_scalar_scores(seed):
+def _check_engine_factors(inst: Instance, rng: random.Random) -> ScoreEngine:
     # Both vectorised paths give every factor bit for bit as scoring.total_score
     # does, at a piece end and one ulp either side of it as well as between
     # ends. The work interval's end is compared instead of ttc, because
-    # (t + ttc) - t need not equal ttc in floats.
-    inst = random_instance(seed)
-    rng = random.Random(seed)
+    # (t + ttc) - t need not equal ttc in floats. One engine scores every
+    # (task, time) pair in shuffled order, so later lookups are served from
+    # the columns earlier ones memoised.
+    seed = inst.seed
     engine = inst.engine()
     schedules = [inst.velocity.schedule] + [s for w in inst.workers for s in (w.pattern, w.status)]
+    queries = []
     for task in inst.tasks:
-        owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
         times = {inst.now, rng.uniform(inst.now, task.expiration)}
         ends = sorted({e for s in schedules for e in s.piece_ends if inst.now < e < task.expiration})
         if ends:
             end = rng.choice(ends)
             times |= {end, float(np.nextafter(end, -np.inf)), float(np.nextafter(end, np.inf))}
-        times = sorted(t for t in times if t < task.expiration)
-        grid = engine.score_grid(task, engine.grid_context(np.array(times)), len(times))
-        for j, t in enumerate(times):
-            at = engine.score_at(task, t)
-            for i, w in enumerate(engine.workers):
-                b = total_score(task, w, owner, cat, t, inst.velocity)
-                want = (b.time_score, b.availability, b.reward, b.trust_weighted, b.total)
-                end_want = brute_force.work_interval(task, w, t, inst.velocity)[1]
-                for s, k in ((at, i), (grid, (i, j))):
-                    got = (s.ts[k], s.avail[k], s.rw[i], s.tw[i], s.total[k])
-                    assert got == want, (seed, task.id, w.id, t)
-                    assert t + s.ttc[k] == end_want, (seed, task.id, w.id, t)
+        queries.append((task, sorted(t for t in times if t < task.expiration)))
+    rng.shuffle(queries)
+    grids = [engine.score_grid(task, engine.grid_context(np.array(times)), len(times)) for task, times in queries]
+    pairs = [(q, j) for q, (_task, times) in enumerate(queries) for j in range(len(times))]
+    rng.shuffle(pairs)
+    for q, j in pairs:
+        task, t = queries[q][0], queries[q][1][j]
+        owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
+        at = engine.score_at(task, t)
+        for i, w in enumerate(engine.workers):
+            b = total_score(task, w, owner, cat, t, inst.velocity)
+            want = (b.time_score, b.availability, b.reward, b.trust_weighted, b.total)
+            end_want = brute_force.work_interval(task, w, t, inst.velocity)[1]
+            for s, k in ((at, i), (grids[q], (i, j))):
+                got = (s.ts[k], s.avail[k], s.rw[i], s.tw[i], s.total[k])
+                assert got == want, (seed, task.id, w.id, t)
+                assert t + s.ttc[k] == end_want, (seed, task.id, w.id, t)
+    return engine
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_engine_factors_equal_scalar_scores(seed):
+    _check_engine_factors(random_instance(seed), random.Random(seed))
+
+
+def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
+    # A memo of four columns per worker table, for a generated population
+    # whose statuses have about a hundred piece ends: lookups evict columns
+    # and build them again.
+    scenario = generate(GenParams(20, 300, urgent_fraction=0.5, horizon_min=1440.0), seed=4)
+    now = 600.0
+    inst = Instance(
+        tasks=[t for t in scenario.tasks if t.submit_time <= now < t.expiration][:40],
+        workers=scenario.workers,
+        owners={o.id: o for o in scenario.owners},
+        categories={c.id: c for c in scenario.categories},
+        now=now,
+        step=15.0,
+        horizon=WEEK_MINUTES,
+        velocity=scenario.velocity,
+        seed=4,
+    )
+    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", 4 * np.arange(len(inst.workers)).nbytes)
+    ranks: dict[int, set[int]] = {}
+    column = assign._PieceTable._column
+
+    def seen(table, rank):
+        ranks.setdefault(id(table), set()).add(rank)
+        return column(table, rank)
+
+    monkeypatch.setattr(assign._PieceTable, "_column", seen)
+    engine = _check_engine_factors(inst, random.Random(4))
+    assert len(inst.tasks) == 40
+    for table in (engine._pattern, engine._status):
+        assert table._capacity == 4
+        assert len(table._columns) <= 4
+    assert len(ranks[id(engine._status)]) > 8
 
 
 @pytest.mark.parametrize("seed", range(300))

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdsim.model import Point, Worker
 from crowdsim.schedule import (
     ALL_DAYS,
     WEEK_MINUTES,
@@ -14,6 +16,7 @@ from crowdsim.schedule import (
     WeeklySchedule,
     availability_score,
 )
+from crowdsim.scoring import VelocityProfile
 
 
 def test_segment_validation():
@@ -190,3 +193,23 @@ def test_pieces_are_tuples_of_floats():
     places = WeeklySchedule((), default="home")
     assert places.piece_values == ("home",)
     assert places.piece_prefix is None and places.week_integral is None
+
+
+def test_annotations_resolve():
+    for obj in (availability_score, VelocityProfile, Worker, WeeklySchedule):
+        assert typing.get_type_hints(obj)
+
+
+def test_every_spelling_of_the_constructor_builds_the_same_schedule():
+    # Calling the subscripted alias sets __orig_class__ on the new object;
+    # that must not reach the frozen record's __setattr__ as an error.
+    seg = Segment(frozenset({0}), 60, 120, 0.5)
+    spellings = [
+        WeeklySchedule((seg,), 1.0),
+        WeeklySchedule(segments=(seg,), default=1.0),
+        WeeklySchedule[float]((seg,), 1.0),
+        WeeklySchedule[float](segments=[seg], default=1.0),
+    ]
+    assert all(s == spellings[0] and s.piece_values == (1.0, 0.5, 1.0) for s in spellings)
+    assert WeeklySchedule() == WeeklySchedule[float]() == WeeklySchedule((), 0.0)
+    assert WeeklySchedule[Point](default=Point(1.0, 2.0)).value_at(0.0) == Point(1.0, 2.0)

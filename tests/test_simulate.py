@@ -6,13 +6,15 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from crowdsim import assign, simulate
 from crowdsim.assign import Assignment, OutcomeKind, ScoreEngine
 from crowdsim.model import Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import WeeklySchedule
 from crowdsim.scoring import ScoreBreakdown, VelocityProfile, total_score
-from crowdsim.simulate import SimConfig, TaskState, accept_decision, performance_metrics, run
+from crowdsim.simulate import SimConfig, TaskState, _Sim, accept_decision, performance_metrics, run
 from crowdsim.workload import GenParams, Scenario, builtin_scenarios, generate
 
 
@@ -368,6 +370,33 @@ def test_refused_offer_releases_hold_and_excludes_worker():
     assert by_id[1].bookings == []  # the hold was released on rejection
 
 
+def test_rejection_decided_after_the_booking_ended_releases_it(monkeypatch):
+    # Task 1 books the worker for [60, 90), and its decision comes at 160.
+    # Task 2 books the same worker at 100, which fills the worker's column,
+    # so [60, 90) is retired first. The rejection at 160 must still release
+    # it, and the report holds neither booking.
+    assert [random.Random(0).random() > 0.01 for _ in range(2)] == [True, True]
+    sc = _one_worker_scenario(status=0.01)
+    sc.tasks.append(replace(sc.tasks[0], id=2, submit_time=100.0))
+    released = []
+    release = ScoreEngine.release
+
+    def spy(self, worker_id, start, end):
+        released.append(((start, end), (start, end) in self._retired[self.index_of[worker_id]]))
+        release(self, worker_id, start, end)
+
+    monkeypatch.setattr(ScoreEngine, "release", spy)
+    rep = run(sc, SimConfig(duration_min=300.0, seed=0, policy="psc", response_delay_min=100.0))
+    assert _trace(rep, ("dispatch", "rejected")) == [
+        (60.0, "dispatch", 1, 1),
+        (100.0, "dispatch", 2, 1),
+        (160.0, "rejected", 1, 1),
+        (200.0, "rejected", 2, 1),
+    ]
+    assert released == [((60.0, 90.0), True), ((100.0, 130.0), False)]
+    assert rep.final_workers[0].bookings == []
+
+
 def test_zero_availability_worker_is_never_even_offered():
     # The score policy prices in availability up front: a worker whose
     # status is flat zero scores zero and is skipped, not dispatched.
@@ -513,3 +542,75 @@ def test_report_metrics_consistent_with_counts():
     assert rep.performance_def1 == pytest.approx(rep.counts["completed"] / (2880.0 / 60.0))
     assert rep.completion_fraction == pytest.approx(rep.counts["completed"] / rep.counts["submitted"])
     assert rep.sim_minutes == 2880.0
+
+
+# -- work pinned over a whole run ---------------------------------------------------
+
+
+def _psc_days() -> tuple[Scenario, SimConfig]:
+    """Three days of 20 workers and 300 tasks, with batches every 6 hours."""
+    sc = generate(GenParams(20, 300, urgent_fraction=0.5, horizon_min=4320.0), seed=4)
+    return sc, SimConfig(duration_min=4320.0, offline_batch_times=tuple(range(180, 4320, 360)), seed=0)
+
+
+def test_schedule_lookups_build_each_rank_column_at_most_once(monkeypatch):
+    # A piece table searches its full key array only to build the column of
+    # piece indexes for a rank it has not seen, so over a whole run it does
+    # so at most once per rank, however many online decisions look it up.
+    tables = []
+    init = assign._PieceTable.__init__
+
+    def register(self, schedules):
+        init(self, schedules)
+        tables.append(self)
+
+    key_searches = Counter()
+    searchsorted = np.searchsorted
+
+    def counted(a, *args, **kwargs):
+        for k, table in enumerate(tables):
+            key_searches[k] += a is table._keys
+        return searchsorted(a, *args, **kwargs)
+
+    decisions = []
+    online_assign = simulate.online_assign
+    monkeypatch.setattr(assign._PieceTable, "__init__", register)
+    monkeypatch.setattr(np, "searchsorted", counted)
+    monkeypatch.setattr(simulate, "online_assign", lambda *a, **kw: decisions.append(a[2]) or online_assign(*a, **kw))
+    run(*_psc_days())
+    assert len(tables) == 3 and len(decisions) > 100
+    for k, table in enumerate(tables):
+        assert key_searches[k] <= len(table._cuts) + 1, (k, key_searches[k], len(table._cuts) + 1)
+
+
+def test_booking_table_depth_follows_the_live_bookings(monkeypatch):
+    # The table keeps only bookings that have not ended, so its depth ends
+    # at most at the largest number of live bookings a worker held at a
+    # booking, rounded up to a power of two, not at the most it ever held.
+    clock = [-math.inf]
+    for name in ("on_batch", "on_online"):
+
+        def timed(self, t, tid, handler=getattr(_Sim, name)):
+            clock[0] = t
+            handler(self, t, tid)
+
+        monkeypatch.setattr(_Sim, name, timed)
+    engines = []
+    most_live = 0
+    book = ScoreEngine.book
+
+    def spy(self, worker_id, start, end, *now):
+        nonlocal most_live
+        held = self.bookings_of(worker_id) + [(start, end)]
+        most_live = max(most_live, sum(e > clock[0] for _s, e in held))
+        engines.append(self)
+        book(self, worker_id, start, end, *now)
+
+    monkeypatch.setattr(ScoreEngine, "book", spy)
+    sc, config = _psc_days()
+    run(sc, config)
+    engine = engines[-1]
+    depth = len(engine._bk_start)
+    most_held = max(len(engine.bookings_of(w.id)) for w in sc.workers)
+    assert depth <= 1 << (most_live - 1).bit_length(), (depth, most_live, most_held)
+    assert most_held > depth
