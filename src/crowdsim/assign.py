@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -35,8 +36,9 @@ from .scoring import (
 _CANDIDATE_BLOCK = 64
 #: Worker rows scored in a task's first block of the threshold search; each later block doubles.
 _ROW_BLOCK = 16
-#: Bytes of piece-index columns each piece table memoises (at the week shape's
-#: 1000 workers, 1048 columns; the status table there has 112 ranks).
+#: Bytes of rank columns each piece table memoises (at the week shape's 1000
+#: workers, 1048 piece-index columns or 524 place columns; the status table
+#: there has 112 ranks and the pattern table 11).
 _COLUMN_MEMO_BYTES = 8 << 20
 
 
@@ -48,8 +50,10 @@ class TimeGrid:
     horizon_min: float = WEEK_MINUTES
 
     def __post_init__(self) -> None:
-        if not (0 < self.step_min < math.inf):
-            raise ValueError(f"grid step must be finite and > 0, got {self.step_min}")
+        # A step under a minute can round away at large times, so a retry
+        # one step later would not move the clock on.
+        if not (1.0 <= self.step_min < math.inf):
+            raise ValueError(f"grid step must be finite and at least 1 minute, got {self.step_min}")
         if not (0 <= self.horizon_min < math.inf):
             raise ValueError(f"grid horizon must be finite and >= 0, got {self.horizon_min}")
 
@@ -147,32 +151,36 @@ class _PieceTable:
     A week minute's rank is its place among ``cuts``, the sorted unique
     inner piece ends of all rows (all but a schedule's last end, which is the
     week's end).  Every row's piece at a minute depends only on that rank, so
-    :meth:`index` serves each rank's column of piece indexes from a memo
-    bounded by ``_COLUMN_MEMO_BYTES`` (least recently used goes first).  A
-    column is built by keying every inner end ``row * (len(cuts) + 1) +
-    rank``, and the rank the same way, so one ``searchsorted`` over integer
-    keys counts each row's ends at or before it.  Float keys such as ``end +
-    row * WEEK_MINUTES`` would round near piece ends.  Leaving out the last
-    end puts minutes that round up to the week's end in the last piece, the
-    clamp ``WeeklySchedule`` applies.
+    :meth:`index` serves each rank's column from a memo bounded by
+    ``_COLUMN_MEMO_BYTES`` (least recently used goes first).  A column holds
+    every row's piece index, or, for a table built with ``values`` (shaped
+    (fields, pieces)), every row's values at its piece, shaped (fields, rows).
+    It is built by keying every inner end ``row * (len(cuts) + 1) + rank``,
+    and the rank the same way, so one ``searchsorted`` over integer keys
+    counts each row's ends at or before it.  Float keys such as ``end + row *
+    WEEK_MINUTES`` would round near piece ends.  Leaving out the last end
+    puts minutes that round up to the week's end in the last piece, the clamp
+    ``WeeklySchedule`` applies.
     """
 
-    def __init__(self, schedules: Sequence[WeeklySchedule]):
+    def __init__(self, schedules: Sequence[WeeklySchedule], values: np.ndarray | None = None):
         inner = [s.piece_ends[:-1] for s in schedules]
         ends = _concat(inner)
         self._cuts = np.unique(ends)
+        self._cut_list = self._cuts.tolist()
         self._rows = np.arange(len(inner))
         self._row_keys = self._rows * (len(self._cuts) + 1)
         self._keys = np.repeat(self._row_keys, [len(e) for e in inner]) + np.searchsorted(self._cuts, ends)
+        self._values = values
         self._columns: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._capacity = max(1, _COLUMN_MEMO_BYTES // max(1, self._rows.nbytes))
+        size = self._rows.nbytes if values is None else len(values) * len(inner) * values.itemsize
+        self._capacity = max(1, _COLUMN_MEMO_BYTES // max(1, size))
 
     def index(self, tm: np.ndarray) -> np.ndarray:
-        """Every row's piece index (into the rows' concatenated pieces) at each week minute, shaped (minutes, rows)."""
-        ranks = np.searchsorted(self._cuts, tm, side="right").tolist()
-        if len(ranks) == 1:  # an online lookup: the memoised column itself
-            return self._column(ranks[0])[None]
-        return np.stack([self._column(r) for r in ranks])
+        """The column of each week minute's rank, stacked on a leading minutes axis."""
+        if len(tm) == 1:  # an online lookup: the memoised column itself
+            return self._column(bisect_right(self._cut_list, float(tm[0])))[None]
+        return np.stack([self._column(r) for r in np.searchsorted(self._cuts, tm, side="right").tolist()])
 
     def _column(self, rank: int) -> np.ndarray:
         col = self._columns.get(rank)
@@ -180,6 +188,8 @@ class _PieceTable:
             self._columns.move_to_end(rank)
             return col
         col = np.searchsorted(self._keys, self._row_keys + rank) + self._rows
+        if self._values is not None:
+            col = self._values[:, col]
         col.flags.writeable = False
         self._columns[rank] = col
         if len(self._columns) > self._capacity:
@@ -215,12 +225,11 @@ class ScoreEngine:
         self.velocity = velocity
         n = len(self.workers)
 
-        # Piece values, concatenated in the row order of each piece table.
+        # Piece values, concatenated in the row order of each piece table; the
+        # pattern and speed tables memoise each rank's places and speed.
         patterns = [w.pattern for w in self.workers]
-        self._pattern = _PieceTable(patterns)
         cents = [centroid(v) for p in patterns for v in p.piece_values]
-        self._cx = np.array([c.x for c in cents], dtype=float)
-        self._cy = np.array([c.y for c in cents], dtype=float)
+        self._pattern = _PieceTable(patterns, np.array([[c.x for c in cents], [c.y for c in cents]], dtype=float))
         for w in self.workers:
             if w.status.piece_prefix is None:
                 raise TypeError(f"worker {w.id} status schedule is not numeric")
@@ -230,8 +239,8 @@ class ScoreEngine:
         self._st_value = np.array([float(v) for s in statuses for v in s.piece_values], dtype=float)
         self._st_prefix = _concat([s.piece_prefix[:-1] for s in statuses])
         self._st_week = np.array([s.week_integral for s in statuses], dtype=float)
-        self._speed_table = _PieceTable([velocity.schedule])
-        self._speed = np.maximum([float(v) for v in velocity.schedule.piece_values], velocity.floor_kmh)
+        speeds = np.maximum([float(v) for v in velocity.schedule.piece_values], velocity.floor_kmh)
+        self._speed = _PieceTable([velocity.schedule], speeds[None])
 
         self._demand: dict[int, np.ndarray] = {
             c.id: np.array([w.reward_demand.get(c.id, c.cat_reward) for w in self.workers])
@@ -241,6 +250,9 @@ class ScoreEngine:
         # Python floats (for bit-exact scalar powers) with its powered
         # vectors cached per category and exponent.
         self._trust: list[dict[int, TrustCounters]] = [dict(w.trust) for w in self.workers]
+        # Each worker record with the live trust dict in place of its own, for
+        # scalar scores (which read no bookings) without copies.
+        self._trusted = [replace(w, trust=trust) for w, trust in zip(self.workers, self._trust)]
         self._trust_raw: dict[int, list[float]] = {
             c.id: [trustworthy_score(w.trust_for(c.id)) for w in self.workers]
             for c in self.categories.values()
@@ -251,8 +263,8 @@ class ScoreEngine:
         # rows of column i hold its half-open [start, end) bookings in no
         # particular order, and the (+inf, -inf) padding overlaps nothing.
         # Worker-major columns make the per-worker reduction in
-        # :meth:`booked` run along contiguous rows.  Bookings that ended
-        # before every later query are moved to ``_retired`` (see :meth:`book`).
+        # :meth:`booked` run along contiguous rows.  A full column's bookings
+        # that ended before every later query move to ``_retired`` (see :meth:`book`).
         depth = max([len(w.bookings) for w in self.workers] + [1])
         self._bk_start = np.full((depth, n), np.inf)
         self._bk_end = np.full((depth, n), -np.inf)
@@ -268,37 +280,39 @@ class ScoreEngine:
         """Book a worker for [start, end) at time ``now``; no later query may start before ``now``.
 
         So a booking that ends at or before ``now`` overlaps no later query.
-        When the worker's column is full, every such booking is retired and
-        the table is compacted to the least power of two that holds the live
-        bookings; it doubles only if the column is still full.
+        When the worker's column is full, its own such bookings are retired;
+        the table doubles only if the column is still full, and otherwise
+        shrinks to the least power of two that holds every column.
         """
         i = self.index_of[worker_id]
-        if self._bk_count[i] == len(self._bk_start):
-            self._compact(now, i)
         j = self._bk_count[i]
+        if j == len(self._bk_start):
+            j = self._make_room(i, now)
         self._bk_start[j, i] = start
         self._bk_end[j, i] = end
         self._bk_count[i] = j + 1
 
-    def _compact(self, now: float, full: int) -> None:
-        """Retire the bookings that ended by ``now`` and resize the table, with room in column ``full``."""
-        start, end = self._bk_start, self._bk_end
-        held = np.arange(len(start))[:, None] < np.array(self._bk_count)
-        ended = held & (end <= now)
-        for j, i in zip(*np.nonzero(ended)):
-            self._retired[i].append((float(start[j, i]), float(end[j, i])))
-        held &= ~ended
-        counts = held.sum(axis=0)
-        depth = 1 << (max(int(counts.max(initial=0)), 1) - 1).bit_length()
-        if counts[full] == depth:
-            depth *= 2
-        j, i = np.nonzero(held)
-        row = np.cumsum(held, axis=0)[j, i] - 1  # each kept booking's place in its column
-        self._bk_start = np.full((depth, len(counts)), np.inf)
-        self._bk_end = np.full((depth, len(counts)), -np.inf)
-        self._bk_start[row, i] = start[j, i]
-        self._bk_end[row, i] = end[j, i]
-        self._bk_count = counts.tolist()
+    def _make_room(self, i: int, now: float) -> int:
+        """Retire the full column ``i``'s bookings that ended by ``now`` and resize the table; returns its count."""
+        depth = len(self._bk_start)
+        starts, ends = self._bk_start[:, i], self._bk_end[:, i]
+        held = list(zip(starts.tolist(), ends.tolist()))
+        live = [b for b in held if b[1] > now]
+        k = len(live)
+        if k == depth:
+            self._bk_start = np.concatenate((self._bk_start, np.full_like(self._bk_start, np.inf)))
+            self._bk_end = np.concatenate((self._bk_end, np.full_like(self._bk_end, -np.inf)))
+            return k
+        self._retired[i] += [b for b in held if b[1] <= now]
+        starts[:] = [s for s, _e in live] + [np.inf] * (depth - k)
+        ends[:] = [e for _s, e in live] + [-np.inf] * (depth - k)
+        self._bk_count[i] = k
+        if depth > 1:  # one row cannot shrink; skip the scan of every column
+            fit = 1 << (max(max(self._bk_count), k + 1) - 1).bit_length()
+            if fit < depth:
+                self._bk_start = self._bk_start[:fit].copy()
+                self._bk_end = self._bk_end[:fit].copy()
+        return k
 
     def release(self, worker_id: int, start: float, end: float) -> None:
         """Drop one booking of [start, end) that :meth:`book` placed, live or retired."""
@@ -341,7 +355,12 @@ class ScoreEngine:
         c = self._trust[i].get(category_id) or TrustCounters()
         if event not in ("assigned", "accepted", "completed"):
             raise ValueError(f"unknown trust event {event!r}")
-        c = replace(c, **{event: getattr(c, event) + 1})
+        c = TrustCounters(
+            c.assigned + (event == "assigned"),
+            c.accepted + (event == "accepted"),
+            c.completed + (event == "completed"),
+            c.initial_score,
+        )
         if not (c.completed <= c.accepted <= c.assigned):
             raise RuntimeError(
                 f"internal fault: worker {worker_id} {event} a category-{category_id} task out of order"
@@ -366,9 +385,12 @@ class ScoreEngine:
     # -- time lookups ----------------------------------------------------
 
     def _positions(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every worker's expected centroid at each time, shaped (workers, times)."""
-        p = self._pattern.index(np.mod(times, WEEK_MINUTES)).T
-        return self._cx[p], self._cy[p]
+        """Every worker's expected centroid at each time, shaped (workers, times).
+
+        For one time, these are read-only views of the rank's memoised places.
+        """
+        xy = self._pattern.index(np.mod(times, WEEK_MINUTES))
+        return xy[:, 0].T, xy[:, 1].T
 
     def _cumulative(self, times: np.ndarray) -> np.ndarray:
         """Every worker's status integral from 0 to each time, shaped (workers, times).
@@ -381,8 +403,8 @@ class ScoreEngine:
         return (nw * self._st_week + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])).T
 
     def _speeds(self, times: np.ndarray) -> np.ndarray:
-        """The floored travel speed at each time, shaped (times,)."""
-        return self._speed[self._speed_table.index(np.mod(times, WEEK_MINUTES))[:, 0]]
+        """The floored travel speed at each time, shaped (times,); for one time, a read-only memo view."""
+        return self._speed.index(np.mod(times, WEEK_MINUTES))[:, 0, 0]
 
     def grid_context(self, times: np.ndarray) -> GridContext:
         """Precompute positions, cumulative status and speed at shared batch grid times."""
@@ -598,11 +620,13 @@ def baseline_nearest(
     times = np.array([t])
     x, y = engine._positions(times)
     dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
-    free = np.flatnonzero(_availability_mask(engine, ttc, t, exclude_workers))
-    if not len(free):
+    free = _availability_mask(engine, ttc, t, exclude_workers)
+    if not free.any():
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
-    i = int(free[np.argmin(dist[free])])
-    worker = engine.live_worker(engine.workers[i].id)
+    i = int(np.argmin(np.where(free, dist, np.inf)))
+    if not free[i]:  # every free worker is infinitely far: the first of them
+        i = int(np.argmax(free))
+    worker = engine._trusted[i]  # the live trust counters; the score reads no bookings
     assignment = Assignment(
         task_id=task.id,
         worker_id=worker.id,

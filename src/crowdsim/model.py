@@ -21,6 +21,11 @@ DEFAULT_INITIAL_TRUST = 0.5
 #: difference overflows to infinity near 1.3e154 km.
 MAX_COORDINATE_KM = 1e6
 
+#: Every scenario time is below this many minutes (2**53).  Below it a float
+#: has a step of at most one minute, so a retry one grid step (at least a
+#: minute) later always moves the clock on.  NaN is not below it either.
+MAX_TIME_MIN = float(2**53)
+
 
 # ---------------------------------------------------------------------------
 # regions
@@ -255,6 +260,8 @@ def validate_scenario(
         for start, end in worker.bookings:
             if not (start < end):
                 out.append(Violation("worker", worker.id, f"booking [{start}, {end}) is empty or inverted"))
+            if not (end < MAX_TIME_MIN):
+                out.append(Violation("worker", worker.id, f"booking end must be below 2**53 minutes, got {end}"))
             if previous_end is not None and start < previous_end:
                 out.append(Violation("worker", worker.id, "bookings must be sorted and disjoint"))
             previous_end = end
@@ -269,6 +276,14 @@ def validate_scenario(
         if task.category_id not in cat_ids:
             out.append(Violation("task", task.id, f"unknown category {task.category_id}"))
         _check_place(out, "task", task.id, task.region)
+        for name, value in (
+            ("submit_time", task.submit_time),
+            ("expiration", task.expiration),
+            ("start_earliest", task.start_earliest),
+            ("start_latest", task.start_latest),
+        ):
+            if value is not None and not (value < MAX_TIME_MIN):
+                out.append(Violation("task", task.id, f"{name} must be below 2**53 minutes, got {value}"))
         if not (task.submit_time >= 0):
             out.append(Violation("task", task.id, f"submit_time must be >= 0, got {task.submit_time}"))
         if not (task.submit_time <= task.expiration):

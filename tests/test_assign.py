@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute_force
 from instances import Instance, random_instance
@@ -487,6 +489,64 @@ def test_nearest_distance_tie_prefers_lower_id():
     assert out.assignment.worker_id == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_nearest_winner_is_scored_on_the_live_state(seed, data):
+    # Trust events, bookings and releases, with a clock that only moves
+    # forward: the baseline picks the oracle's worker among the live records,
+    # and its breakdown is the scalar score of the live worker, bit for bit.
+    inst = random_instance(seed)
+    engine = inst.engine()
+    ids = [w.id for w in engine.workers]
+    held = {w.id: list(w.bookings) for w in engine.workers}
+    now = inst.now
+    for _ in range(data.draw(st.integers(0, 20))):
+        wid = data.draw(st.sampled_from(ids))
+        step = data.draw(st.sampled_from(["trust", "book", "release"]))
+        if step == "trust":
+            cid = data.draw(st.sampled_from(sorted(inst.categories)))
+            c = engine.live_worker(wid).trust_for(cid)
+            events = ["assigned"] + ["accepted"] * (c.accepted < c.assigned)
+            events += ["completed"] * (c.completed < c.accepted)
+            engine.refresh_trust(wid, cid, data.draw(st.sampled_from(events)))
+        elif step == "book":
+            now += data.draw(st.sampled_from([0.0, 1.0, 5.0, 30.0]))
+            start = now - 20.0 + data.draw(st.floats(0.0, 60.0))
+            booking = (start, start + data.draw(st.floats(0.0, 40.0)))
+            engine.book(wid, *booking, now)
+            held[wid].append(booking)
+        elif held[wid]:
+            booking = data.draw(st.sampled_from(held[wid]))
+            engine.release(wid, *booking)
+            held[wid].remove(booking)
+    t = now + data.draw(st.floats(0.0, 60.0))
+    task = data.draw(st.sampled_from(inst.tasks))
+    if task.expiration <= t:
+        task = replace(task, expiration=t + task.duration + 60.0)
+    exclude = frozenset(data.draw(st.sets(st.sampled_from(ids))))
+    out = baseline_nearest(task, engine, t, exclude_workers=exclude)
+    live = {wid: engine.live_worker(wid) for wid in ids}
+    assert [w.bookings for w in live.values()] == [sorted(held[wid]) for wid in ids]
+    want = brute_force.nearest_oracle(task, live.values(), t, inst.velocity, exclude)
+    if want is None:
+        assert out.kind is OutcomeKind.NO_SUITABLE_WORKER
+        return
+    owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
+    assert out.assignment.worker_id == want
+    assert out.assignment.breakdown == total_score(task, live[want], owner, cat, t, inst.velocity)
+
+
+def test_one_time_places_and_speed_are_the_memoised_columns():
+    # Two dispatch times in the same pattern and speed pieces read the same
+    # read-only arrays, so an online decision gathers no places or speed.
+    engine = _engine([_worker(1, x=1.0), _worker(2, x=3.0)])
+    (x1, y1), (x2, y2) = (engine._positions(np.array([t])) for t in (10.0, 20.0 + WEEK_MINUTES))
+    s1, s2 = engine._speeds(np.array([10.0])), engine._speeds(np.array([20.0 + WEEK_MINUTES]))
+    assert np.shares_memory(x1, x2) and np.shares_memory(y1, y2) and np.shares_memory(s1, s2)
+    assert not (x1.flags.writeable or y1.flags.writeable or s1.flags.writeable)
+    assert (x1[:, 0].tolist(), y1[:, 0].tolist(), s1.tolist()) == ([1.0, 3.0], [5.0, 5.0], [30.0])
+
+
 # -- engine state -------------------------------------------------------------------
 
 
@@ -611,9 +671,11 @@ def test_engine_factors_equal_scalar_scores(seed):
 
 
 def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
-    # A memo of four columns per worker table, for a generated population
-    # whose statuses have about a hundred piece ends: lookups evict columns
-    # and build them again.
+    # A memo of two piece-index columns per worker table, for a generated
+    # population whose statuses have about a hundred piece ends: lookups
+    # evict columns and build them again.  A pattern column holds two places
+    # per worker, so the same budget holds one, and score_at's places come
+    # from that memo as it evicts.
     scenario = generate(GenParams(20, 300, urgent_fraction=0.5, horizon_min=1440.0), seed=4)
     now = 600.0
     inst = Instance(
@@ -627,7 +689,7 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
         velocity=scenario.velocity,
         seed=4,
     )
-    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", 4 * np.arange(len(inst.workers)).nbytes)
+    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", 2 * np.arange(len(inst.workers)).nbytes)
     ranks: dict[int, set[int]] = {}
     column = assign._PieceTable._column
 
@@ -638,10 +700,11 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
     monkeypatch.setattr(assign._PieceTable, "_column", seen)
     engine = _check_engine_factors(inst, random.Random(4))
     assert len(inst.tasks) == 40
-    for table in (engine._pattern, engine._status):
-        assert table._capacity == 4
-        assert len(table._columns) <= 4
+    for table, capacity in ((engine._status, 2), (engine._pattern, 1)):
+        assert table._capacity == capacity
+        assert len(table._columns) <= capacity
     assert len(ranks[id(engine._status)]) > 8
+    assert len(ranks[id(engine._pattern)]) > 1
 
 
 @pytest.mark.parametrize("seed", range(300))

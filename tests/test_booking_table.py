@@ -40,21 +40,28 @@ def _check_against_oracle(engine: ScoreEngine, held: dict[int, list], data, now:
     assert engine.booked(t0, t1, rows).tolist() == want
 
 
+def _columns(engine: ScoreEngine) -> list[list[tuple[float, float]]]:
+    """The bookings in each worker's column of the table, in table order."""
+    starts, ends = engine._bk_start.T.tolist(), engine._bk_end.T.tolist()
+    return [list(zip(s[:k], e[:k])) for s, e, k in zip(starts, ends, engine._bk_count)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_booking_table_matches_overlap_oracle(seed, data):
-    # The clock only moves forward. Bookings may end before it, so full
-    # columns retire them; a release may name a retired booking, and
-    # bookings_of still lists every booking held.
+    # The clock only moves forward. Bookings may end before it, so a full
+    # column retires its own ended bookings while the other columns keep
+    # theirs; a release may name a retired booking, and bookings_of still
+    # lists every booking held.
     inst = random_instance(seed)
     engine = inst.engine()
     held = {w.id: list(w.bookings) for w in inst.workers}
     ids = sorted(held)
     now = 0.0
     _check_against_oracle(engine, held, data, now)
-    for _ in range(data.draw(st.integers(0, 40))):
+    for _ in range(data.draw(st.integers(0, 60))):
         holding = [wid for wid in ids if held[wid]]
-        if holding and data.draw(st.booleans()):
+        if holding and data.draw(st.integers(0, 2)) == 0:
             wid = data.draw(st.sampled_from(holding))
             start, end = data.draw(st.sampled_from(held[wid]))
             engine.release(wid, start, end)
@@ -64,8 +71,12 @@ def test_booking_table_matches_overlap_oracle(seed, data):
             wid = data.draw(st.sampled_from(ids))
             start = now - 20.0 + data.draw(_time)
             end = start + data.draw(_length)
+            before = _columns(engine)
             engine.book(wid, start, end, now)
             held[wid].append((start, end))
+            after = _columns(engine)
+            i = engine.index_of[wid]
+            assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
         assert engine.bookings_of(wid) == sorted(held[wid])
         # The minute from now: a booking retired too early shows here.
         assert engine.booked(now, now + 1.0).tolist() == [_overlaps((now, now + 1.0), held[w]) for w in ids]
@@ -126,3 +137,20 @@ def test_table_shrinks_after_compaction_and_grows_again():
     want.remove((30.0, 100.0))
     want.remove((212.0, 300.0))
     assert engine.bookings_of(wid) == sorted(want)
+
+
+def test_filling_a_column_retires_only_its_own_ended_bookings():
+    inst = random_instance(5)
+    engine = ScoreEngine([replace(w, bookings=[]) for w in inst.workers], [], [], inst.velocity)
+    ids = [w.id for w in engine.workers]
+    for k, wid in enumerate(ids):  # one booking per column, every one over by 100
+        engine.book(wid, 10.0 * k, 10.0 * k + 5.0, 10.0 * k)
+    before = _columns(engine)
+    engine.book(ids[1], 100.0, 130.0, 100.0)
+    after = _columns(engine)
+    assert after[1] == [(100.0, 130.0)] and engine._retired[1] == [(10.0, 15.0)]
+    assert after[:1] + after[2:] == before[:1] + before[2:]
+    assert [len(r) for r in engine._retired] == [0, 1, 0, 0]
+    assert len(engine._bk_start) == 1
+    assert engine.booked(100.0, 101.0).tolist() == [False, True, False, False]
+    assert [engine.bookings_of(wid) for wid in ids] == [before[0], [(10.0, 15.0), (100.0, 130.0)], *before[2:]]

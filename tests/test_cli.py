@@ -330,6 +330,32 @@ def test_non_finite_sim_flags_exit_2(flag, value):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "shift, argv, message",
+    [
+        (10**18, ["--policy", "sc-nearest", "--horizon-min", "2e18", "--batch-times", "none"], "must be below 2**53"),
+        (0, ["--grid-step-min", "1e-300"], "at least 1 minute"),
+        (0, ["--grid-step-min", "1e-3"], "at least 1 minute"),
+    ],
+    ids=["times-near-1e18", "step-1e-300", "step-1e-3"],
+)
+def test_online_retries_that_cannot_advance_the_clock_exit_2(shift, argv, message, tmp_path):
+    # A retry one grid step later once rounded back to the same time, at
+    # times of 1e18 minutes or with a tiny step, and the run never ended.
+    from crowdsim.workload import GenParams, generate, to_json_dict
+
+    doc = to_json_dict(generate(GenParams(2, 40, horizon_min=1440.0), seed=1))
+    for task in doc["tasks"]:
+        task["submit_min"] += shift
+        task["expiration_min"] += shift
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = _main_in_child(["run", "--scenario", str(scenario), *argv, "--out", str(tmp_path / "m.csv")])
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--horizon-min", "inf"), ("--map-km", "nan"), ("--map-km", "inf")])
 def test_non_finite_generator_flags_exit_2(flag, value, tmp_path):
     # An infinite horizon once ended in an OverflowError, and a NaN map wrote

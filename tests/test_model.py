@@ -7,6 +7,7 @@ import pytest
 
 from crowdsim.model import (
     MAX_COORDINATE_KM,
+    MAX_TIME_MIN,
     Disc,
     Point,
     Rect,
@@ -204,6 +205,37 @@ def test_validate_rejects_nan(mutate, fragment):
     mutate(tasks, workers, owners, categories)
     messages = " | ".join(str(v) for v in validate_scenario(tasks, workers, owners, categories))
     assert fragment in messages and "nan" in messages, messages
+
+
+@pytest.mark.parametrize("field", ["submit_time", "expiration", "start_earliest", "start_latest", "booking"])
+def test_validate_rejects_times_at_the_float_limit(field):
+    # From 2**53 minutes on, adding a grid step can round back to the same
+    # time, and an online retry would never move the clock on.
+    tasks, workers, owners, categories = _mini_scenario()
+    below = MAX_TIME_MIN - 1.0
+    times = {"submit_time": 0.0, "expiration": below, "start_earliest": below, "start_latest": below}
+    tasks[0] = replace(tasks[0], **times)
+    workers[0] = replace(workers[0], bookings=[(below - 5.0, below)])
+    assert validate_scenario(tasks, workers, owners, categories) == []
+    if field == "booking":
+        workers[0] = replace(workers[0], bookings=[(below, MAX_TIME_MIN)])
+        want = f"worker {workers[0].id}: booking end must be below 2**53 minutes, got {MAX_TIME_MIN}"
+    else:
+        times[field] = MAX_TIME_MIN
+        tasks[0] = replace(tasks[0], **{**times, "expiration": MAX_TIME_MIN})
+        want = f"task 1: {field} must be below 2**53 minutes, got {MAX_TIME_MIN}"
+    assert want in [str(v) for v in validate_scenario(tasks, workers, owners, categories)]
+
+
+@pytest.mark.parametrize("field", ["start_earliest", "start_latest"])
+def test_validate_rejects_a_nan_start_window(field):
+    # A NaN start bound passed every window check, and the engine then scored
+    # NaN where the scalar reference ignored the bound.
+    tasks, workers, owners, categories = _mini_scenario()
+    tasks[0] = replace(tasks[0], **{field: math.nan})
+    assert [str(v) for v in validate_scenario(tasks, workers, owners, categories)] == [
+        f"task 1: {field} must be below 2**53 minutes, got nan"
+    ]
 
 
 def test_validate_rejects_places_beyond_the_coordinate_limit():

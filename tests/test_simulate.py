@@ -555,13 +555,14 @@ def _psc_days() -> tuple[Scenario, SimConfig]:
 
 def test_schedule_lookups_build_each_rank_column_at_most_once(monkeypatch):
     # A piece table searches its full key array only to build the column of
-    # piece indexes for a rank it has not seen, so over a whole run it does
-    # so at most once per rank, however many online decisions look it up.
+    # piece indexes (or places, or speed) for a rank it has not seen, so over
+    # a whole run it does so at most once per rank, however many online
+    # decisions look it up, under either policy.
     tables = []
     init = assign._PieceTable.__init__
 
-    def register(self, schedules):
-        init(self, schedules)
+    def register(self, *args):
+        init(self, *args)
         tables.append(self)
 
     key_searches = Counter()
@@ -572,15 +573,57 @@ def test_schedule_lookups_build_each_rank_column_at_most_once(monkeypatch):
             key_searches[k] += a is table._keys
         return searchsorted(a, *args, **kwargs)
 
-    decisions = []
-    online_assign = simulate.online_assign
     monkeypatch.setattr(assign._PieceTable, "__init__", register)
     monkeypatch.setattr(np, "searchsorted", counted)
-    monkeypatch.setattr(simulate, "online_assign", lambda *a, **kw: decisions.append(a[2]) or online_assign(*a, **kw))
-    run(*_psc_days())
-    assert len(tables) == 3 and len(decisions) > 100
-    for k, table in enumerate(tables):
-        assert key_searches[k] <= len(table._cuts) + 1, (k, key_searches[k], len(table._cuts) + 1)
+    sc, config = _psc_days()
+    for policy, assigner in (("psc", "online_assign"), ("sc-nearest", "baseline_nearest")):
+        tables.clear()
+        key_searches.clear()
+        decisions = []
+        with monkeypatch.context() as m:
+            decide = getattr(simulate, assigner)
+            m.setattr(simulate, assigner, lambda *a, decide=decide, **kw: decisions.append(a[2]) or decide(*a, **kw))
+            run(sc, replace(config, policy=policy))
+        assert len(tables) == 3 and len(decisions) > 100, policy
+        for k, table in enumerate(tables):
+            assert key_searches[k] <= len(table._cuts) + 1, (policy, k, key_searches[k], len(table._cuts) + 1)
+
+
+def test_nearest_decisions_copy_no_worker_and_book_in_one_column(monkeypatch):
+    # The baseline scores each winner on the engine's live trust counters, so
+    # worker records with their bookings are built only for the final report,
+    # and a booking retires only its own column's ended bookings: every other
+    # column keeps its entries, ended ones included.
+    calls = Counter()
+    for name in ("bookings_of", "live_worker"):
+
+        def counted(self, worker_id, method=getattr(ScoreEngine, name), name=name):
+            calls[name] += 1
+            return method(self, worker_id)
+
+        monkeypatch.setattr(ScoreEngine, name, counted)
+    book = ScoreEngine.book
+    retired = 0
+
+    def columns(engine):
+        starts, ends = engine._bk_start.T.tolist(), engine._bk_end.T.tolist()
+        return [list(zip(s[:k], e[:k])) for s, e, k in zip(starts, ends, engine._bk_count)]
+
+    def spy(self, worker_id, start, end, *now):
+        nonlocal retired
+        i = self.index_of[worker_id]
+        before, gone = columns(self), sum(map(len, self._retired))
+        book(self, worker_id, start, end, *now)
+        retired += sum(map(len, self._retired)) > gone
+        after = columns(self)
+        assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
+
+    monkeypatch.setattr(ScoreEngine, "book", spy)
+    sc, config = _psc_days()
+    rep = run(sc, replace(config, policy="sc-nearest"))
+    dispatches = sum(r.event_kind == "dispatch" for r in rep.log)
+    assert dispatches > 100 and retired > 10
+    assert calls == {"bookings_of": len(sc.workers), "live_worker": len(sc.workers)}
 
 
 def test_booking_table_depth_follows_the_live_bookings(monkeypatch):
