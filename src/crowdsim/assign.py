@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -167,7 +166,6 @@ class _PieceTable:
         inner = [s.piece_ends[:-1] for s in schedules]
         ends = _concat(inner)
         self._cuts = np.unique(ends)
-        self._cut_list = self._cuts.tolist()
         self._rows = np.arange(len(inner))
         self._row_keys = self._rows * (len(self._cuts) + 1)
         self._keys = np.repeat(self._row_keys, [len(e) for e in inner]) + np.searchsorted(self._cuts, ends)
@@ -178,9 +176,10 @@ class _PieceTable:
 
     def index(self, tm: np.ndarray) -> np.ndarray:
         """The column of each week minute's rank, stacked on a leading minutes axis."""
-        if len(tm) == 1:  # an online lookup: the memoised column itself
-            return self._column(bisect_right(self._cut_list, float(tm[0])))[None]
-        return np.stack([self._column(r) for r in np.searchsorted(self._cuts, tm, side="right").tolist()])
+        ranks = np.searchsorted(self._cuts, tm, side="right").tolist()
+        if len(ranks) == 1:  # an online lookup: the memoised column itself
+            return self._column(ranks[0])[None]
+        return np.stack([self._column(r) for r in ranks])
 
     def _column(self, rank: int) -> np.ndarray:
         col = self._columns.get(rank)
@@ -205,10 +204,12 @@ class ScoreEngine:
     category are looked up from the task's own ids.  Workers are kept sorted
     by id, so "first index" tie-breaks equal "lowest worker id".  The engine
     owns the run state: it copies each worker's trust counters and bookings
-    once and never changes the ``Worker`` records.  The simulator advances a
-    counter through :meth:`refresh_trust` and changes bookings through
-    :meth:`book` and :meth:`release`; :meth:`live_worker` reports a worker as
-    the run stands.
+    once and never changes the input ``Worker`` records.  The simulator
+    advances a counter through :meth:`refresh_trust` and changes bookings
+    through :meth:`book` and :meth:`release`; :meth:`live_worker` reports a
+    worker as the run stands.  The records in ``workers`` are the engine's
+    own: each one's ``trust`` dict is its live counters, and its
+    ``bookings`` stay the input's, so keep :meth:`live_worker` copies, not them.
     """
 
     def __init__(
@@ -218,7 +219,9 @@ class ScoreEngine:
         owners: Sequence[TaskOwner],
         velocity: VelocityProfile,
     ):
-        self.workers: list[Worker] = sorted(workers, key=lambda w: w.id)
+        # Copies of the input records, each around its own copy of the trust
+        # dict: that dict holds the run's live counters (see refresh_trust).
+        self.workers: list[Worker] = [replace(w, trust=dict(w.trust)) for w in sorted(workers, key=lambda w: w.id)]
         self.index_of: dict[int, int] = {w.id: i for i, w in enumerate(self.workers)}
         self.categories: dict[int, TaskCategory] = {c.id: c for c in categories}
         self.owners: dict[int, TaskOwner] = {o.id: o for o in owners}
@@ -249,10 +252,7 @@ class ScoreEngine:
         # Live trust counters per worker, and the raw trust per category as
         # Python floats (for bit-exact scalar powers) with its powered
         # vectors cached per category and exponent.
-        self._trust: list[dict[int, TrustCounters]] = [dict(w.trust) for w in self.workers]
-        # Each worker record with the live trust dict in place of its own, for
-        # scalar scores (which read no bookings) without copies.
-        self._trusted = [replace(w, trust=trust) for w, trust in zip(self.workers, self._trust)]
+        self._trust: list[dict[int, TrustCounters]] = [w.trust for w in self.workers]
         self._trust_raw: dict[int, list[float]] = {
             c.id: [trustworthy_score(w.trust_for(c.id)) for w in self.workers]
             for c in self.categories.values()
@@ -626,7 +626,7 @@ def baseline_nearest(
     i = int(np.argmin(np.where(free, dist, np.inf)))
     if not free[i]:  # every free worker is infinitely far: the first of them
         i = int(np.argmax(free))
-    worker = engine._trusted[i]  # the live trust counters; the score reads no bookings
+    worker = engine.workers[i]  # the live trust counters; the score reads no bookings
     assignment = Assignment(
         task_id=task.id,
         worker_id=worker.id,

@@ -146,3 +146,9 @@ def random_instance(seed: int) -> Instance:
         velocity=velocity,
         seed=seed,
     )
+
+
+def booking_columns(engine: ScoreEngine) -> list[list[tuple[float, float]]]:
+    """The bookings in each worker's column of the engine's table, in table order."""
+    starts, ends = engine._bk_start.T.tolist(), engine._bk_end.T.tolist()
+    return [list(zip(s[:k], e[:k])) for s, e, k in zip(starts, ends, engine._bk_count)]

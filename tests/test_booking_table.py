@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import _overlaps
-from instances import random_instance
+from instances import booking_columns, random_instance
 
 from crowdsim.assign import ScoreEngine, _availability_mask
 
@@ -40,12 +40,6 @@ def _check_against_oracle(engine: ScoreEngine, held: dict[int, list], data, now:
     assert engine.booked(t0, t1, rows).tolist() == want
 
 
-def _columns(engine: ScoreEngine) -> list[list[tuple[float, float]]]:
-    """The bookings in each worker's column of the table, in table order."""
-    starts, ends = engine._bk_start.T.tolist(), engine._bk_end.T.tolist()
-    return [list(zip(s[:k], e[:k])) for s, e, k in zip(starts, ends, engine._bk_count)]
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_booking_table_matches_overlap_oracle(seed, data):
@@ -71,10 +65,10 @@ def test_booking_table_matches_overlap_oracle(seed, data):
             wid = data.draw(st.sampled_from(ids))
             start = now - 20.0 + data.draw(_time)
             end = start + data.draw(_length)
-            before = _columns(engine)
+            before = booking_columns(engine)
             engine.book(wid, start, end, now)
             held[wid].append((start, end))
-            after = _columns(engine)
+            after = booking_columns(engine)
             i = engine.index_of[wid]
             assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
         assert engine.bookings_of(wid) == sorted(held[wid])
@@ -145,9 +139,9 @@ def test_filling_a_column_retires_only_its_own_ended_bookings():
     ids = [w.id for w in engine.workers]
     for k, wid in enumerate(ids):  # one booking per column, every one over by 100
         engine.book(wid, 10.0 * k, 10.0 * k + 5.0, 10.0 * k)
-    before = _columns(engine)
+    before = booking_columns(engine)
     engine.book(ids[1], 100.0, 130.0, 100.0)
-    after = _columns(engine)
+    after = booking_columns(engine)
     assert after[1] == [(100.0, 130.0)] and engine._retired[1] == [(10.0, 15.0)]
     assert after[:1] + after[2:] == before[:1] + before[2:]
     assert [len(r) for r in engine._retired] == [0, 1, 0, 0]

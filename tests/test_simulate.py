@@ -9,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from instances import booking_columns
+
 from crowdsim import assign, simulate
 from crowdsim.assign import Assignment, OutcomeKind, ScoreEngine
 from crowdsim.model import Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
@@ -605,17 +607,13 @@ def test_nearest_decisions_copy_no_worker_and_book_in_one_column(monkeypatch):
     book = ScoreEngine.book
     retired = 0
 
-    def columns(engine):
-        starts, ends = engine._bk_start.T.tolist(), engine._bk_end.T.tolist()
-        return [list(zip(s[:k], e[:k])) for s, e, k in zip(starts, ends, engine._bk_count)]
-
     def spy(self, worker_id, start, end, *now):
         nonlocal retired
         i = self.index_of[worker_id]
-        before, gone = columns(self), sum(map(len, self._retired))
+        before, gone = booking_columns(self), sum(map(len, self._retired))
         book(self, worker_id, start, end, *now)
         retired += sum(map(len, self._retired)) > gone
-        after = columns(self)
+        after = booking_columns(self)
         assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
 
     monkeypatch.setattr(ScoreEngine, "book", spy)
