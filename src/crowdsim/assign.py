@@ -249,10 +249,8 @@ class ScoreEngine:
             c.id: np.array([w.reward_demand.get(c.id, c.cat_reward) for w in self.workers])
             for c in self.categories.values()
         }
-        # Live trust counters per worker, and the raw trust per category as
-        # Python floats (for bit-exact scalar powers) with its powered
-        # vectors cached per category and exponent.
-        self._trust: list[dict[int, TrustCounters]] = [w.trust for w in self.workers]
+        # The raw trust per category as Python floats (for bit-exact scalar
+        # powers), with its powered vectors cached per category and exponent.
         self._trust_raw: dict[int, list[float]] = {
             c.id: [trustworthy_score(w.trust_for(c.id)) for w in self.workers]
             for c in self.categories.values()
@@ -263,96 +261,63 @@ class ScoreEngine:
         # rows of column i hold its half-open [start, end) bookings in no
         # particular order, and the (+inf, -inf) padding overlaps nothing.
         # Worker-major columns make the per-worker reduction in
-        # :meth:`booked` run along contiguous rows.  A full column's bookings
-        # that ended before every later query move to ``_retired`` (see :meth:`book`).
-        depth = max([len(w.bookings) for w in self.workers] + [1])
-        self._bk_start = np.full((depth, n), np.inf)
-        self._bk_end = np.full((depth, n), -np.inf)
+        # :meth:`booked` run along contiguous rows.
+        self._bk_start = np.full((1, n), np.inf)
+        self._bk_end = np.full((1, n), -np.inf)
         self._bk_count = [0] * n
-        self._retired: list[list[tuple[float, float]]] = [[] for _ in range(n)]
         for w in self.workers:
             for start, end in w.bookings:
                 self.book(w.id, start, end)
 
     # -- live state ----------------------------------------------------
 
-    def book(self, worker_id: int, start: float, end: float, now: float = -math.inf) -> None:
-        """Book a worker for [start, end) at time ``now``; no later query may start before ``now``.
-
-        So a booking that ends at or before ``now`` overlaps no later query.
-        When the worker's column is full, its own such bookings are retired;
-        the table doubles only if the column is still full, and otherwise
-        shrinks to the least power of two that holds every column.
-        """
+    def book(self, worker_id: int, start: float, end: float) -> None:
+        """Book a worker for [start, end); the table doubles when the worker's column is full."""
         i = self.index_of[worker_id]
         j = self._bk_count[i]
         if j == len(self._bk_start):
-            j = self._make_room(i, now)
+            self._bk_start = np.concatenate((self._bk_start, np.full_like(self._bk_start, np.inf)))
+            self._bk_end = np.concatenate((self._bk_end, np.full_like(self._bk_end, -np.inf)))
         self._bk_start[j, i] = start
         self._bk_end[j, i] = end
         self._bk_count[i] = j + 1
 
-    def _make_room(self, i: int, now: float) -> int:
-        """Retire the full column ``i``'s bookings that ended by ``now`` and resize the table; returns its count."""
-        depth = len(self._bk_start)
-        starts, ends = self._bk_start[:, i], self._bk_end[:, i]
-        held = list(zip(starts.tolist(), ends.tolist()))
-        live = [b for b in held if b[1] > now]
-        k = len(live)
-        if k == depth:
-            self._bk_start = np.concatenate((self._bk_start, np.full_like(self._bk_start, np.inf)))
-            self._bk_end = np.concatenate((self._bk_end, np.full_like(self._bk_end, -np.inf)))
-            return k
-        self._retired[i] += [b for b in held if b[1] <= now]
-        starts[:] = [s for s, _e in live] + [np.inf] * (depth - k)
-        ends[:] = [e for _s, e in live] + [-np.inf] * (depth - k)
-        self._bk_count[i] = k
-        if depth > 1:  # one row cannot shrink; skip the scan of every column
-            fit = 1 << (max(max(self._bk_count), k + 1) - 1).bit_length()
-            if fit < depth:
-                self._bk_start = self._bk_start[:fit].copy()
-                self._bk_end = self._bk_end[:fit].copy()
-        return k
-
     def release(self, worker_id: int, start: float, end: float) -> None:
-        """Drop one booking of [start, end) that :meth:`book` placed, live or retired."""
+        """Drop one booking of [start, end) that :meth:`book` placed."""
         i = self.index_of[worker_id]
         last = self._bk_count[i] - 1
         starts, ends = self._bk_start[:, i], self._bk_end[:, i]
         hits = np.flatnonzero((starts[: last + 1] == start) & (ends[: last + 1] == end))
-        if len(hits):
-            j = hits[0]
-            starts[j], ends[j] = starts[last], ends[last]
-            starts[last], ends[last] = np.inf, -np.inf
-            self._bk_count[i] = last
-        elif (start, end) in self._retired[i]:
-            self._retired[i].remove((start, end))
-        else:
+        if not len(hits):
             raise ValueError(f"worker {worker_id} holds no booking [{start}, {end})")
+        j = hits[0]
+        starts[j], ends[j] = starts[last], ends[last]
+        starts[last], ends[last] = np.inf, -np.inf
+        self._bk_count[i] = last
 
     def bookings_of(self, worker_id: int) -> list[tuple[float, float]]:
-        """A worker's bookings, retired ones included, as (start, end) tuples in ascending order."""
+        """A worker's bookings in the table, as (start, end) tuples in ascending order."""
         i = self.index_of[worker_id]
         k = self._bk_count[i]
-        return sorted(self._retired[i] + list(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist())))
+        return sorted(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist()))
 
     def booked(self, start, end, rows=slice(None)) -> np.ndarray:
         """Whether [start, end) overlaps a booking, for each worker index in ``rows``.
 
-        ``start`` and ``end`` are scalars or arrays aligned with ``rows``,
-        and no start is before the latest ``now`` given to :meth:`book`.
+        ``start`` and ``end`` are scalars or arrays aligned with ``rows``.
         """
         return ((self._bk_start[:, rows] < end) & (self._bk_end[:, rows] > start)).any(axis=0)
 
     def live_worker(self, worker_id: int) -> Worker:
-        """The worker with this run's trust counters and bookings."""
+        """The worker with this run's trust counters and the bookings in the table."""
         i = self.index_of[worker_id]
-        return replace(self.workers[i], trust=dict(self._trust[i]), bookings=self.bookings_of(worker_id))
+        return replace(self.workers[i], trust=dict(self.workers[i].trust), bookings=self.bookings_of(worker_id))
 
     def refresh_trust(self, worker_id: int, category_id: int, event: str) -> None:
         """Advance one trust counter on ``event`` and update the cached trust of that category."""
         i = self.index_of[worker_id]
-        c = self._trust[i].get(category_id) or TrustCounters()
+        trust = self.workers[i].trust
+        c = trust.get(category_id) or TrustCounters()
         if event not in ("assigned", "accepted", "completed"):
             raise ValueError(f"unknown trust event {event!r}")
         c = TrustCounters(
@@ -365,7 +330,7 @@ class ScoreEngine:
             raise RuntimeError(
                 f"internal fault: worker {worker_id} {event} a category-{category_id} task out of order"
             )
-        self._trust[i][category_id] = c
+        trust[category_id] = c
         raw = trustworthy_score(c)
         self._trust_raw[category_id][i] = raw
         for exponent, vec in self._trust_pow[category_id].items():

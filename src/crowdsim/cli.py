@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assign import TimeGrid
 from .model import centroid
 from .simulate import POLICIES, SimConfig, SimReport, run
 from .workload import (
@@ -110,15 +109,14 @@ def _build_config(args, scenario: Scenario, policy: str, seed: int) -> SimConfig
     else:
         duration = DAY_MIN
     # The config checks the horizon before the batch times are laid out up to it.
-    config = SimConfig(duration_min=duration, seed=seed, policy=policy)
-    grid = TimeGrid(step_min=float(args.grid_step_min), horizon_min=duration)
+    config = SimConfig(duration_min=duration, seed=seed, policy=policy, grid_step_min=float(args.grid_step_min))
     if args.batch_times is None:
         batch_times = _default_batch_times(duration)
     elif args.batch_times.strip().lower() in ("", "none"):
         batch_times = ()
     else:
         batch_times = tuple(float(x) for x in args.batch_times.split(","))
-    return replace(config, offline_batch_times=batch_times, grid=grid)
+    return replace(config, offline_batch_times=batch_times)
 
 
 def _metrics_row(report: SimReport, policy: str, seed: int) -> dict:

@@ -16,7 +16,7 @@ import bisect
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -45,12 +45,14 @@ class SimConfig:
     runs (ignored by the sc-nearest policy, which is purely online); each
     must be finite and >= 0, and those past ``duration_min`` never come.
     ``response_delay_min`` is how long a dispatched worker takes to accept
-    or reject; rejections therefore cost real time.
+    or reject; rejections therefore cost real time.  The batch assigner
+    dispatches on a grid of ``grid_step_min`` steps that ends at
+    ``duration_min``; online retries wait one step.
     """
 
     duration_min: float
     offline_batch_times: tuple[float, ...] = ()
-    grid: TimeGrid = field(default_factory=TimeGrid)
+    grid_step_min: float = 15.0
     seed: int = 0
     policy: str = "psc"
     response_delay_min: float = 5.0
@@ -60,6 +62,7 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if not (0 < self.duration_min < math.inf):
             raise ValueError(f"duration_min must be finite and > 0, got {self.duration_min}")
+        TimeGrid(self.grid_step_min, self.duration_min)  # checks the step
         if not (0 <= self.response_delay_min < math.inf):
             raise ValueError(f"response_delay_min must be finite and >= 0, got {self.response_delay_min}")
         for t in self.offline_batch_times:
@@ -159,6 +162,7 @@ class _Sim:
         self.worker_ids = [w.id for w in scenario.workers]  # the order of final_workers
         self.engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
         self.rng = random.Random(config.seed)
+        self.grid = TimeGrid(config.grid_step_min, config.duration_min)
         # sc-nearest is the same loop without batches: every task goes online.
         batch_times = () if config.policy == "sc-nearest" else config.offline_batch_times
         self.batch_times = tuple(sorted(t for t in batch_times if t <= config.duration_min))
@@ -174,10 +178,10 @@ class _Sim:
         self.seq += 1
         heapq.heappush(self.heap, (t, rank, self.seq, tid))
 
-    def _hold(self, r: _Run, a: Assignment, t: float) -> None:
-        """Book the offer's worker at event time ``t`` and schedule its dispatch."""
+    def _hold(self, r: _Run, a: Assignment) -> None:
+        """Book the offer's worker and schedule its dispatch."""
         r.state, r.assignment = TaskState.PENDING, a
-        self.engine.book(a.worker_id, *a.booking, t)
+        self.engine.book(a.worker_id, *a.booking)
         self.push(a.dispatch_time, _R_DISPATCH, r.task.id)
 
     def _expire(self, r: _Run, t: float) -> None:
@@ -195,7 +199,7 @@ class _Sim:
         # fit after the wait: the next batch must leave room for the full
         # duration plus two grid steps of travel/slippage margin before the
         # deadline, and must not outlast the latest allowed start.
-        margin = 2.0 * self.config.grid.step_min
+        margin = 2.0 * self.grid.step_min
         latest_useful = task.expiration - task.duration - margin
         if task.start_latest is not None:
             latest_useful = min(latest_useful, task.start_latest - margin)
@@ -212,9 +216,9 @@ class _Sim:
         self.log.append(LogRow(t, "offline_batch"))
         if not ready:
             return
-        assignments, unassigned = offline_assign(ready, self.engine, t, self.config.grid, self.config.seed)
+        assignments, unassigned = offline_assign(ready, self.engine, t, self.grid, self.config.seed)
         for a in assignments:
-            self._hold(self.runs[a.task_id], a, t)
+            self._hold(self.runs[a.task_id], a)
         for tid, _kind in unassigned:
             # One online attempt (reward raises allowed) before giving up.
             self.push(t, _R_ONLINE, tid)
@@ -233,12 +237,12 @@ class _Sim:
             outcome = baseline_nearest(eff_task, self.engine, t, exclude_workers=r.rejected_by)
         if outcome.kind is OutcomeKind.ASSIGNED:
             r.reward = outcome.effective_reward
-            self._hold(r, outcome.assignment, t)
+            self._hold(r, outcome.assignment)
             return
         if outcome.kind is OutcomeKind.NO_SUITABLE_WORKER:
             # Usually transient congestion (everyone booked right now), so
             # retry one grid step later as long as the deadline allows.
-            retry_at = t + self.config.grid.step_min
+            retry_at = t + self.grid.step_min
             if retry_at < task.expiration and retry_at <= self.config.duration_min:
                 self.push(retry_at, _R_ONLINE, tid)
                 return
@@ -277,6 +281,7 @@ class _Sim:
         # No state check: only this event moves a task on from in-progress.
         r = self.runs[tid]
         a = r.assignment
+        self.engine.release(a.worker_id, *a.booking)
         self.engine.refresh_trust(a.worker_id, r.task.category_id, "completed")
         r.state = TaskState.COMPLETED
         self.travel_completed.append(a.travel_km)
@@ -319,6 +324,17 @@ class _Sim:
                 self._expire(self.runs[tid], duration)
 
         runs = self.runs.values()
+        # Completed work is released from the engine's table, so the report
+        # lists each worker's scenario bookings plus those of its accepted tasks.
+        engine = self.engine
+        held = {w.id: [(float(s), float(e)) for s, e in w.bookings] for w in engine.workers}
+        for r in runs:
+            if r.accepted:
+                held[r.assignment.worker_id].append(r.assignment.booking)
+        final_workers = tuple(
+            replace(w, trust=dict(w.trust), bookings=sorted(held[w.id]))
+            for w in (engine.workers[engine.index_of[wid]] for wid in self.worker_ids)
+        )
         states = [r.state for r in runs]
         completed = states.count(TaskState.COMPLETED)
         per_hour, fraction, mean_travel = performance_metrics(completed, len(runs), duration, self.travel_completed)
@@ -337,7 +353,7 @@ class _Sim:
             completion_fraction=fraction,
             mean_travel_km=mean_travel,
             log=tuple(self.log),
-            final_workers=tuple(self.engine.live_worker(wid) for wid in self.worker_ids),
+            final_workers=final_workers,
             task_state={tid: r.state for tid, r in self.runs.items()},
             unassigned_reason={tid: r.reason for tid, r in self.runs.items() if r.reason is not None},
         )

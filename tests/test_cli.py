@@ -113,6 +113,23 @@ def test_run_horizon_and_batch_overrides(tmp_path):
     assert row["tasks_accepted"] == "1"
 
 
+def test_run_api_matches_the_cli_past_one_week(tmp_path):
+    # Both front ends end the batch grid at the run's horizon, so in a
+    # two-week run the second week's batches find grid times either way.
+    from crowdsim.cli import METRIC_COLUMNS, _metrics_row, _write_csv
+    from crowdsim.simulate import SimConfig, run
+    from crowdsim.workload import GenParams, generate, load, save
+
+    path = tmp_path / "scenario.json"
+    save(generate(GenParams(60, 300, horizon_min=20160.0), seed=2), path)
+    cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
+    assert main(["run", "--scenario", str(path), "--horizon-min", "20160", "--out", str(cli_csv)]) == 0
+    report = run(load(path), SimConfig(duration_min=20160.0, offline_batch_times=tuple(range(180, 20160, 1440))))
+    _write_csv(str(api_csv), METRIC_COLUMNS, [_metrics_row(report, "psc", 0)])
+    assert api_csv.read_bytes() == cli_csv.read_bytes()
+    assert report.counts["completed"] == 288
+
+
 # -- generate ----------------------------------------------------------------------
 
 

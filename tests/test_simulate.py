@@ -9,8 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from instances import booking_columns
-
 from crowdsim import assign, simulate
 from crowdsim.assign import Assignment, OutcomeKind, ScoreEngine
 from crowdsim.model import Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
@@ -290,6 +288,8 @@ def test_sim_config_rejects_non_finite(bad):
         SimConfig(duration_min=bad)
     with pytest.raises(ValueError):
         SimConfig(duration_min=100.0, response_delay_min=bad)
+    with pytest.raises(ValueError, match="grid step must be finite"):
+        SimConfig(duration_min=100.0, grid_step_min=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
@@ -374,9 +374,8 @@ def test_refused_offer_releases_hold_and_excludes_worker():
 
 def test_rejection_decided_after_the_booking_ended_releases_it(monkeypatch):
     # Task 1 books the worker for [60, 90), and its decision comes at 160.
-    # Task 2 books the same worker at 100, which fills the worker's column,
-    # so [60, 90) is retired first. The rejection at 160 must still release
-    # it, and the report holds neither booking.
+    # Task 2 books the same worker at 100. The rejection at 160 must still
+    # release the booking that ended at 90, and the report holds neither.
     assert [random.Random(0).random() > 0.01 for _ in range(2)] == [True, True]
     sc = _one_worker_scenario(status=0.01)
     sc.tasks.append(replace(sc.tasks[0], id=2, submit_time=100.0))
@@ -384,7 +383,7 @@ def test_rejection_decided_after_the_booking_ended_releases_it(monkeypatch):
     release = ScoreEngine.release
 
     def spy(self, worker_id, start, end):
-        released.append(((start, end), (start, end) in self._retired[self.index_of[worker_id]]))
+        released.append((start, end))
         release(self, worker_id, start, end)
 
     monkeypatch.setattr(ScoreEngine, "release", spy)
@@ -395,8 +394,29 @@ def test_rejection_decided_after_the_booking_ended_releases_it(monkeypatch):
         (160.0, "rejected", 1, 1),
         (200.0, "rejected", 2, 1),
     ]
-    assert released == [((60.0, 90.0), True), ((100.0, 130.0), False)]
+    assert released == [(60.0, 90.0), (100.0, 130.0)]
     assert rep.final_workers[0].bookings == []
+
+
+@pytest.mark.parametrize("policy", ["psc", "sc-nearest"])
+def test_scenario_bookings_hold_for_the_run_and_end_in_the_report(policy):
+    # The worker is booked by the scenario until 100, so task 1 waits for
+    # it; task 2 then waits for task 1's work to end. Completed work leaves
+    # the engine's table, and the report lists the scenario's booking plus
+    # those of both accepted tasks.
+    sc = _one_worker_scenario(status=1.0)
+    sc.workers[0] = replace(sc.workers[0], bookings=[(0.0, 100.0)])
+    sc.tasks.append(replace(sc.tasks[0], id=2, submit_time=120.0))
+    rep = run(sc, SimConfig(duration_min=300.0, seed=0, policy=policy))
+    assert _trace(rep) == [
+        (105.0, "dispatch", 1, 1),
+        (110.0, "accepted", 1, 1),
+        (135.0, "dispatch", 2, 1),
+        (135.0, "completed", 1, 1),
+        (140.0, "accepted", 2, 1),
+        (165.0, "completed", 2, 1),
+    ]
+    assert rep.final_workers[0].bookings == [(0.0, 100.0), (105.0, 135.0), (135.0, 165.0)]
 
 
 def test_zero_availability_worker_is_never_even_offered():
@@ -591,11 +611,10 @@ def test_schedule_lookups_build_each_rank_column_at_most_once(monkeypatch):
             assert key_searches[k] <= len(table._cuts) + 1, (policy, k, key_searches[k], len(table._cuts) + 1)
 
 
-def test_nearest_decisions_copy_no_worker_and_book_in_one_column(monkeypatch):
-    # The baseline scores each winner on the engine's live trust counters, so
-    # worker records with their bookings are built only for the final report,
-    # and a booking retires only its own column's ended bookings: every other
-    # column keeps its entries, ended ones included.
+def test_nearest_decisions_copy_no_worker(monkeypatch):
+    # The baseline scores each winner on the engine's live trust counters,
+    # and the report builds its workers from the run's records, so no worker
+    # record with its bookings is built at all.
     calls = Counter()
     for name in ("bookings_of", "live_worker"):
 
@@ -604,54 +623,41 @@ def test_nearest_decisions_copy_no_worker_and_book_in_one_column(monkeypatch):
             return method(self, worker_id)
 
         monkeypatch.setattr(ScoreEngine, name, counted)
-    book = ScoreEngine.book
-    retired = 0
-
-    def spy(self, worker_id, start, end, *now):
-        nonlocal retired
-        i = self.index_of[worker_id]
-        before, gone = booking_columns(self), sum(map(len, self._retired))
-        book(self, worker_id, start, end, *now)
-        retired += sum(map(len, self._retired)) > gone
-        after = booking_columns(self)
-        assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
-
-    monkeypatch.setattr(ScoreEngine, "book", spy)
     sc, config = _psc_days()
     rep = run(sc, replace(config, policy="sc-nearest"))
-    dispatches = sum(r.event_kind == "dispatch" for r in rep.log)
-    assert dispatches > 100 and retired > 10
-    assert calls == {"bookings_of": len(sc.workers), "live_worker": len(sc.workers)}
+    assert sum(r.event_kind == "dispatch" for r in rep.log) > 100
+    assert calls == {}
 
 
 def test_booking_table_depth_follows_the_live_bookings(monkeypatch):
-    # The table keeps only bookings that have not ended, so its depth ends
-    # at most at the largest number of live bookings a worker held at a
-    # booking, rounded up to a power of two, not at the most it ever held.
-    clock = [-math.inf]
-    for name in ("on_batch", "on_online"):
-
-        def timed(self, t, tid, handler=getattr(_Sim, name)):
-            clock[0] = t
-            handler(self, t, tid)
-
-        monkeypatch.setattr(_Sim, name, timed)
-    engines = []
-    most_live = 0
-    book = ScoreEngine.book
-
-    def spy(self, worker_id, start, end, *now):
-        nonlocal most_live
-        held = self.bookings_of(worker_id) + [(start, end)]
-        most_live = max(most_live, sum(e > clock[0] for _s, e in held))
-        engines.append(self)
-        book(self, worker_id, start, end, *now)
-
-    monkeypatch.setattr(ScoreEngine, "book", spy)
+    # Each task's booking is released when it is rejected, expires or
+    # completes, so after every event the table holds exactly the scenario's
+    # bookings and those of the pending and in-progress tasks. It doubles
+    # only when a worker's column is full, so its depth is at most the
+    # least power of two at or above the most bookings a worker held at once.
     sc, config = _psc_days()
-    run(sc, config)
-    engine = engines[-1]
-    depth = len(engine._bk_start)
-    most_held = max(len(engine.bookings_of(w.id)) for w in sc.workers)
-    assert depth <= 1 << (most_live - 1).bit_length(), (depth, most_live, most_held)
-    assert most_held > depth
+    given = {w.id: list(w.bookings) for w in sc.workers}
+    most_held = events = 0
+
+    def check(sim):
+        nonlocal most_held, events
+        want = {wid: list(b) for wid, b in given.items()}
+        for r in sim.runs.values():
+            if r.state in (TaskState.PENDING, TaskState.IN_PROGRESS):
+                want[r.assignment.worker_id].append(r.assignment.booking)
+        assert {wid: sim.engine.bookings_of(wid) for wid in want} == {wid: sorted(b) for wid, b in want.items()}
+        most_held = max(most_held, *map(len, want.values()))
+        assert len(sim.engine._bk_start) <= 1 << (most_held - 1).bit_length()
+        events += 1
+
+    for name in ("on_submit", "on_batch", "on_online", "on_dispatch", "on_decision", "on_complete", "on_expire"):
+
+        def checked(self, t, tid, handler=getattr(_Sim, name)):
+            handler(self, t, tid)
+            check(self)
+
+        monkeypatch.setattr(_Sim, name, checked)
+    for policy in ("psc", "sc-nearest"):
+        most_held = events = 0
+        rep = run(sc, replace(config, policy=policy))
+        assert events > 1000 and rep.counts["completed"] > 100 and most_held > 1, policy
