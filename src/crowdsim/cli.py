@@ -48,6 +48,9 @@ COMPARE_COLUMNS = ("policy", "seed", "performance_def1", "completion_fraction", 
 #: Default daily batch start: 03:00, repeated every 24 h.
 DEFAULT_BATCH_OFFSET_MIN = 180.0
 DAY_MIN = 1440.0
+#: Most daily batches laid out by default (about 274 years); a longer
+#: horizon needs ``--batch-times``.
+MAX_DEFAULT_BATCHES = 100_000
 
 
 def _fmt(v) -> str:
@@ -93,12 +96,16 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _default_batch_times(duration_min: float) -> tuple[float, ...]:
-    times = []
-    t = DEFAULT_BATCH_OFFSET_MIN
-    while t <= duration_min:
-        times.append(t)
-        t += DAY_MIN
-    return tuple(times)
+    """One batch a day at 03:00 up to the horizon; each time is an exact integer."""
+    if duration_min < DEFAULT_BATCH_OFFSET_MIN:
+        return ()
+    n = int((duration_min - DEFAULT_BATCH_OFFSET_MIN) // DAY_MIN) + 1
+    if n > MAX_DEFAULT_BATCHES:
+        raise ValueError(
+            f"a horizon of {duration_min:g} minutes would lay out {n} daily batches, "
+            f"more than {MAX_DEFAULT_BATCHES}; give --batch-times (or 'none')"
+        )
+    return tuple(DEFAULT_BATCH_OFFSET_MIN + DAY_MIN * k for k in range(n))
 
 
 def _build_config(args, scenario: Scenario, policy: str, seed: int) -> SimConfig:

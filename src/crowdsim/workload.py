@@ -12,12 +12,15 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import count, repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple, NoReturn
 
 from .model import (
     KM_PER_MILE,
+    MAX_TIME_MIN,
     Disc,
     Point,
     Rect,
@@ -84,102 +87,154 @@ class Scenario:
 # Each record is one field table: the JSON key, the codec that reads and
 # writes its value, the record attribute it fills and whether the key may be
 # left out.  The same table drives saving, strict loading and error locations.
+#
+# A codec's ``load(v, parent, key)`` reads the value found under ``key`` in
+# the container at location ``parent``.  A location is the chain of
+# ``(parent, key)`` pairs up to the root key ``"scenario"``, whose parent is
+# ``None``; ``_where`` spells it out only when an error is raised.  A codec's
+# ``emit(value, pad)`` returns the value's text as the json module writes it
+# with a two-space indent and sorted keys, where ``pad`` is the indentation
+# of the line the value starts on.
+
+_INDENT = "  "
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _fail(ctx: str, msg: str) -> NoReturn:
-    raise ScenarioFormatError(f"{ctx}: {msg}")
+def _where(parent: Any, key: str | int) -> str:
+    """Spell out a location: ``scenario.tasks[0].region``."""
+    parts = []
+    while parent is not None:
+        parts.append(f"[{key}]" if type(key) is int else f".{key}")
+        parent, key = parent
+    parts.append(key)
+    return "".join(reversed(parts))
 
 
-def _obj(v: Any, ctx: str, required: tuple[str, ...], allowed: frozenset[str]) -> None:
+def _fail(parent: Any, key: str | int, msg: str) -> NoReturn:
+    raise ScenarioFormatError(f"{_where(parent, key)}: {msg}")
+
+
+def _obj(v: Any, parent: Any, key: str | int, required: tuple[str, ...], allowed: frozenset[str]) -> None:
     if not isinstance(v, dict):
-        _fail(ctx, f"expected an object, got {type(v).__name__}")
-    for key in required:
-        if key not in v:
-            _fail(ctx, f"missing field '{key}'")
+        _fail(parent, key, f"expected an object, got {type(v).__name__}")
+    for field in required:
+        if field not in v:
+            _fail(parent, key, f"missing field '{field}'")
     if not allowed.issuperset(v):
-        _fail(ctx, f"unknown field '{next(key for key in v if key not in allowed)}'")
+        _fail(parent, key, f"unknown field '{next(field for field in v if field not in allowed)}'")
 
 
-def _list(v: Any, ctx: str) -> list:
+def _list(v: Any, parent: Any, key: str | int) -> list:
     if not isinstance(v, list):
-        _fail(ctx, f"expected an array, got {type(v).__name__}")
+        _fail(parent, key, f"expected an array, got {type(v).__name__}")
     return v
 
 
-def _finite(v: int | float, ctx: str) -> float:
+# Each scalar loader returns the common case after one type test; only a
+# value that fails it reaches the checks below that test.
+
+
+def _finite(v: int | float, parent: Any, key: str | int) -> float:
     # json reads NaN, Infinity and integers too large for a float.
     try:
         f = float(v)
     except OverflowError:
         f = math.inf
     if not math.isfinite(f):
-        _fail(ctx, f"expected a finite number, got {v!r}")
+        _fail(parent, key, f"expected a finite number, got {v!r}")
     return f
 
 
-def _num(v: Any, ctx: str) -> float:
+def _num(v: Any, parent: Any, key: str | int) -> float:
+    if type(v) is float and v - v == 0.0:  # NaN - NaN and inf - inf are NaN
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(ctx, f"expected a number, got {v!r}")
-    return _finite(v, ctx)
+        _fail(parent, key, f"expected a number, got {v!r}")
+    return _finite(v, parent, key)
 
 
-def _int_minutes(v: Any, ctx: str) -> float:
+def _int_minutes(v: Any, parent: Any, key: str | int) -> float:
+    if type(v) is int and -MAX_TIME_MIN < v < MAX_TIME_MIN:
+        return float(v)
     if isinstance(v, bool) or not isinstance(v, int):
-        _fail(ctx, f"times must be integer minutes, got {v!r}")
-    return _finite(v, ctx)
+        _fail(parent, key, f"times must be integer minutes, got {v!r}")
+    return _finite(v, parent, key)
 
 
-def _int(v: Any, ctx: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(ctx, f"expected an integer, got {v!r}")
+def _int(v: Any, parent: Any, key: str | int) -> int:
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+        _fail(parent, key, f"expected an integer, got {v!r}")
     return v
 
 
-def _str(v: Any, ctx: str) -> str:
+def _str(v: Any, parent: Any, key: str | int) -> str:
     if not isinstance(v, str):
-        _fail(ctx, f"expected a string, got {v!r}")
+        _fail(parent, key, f"expected a string, got {v!r}")
     return v
 
 
-def _version(v: Any, ctx: str) -> int:
-    version = _int(v, ctx)
+def _version(v: Any, parent: Any, key: str | int) -> int:
+    version = _int(v, parent, key)
     if version != SCHEMA_VERSION:
-        _fail(ctx, f"unsupported version {version}, expected {SCHEMA_VERSION}")
+        _fail(parent, key, f"unsupported version {version}, expected {SCHEMA_VERSION}")
     return version
 
 
+def _float_text(v: Any) -> str:
+    text = repr(float(v))
+    return _NON_FINITE[text] if "n" in text else text  # "nan", "inf", "-inf"
+
+
+def _str_text(v: Any) -> str:
+    return encode_basestring_ascii(str(v))
+
+
+def _block(open_: str, items: list[str], close: str, pad: str, inner: str) -> str:
+    """An array or object of already written items, one per line at ``inner``."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{close}"
+
+
 class _Scalar:
-    """A JSON scalar: ``load(value, ctx)`` checks and converts, ``dump`` writes."""
+    """A JSON scalar: ``load(value, parent, key)`` checks and converts, ``text(value)`` writes."""
 
-    def __init__(self, load: Callable[[Any, str], Any], dump: Callable[[Any], Any]):
+    def __init__(self, load: Callable[[Any, Any, str | int], Any], text: Callable[[Any], str]):
         self.load = load
-        self.dump = dump
+        self.text = text
+
+    def emit(self, value: Any, pad: str) -> str:
+        return self.text(value)
 
 
-_NUMBER = _Scalar(_num, float)
-_INT = _Scalar(_int, int)
-_STR = _Scalar(_str, str)
-_MINUTES = _Scalar(_int_minutes, int)
-_VERSION = _Scalar(_version, int)
+# "%d" % v writes int(v): minutes are held as floats.
+_NUMBER = _Scalar(_num, _float_text)
+_INT = _Scalar(_int, "%d".__mod__)
+_STR = _Scalar(_str, _str_text)
+_MINUTES = _Scalar(_int_minutes, "%d".__mod__)
+_VERSION = _Scalar(_version, "%d".__mod__)
 
 
 class _Array:
-    """A JSON array of one item codec; item ``i`` is located at ``ctx[i]``."""
+    """A JSON array of one item codec; item ``i`` is located at ``[i]`` of the array."""
 
     def __init__(self, item: _Codec, sort: bool = False):
         self.item = item
         self.sort = sort
 
-    def load(self, v: Any, ctx: str) -> list:
-        load = self.item.load
-        return [load(x, f"{ctx}[{i}]") for i, x in enumerate(_list(v, ctx))]
+    def load(self, v: Any, parent: Any, key: str | int) -> list:
+        _list(v, parent, key)
+        return list(map(self.item.load, v, repeat((parent, key)), count()))
 
-    def dump(self, values: Iterable) -> list:
-        return list(map(self.item.dump, sorted(values) if self.sort else values))
+    def emit(self, values: Iterable, pad: str) -> str:
+        inner, item = pad + _INDENT, self.item
+        if self.sort:
+            values = sorted(values)
+        return _block("[", [item.emit(x, inner) for x in values], "]", pad, inner)
 
 
 class _Tuple:
-    """A fixed-length JSON array built into one value by ``make(*items)``."""
+    """A fixed-length JSON array of scalars built into one value by ``make(*items)``."""
 
     def __init__(
         self, make: Callable, parts: Callable[[Any], tuple], n: int, item: _Codec = _NUMBER, shape: str = ""
@@ -190,18 +245,17 @@ class _Tuple:
         self.item = item
         self.shape = shape or f"{n} numbers"
 
-    def load(self, v: Any, ctx: str) -> Any:
-        if len(_list(v, ctx)) != self.n:
-            _fail(ctx, f"expected {self.shape}, got {len(v)}")
-        load = self.item.load
-        items = [load(x, f"{ctx}[{i}]") for i, x in enumerate(v)]
+    def load(self, v: Any, parent: Any, key: str | int) -> Any:
+        if len(_list(v, parent, key)) != self.n:
+            _fail(parent, key, f"expected {self.shape}, got {len(v)}")
+        items = list(map(self.item.load, v, repeat((parent, key)), count()))
         try:
             return self.make(*items)
         except ValueError as exc:
-            raise ScenarioFormatError(f"{ctx}: {exc}") from None
+            raise ScenarioFormatError(f"{_where(parent, key)}: {exc}") from None
 
-    def dump(self, value: Any) -> list:
-        return list(map(self.item.dump, self.parts(value)))
+    def emit(self, value: Any, pad: str) -> str:
+        return _block("[", list(map(self.item.text, self.parts(value))), "]", pad, pad + _INDENT)
 
 
 class _Region:
@@ -213,47 +267,51 @@ class _Region:
         "disc": _Tuple(Disc, attrgetter("cx", "cy", "radius"), 3),
     }
     allowed = frozenset(shapes)
-    by_type = {shape.make: (key, shape) for key, shape in shapes.items()}
+    by_type = {shape.make: (f'"{key}": ', shape) for key, shape in shapes.items()}
 
-    def load(self, v: Any, ctx: str) -> Region:
-        _obj(v, ctx, (), self.allowed)
+    def load(self, v: Any, parent: Any, key: str | int) -> Region:
+        _obj(v, parent, key, (), self.allowed)
         if len(v) != 1:
-            _fail(ctx, "region must have exactly one of 'point', 'rect', 'disc'")
-        ((key, value),) = v.items()
-        return self.shapes[key].load(value, f"{ctx}.{key}")
+            _fail(parent, key, "region must have exactly one of 'point', 'rect', 'disc'")
+        ((shape, value),) = v.items()
+        return self.shapes[shape].load(value, (parent, key), shape)
 
-    def dump(self, region: Region) -> dict:
+    def emit(self, region: Region, pad: str) -> str:
         try:
-            key, shape = self.by_type[type(region)]
+            name, shape = self.by_type[type(region)]
         except KeyError:
             raise TypeError(f"not a region: {region!r}") from None
-        return {key: shape.dump(region)}
+        inner = pad + _INDENT
+        return _block("{", [name + shape.emit(region, inner)], "}", pad, inner)
 
 
 class _IdMap:
-    """A JSON object keyed by integer ids written as strings; entry ``k`` is located at ``ctx[k]``."""
+    """A JSON object keyed by integer ids written as strings; entry ``k`` is located at ``[k]`` of the map."""
 
     def __init__(self, item: _Codec):
         self.item = item
 
-    def load(self, v: Any, ctx: str) -> dict[int, Any]:
+    def load(self, v: Any, parent: Any, key: str | int) -> dict[int, Any]:
         if not isinstance(v, dict):
-            _fail(ctx, f"expected an object, got {type(v).__name__}")
-        load = self.item.load
+            _fail(parent, key, f"expected an object, got {type(v).__name__}")
+        loc, load = (parent, key), self.item.load
         out = {}
         for k, x in v.items():
             try:
-                key = int(k)
+                i = int(k)
             except ValueError:
-                key = None
-            if str(key) != k:  # "01", " 1 " or "1_0" would alias another key
-                raise ScenarioFormatError(f"{ctx}: key {k!r} is not an integer id")
-            out[key] = load(x, f"{ctx}[{k}]")
+                i = None
+            if str(i) != k:  # "01", " 1 " or "1_0" would alias another key
+                _fail(parent, key, f"key {k!r} is not an integer id")
+            out[i] = load(x, loc, i)
         return out
 
-    def dump(self, mapping: dict[int, Any]) -> dict[str, Any]:
-        dump = self.item.dump
-        return {str(k): dump(x) for k, x in sorted(mapping.items())}
+    def emit(self, mapping: dict[int, Any], pad: str) -> str:
+        # sort_keys orders the keys as strings, so "10" comes before "2".
+        inner, emit = pad + _INDENT, self.item.emit
+        entries = sorted(((str(k), x) for k, x in mapping.items()), key=itemgetter(0))
+        items = [f"{encode_basestring_ascii(k)}: {emit(x, inner)}" for k, x in entries]
+        return _block("{", items, "}", pad, inner)
 
 
 class _Field(NamedTuple):
@@ -270,38 +328,41 @@ class _Record:
     """A JSON object declared by a field table and built by ``make(**fields)``.
 
     Loading checks for missing and unknown keys, loads field ``key`` at
-    ``ctx.key`` and calls ``make`` once; only ``make``'s own ``ValueError`` is
-    located at ``ctx``.  Dumping writes, in table order, every field whose
-    attribute is not ``None``.
+    ``.key`` of the record and calls ``make`` once; only ``make``'s own
+    ``ValueError`` is located at the record.  Emitting writes, in key order,
+    every field whose attribute is not ``None``.
     """
 
     def __init__(self, make: Callable[..., Any], fields: Iterable[_Field]):
+        fields = tuple(fields)
         self.make = make
-        self.fields = tuple(fields)
-        self.required = tuple(f.key for f in self.fields if not f.optional)
-        self.allowed = frozenset(f.key for f in self.fields)
-        attrs = [f.attr or f.key for f in self.fields]
-        self.plan = tuple((f.key, "." + f.key, attr, f.codec.load) for f, attr in zip(self.fields, attrs))
-        self.keys_dumps = tuple((f.key, f.codec.dump) for f in self.fields)
-        self.values = attrgetter(*attrs)
+        self.required = tuple(f.key for f in fields if not f.optional)
+        self.required_set = frozenset(self.required)
+        self.allowed = frozenset(f.key for f in fields)
+        self.plan = tuple((f.key, f.attr or f.key, f.codec.load) for f in fields)
+        by_key = sorted(fields, key=attrgetter("key"))
+        self.emit_plan = tuple((f'"{f.key}": ', getattr(f.codec, "text", None), f.codec.emit) for f in by_key)
+        self.values = attrgetter(*(f.attr or f.key for f in by_key))
 
-    def load(self, v: Any, ctx: str) -> Any:
-        _obj(v, ctx, self.required, self.allowed)
-        kwargs = {}
-        for key, dotted, attr, load in self.plan:
-            if key in v:
-                kwargs[attr] = load(v[key], ctx + dotted)
+    def load(self, v: Any, parent: Any, key: str | int) -> Any:
+        if type(v) is not dict or not v.keys() >= self.required_set or not self.allowed.issuperset(v):
+            _obj(v, parent, key, self.required, self.allowed)
+        loc, kwargs = (parent, key), {}
+        for k, attr, load in self.plan:
+            if k in v:
+                kwargs[attr] = load(v[k], loc, k)
         try:
             return self.make(**kwargs)
         except ValueError as exc:
-            raise ScenarioFormatError(f"{ctx}: {exc}") from None
+            raise ScenarioFormatError(f"{_where(parent, key)}: {exc}") from None
 
-    def dump(self, record: Any) -> dict:
-        out = {}
-        for (key, dump), value in zip(self.keys_dumps, self.values(record)):
+    def emit(self, record: Any, pad: str) -> str:
+        inner = pad + _INDENT
+        items = []
+        for (name, text, emit), value in zip(self.emit_plan, self.values(record)):
             if value is not None:
-                out[key] = dump(value)
-        return out
+                items.append(name + (text(value) if text else emit(value, inner)))
+        return _block("{", items, "}", pad, inner)
 
 
 _Codec = _Scalar | _Array | _Tuple | _Region | _IdMap | _Record
@@ -385,20 +446,22 @@ _SCENARIO = _Record(
 
 
 def to_json_dict(s: Scenario) -> dict:
-    """Scenario as a plain JSON-ready dict (stable layout)."""
-    return _SCENARIO.dump(s)
+    """Scenario as a plain JSON-ready dict: the document that ``save`` writes."""
+    return json.loads(_SCENARIO.emit(s, ""))
 
 
 def from_json_dict(doc: Any) -> Scenario:
     """Parse a scenario document; strict about structure and field names."""
-    scenario = _SCENARIO.load(doc, "scenario")
+    scenario = _SCENARIO.load(doc, None, "scenario")
     scenario.validate()
     return scenario
 
 
 def save(scenario: Scenario, path: str | Path) -> None:
-    """Write the scenario as deterministic, human-diffable JSON."""
-    Path(path).write_text(json.dumps(to_json_dict(scenario), indent=2, sort_keys=True) + "\n")
+    """Write the scenario as deterministic, human-diffable JSON: the json
+    module's bytes for ``to_json_dict(scenario)`` with a two-space indent and
+    sorted keys, plus a newline."""
+    Path(path).write_text(_SCENARIO.emit(scenario, "") + "\n")
 
 
 def load(path: str | Path) -> Scenario:

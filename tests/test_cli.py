@@ -314,15 +314,52 @@ def test_unknown_scenario_exits_2(capsys):
     assert EXAMPLE in err  # the message lists valid builtins
 
 
-def _main_in_child(argv):
-    """``main(argv)`` in a child process that is killed if it does not return."""
+def _child_env():
+    """The environment with the directory of the imported package first on PYTHONPATH."""
     import crowdsim
 
     env = dict(os.environ)
     src = str(pathlib.Path(crowdsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _main_in_child(argv, max_address_space=None):
+    """``main(argv)`` in a child process that is killed if it does not return,
+    with its address space capped at ``max_address_space`` bytes if given."""
     script = "import sys; from crowdsim.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    if max_address_space:
+        script = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({max_address_space},) * 2); {script}"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+
+
+@pytest.mark.parametrize("policy", ["psc", "sc-nearest"])
+def test_default_batches_past_the_limit_exit_2(policy):
+    # The daily batch times were once laid out one by one up to the horizon,
+    # so 2e15 minutes ran out of memory.  The child gets 1 GiB of address
+    # space, so a regression ends in a MemoryError (exit 1), not a full machine.
+    pytest.importorskip("resource")
+    argv = ["run", "--scenario", EXAMPLE, "--policy", policy, "--horizon-min", "2e15"]
+    out = _main_in_child(argv, max_address_space=1 << 30)
+    assert out.returncode == 2, out.stderr
+    assert "more than 100000" in out.stderr and "--batch-times" in out.stderr
+    assert out.stdout == ""
+
+
+def test_default_batches_are_daily_at_three():
+    from crowdsim.cli import MAX_DEFAULT_BATCHES, _default_batch_times
+
+    assert _default_batch_times(179.5) == ()
+    assert _default_batch_times(180.0) == (180.0,)
+    assert _default_batch_times(1619.5) == (180.0,)
+    assert _default_batch_times(3060.0) == (180.0, 1620.0, 3060.0)
+    last = 180.0 + 1440.0 * (MAX_DEFAULT_BATCHES - 1)
+    times = _default_batch_times(last + 1439.0)
+    assert len(times) == MAX_DEFAULT_BATCHES and times[-1] == last
+    with pytest.raises(ValueError, match="give --batch-times"):
+        _default_batch_times(last + 1440.0)
 
 
 @pytest.mark.parametrize(
@@ -495,6 +532,17 @@ def test_console_script_is_installed():
         [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=env
     )
     _check_help(out)
+
+
+def test_python_dash_m_runs_the_cli():
+    def dash_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "crowdsim", *argv], capture_output=True, text=True, env=_child_env(), timeout=60
+        )
+
+    _check_help(dash_m("--help"))
+    out = dash_m("run", "--scenario", "no-such-thing")  # main's exit code reaches the shell
+    assert out.returncode == 2 and "no such scenario" in out.stderr
 
 
 @pytest.mark.skipif(

@@ -8,12 +8,16 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdsim.model import Point, Rect
-from crowdsim.schedule import WeeklySchedule
+from crowdsim.model import Disc, Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
+from crowdsim.schedule import Segment, WeeklySchedule
+from crowdsim.scoring import VelocityProfile
 from crowdsim.workload import (
     GenParams,
     ParameterError,
+    Scenario,
     ScenarioFormatError,
     ScenarioValidationError,
     builtin_scenarios,
@@ -81,6 +85,100 @@ def test_saved_bytes_are_pinned(name, tmp_path):
     p = tmp_path / "scenario.json"
     save(sc, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == _SAVED_SHA256[name]
+
+
+def _json_oracle(sc) -> bytes:
+    return (json.dumps(to_json_dict(sc), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_save_writes_the_indented_sorted_layout(tmp_path):
+    # Twelve categories, so the id maps hold "10" before "2", as sort_keys orders them.
+    sc = generate(GenParams(n_workers=5, n_tasks=20, n_categories=12), seed=3)
+    p = tmp_path / "scenario.json"
+    save(sc, p)
+    assert p.read_bytes() == _json_oracle(sc)
+    demand = p.read_text().split('"reward_demand": {', 1)[1]
+    assert demand.index('"10":') < demand.index('"2":')
+
+
+# Values a scenario built in Python may hold: every float, including NaN,
+# the infinities, -0.0 and reprs with an exponent; minutes near 2**53; and
+# text with control characters and characters beyond ASCII.
+_ANY_FLOAT = st.floats() | st.sampled_from([-0.0, 1e16, 1.5e-300, 5e-324, 1e22, -2.5e-7])
+_MINUTE = st.integers(0, 10_000) | st.integers(2**53 - 4, 2**53 + 4)
+_TEXT = st.text(max_size=8) | st.sampled_from(["\x00\x1f\x7f", "é\u2028😀", '"\\/'])
+
+
+@st.composite
+def _schedule(draw, value):
+    """A schedule whose segments cover disjoint days, so it constructs."""
+    segments = []
+    for days in (range(0, 4), range(4, 7)):
+        if draw(st.booleans()):
+            start = draw(st.integers(0, 1439))
+            end = draw(st.integers(start + 1, 1440))
+            segments.append(Segment(draw(st.frozensets(st.sampled_from(days), min_size=1)), start, end, draw(value)))
+    return WeeklySchedule(tuple(segments), draw(value))
+
+
+_RECTS = st.builds(lambda x, y, w, h: Rect(x, y, x + abs(w), y + abs(h)), *[st.floats(-1e6, 1e6)] * 4)
+_REGIONS = (
+    st.builds(Point, _ANY_FLOAT, _ANY_FLOAT)
+    | st.builds(lambda x, y, r: Disc(x, y, abs(r)), _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+    | _RECTS
+)
+
+
+@st.composite
+def _scenarios(draw):
+    category_ids = range(1, draw(st.integers(1, 12)) + 1)
+    minutes = _MINUTE.map(float)
+
+    def id_map(values):
+        return st.none() | st.dictionaries(st.sampled_from(category_ids), values)
+
+    trust = st.builds(TrustCounters, st.integers(0, 9), st.integers(0, 9), st.integers(0, 9), _ANY_FLOAT)
+    workers = st.builds(
+        Worker,
+        st.integers(-5, 10**6),
+        _schedule(_REGIONS),
+        _schedule(_ANY_FLOAT),
+        id_map(_ANY_FLOAT),
+        id_map(trust),
+        st.none() | st.lists(st.tuples(minutes, minutes), max_size=3),
+    )
+    tasks = st.builds(
+        Task,
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from(category_ids),
+        _TEXT,
+        _REGIONS,
+        minutes,
+        minutes,
+        _ANY_FLOAT,
+        _ANY_FLOAT,
+        minutes,
+        st.none() | minutes,
+        st.none() | minutes,
+    )
+    return Scenario(
+        extent=draw(_RECTS),
+        velocity=VelocityProfile(draw(_schedule(_ANY_FLOAT)), draw(st.floats(0.1, 1e9) | st.just(math.inf))),
+        categories=[TaskCategory(i, draw(_TEXT), draw(_ANY_FLOAT), draw(_ANY_FLOAT)) for i in category_ids],
+        owners=draw(st.lists(st.builds(TaskOwner, st.integers(0, 99), _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT), max_size=2)),
+        workers=draw(st.lists(workers, max_size=3)),
+        tasks=draw(st.lists(tasks, max_size=3)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenarios())
+def test_save_bytes_match_the_json_oracle(tmp_path_factory, sc):
+    # The scenarios are not validated: save writes whatever the records hold.
+    p = tmp_path_factory.getbasetemp() / "oracle.json"
+    save(sc, p)
+    assert p.read_bytes() == _json_oracle(sc)
 
 
 @pytest.mark.parametrize(
@@ -265,8 +363,10 @@ def _mutated(path, *value):
 
 def test_every_fault_is_located_once():
     """A null anywhere is rejected with its location named once, as the prefix.
-    Deleting a key is accepted only for optional keys and id-map entries;
-    any other deletion is reported as a missing field of the parent."""
+    True, "x", 1.5, [] or {} anywhere is either accepted or rejected the same
+    way (an empty day list is refused by its segment).  Deleting a key is
+    accepted only for optional keys and id-map entries; any other deletion is
+    reported as a missing field of the parent."""
     from_json_dict(_rich_doc())
     faults = []
     for path, loc, parent, in_map in _walk(_rich_doc()):
@@ -277,6 +377,17 @@ def test_every_fault_is_located_once():
             msg = str(exc)
             if not msg.startswith(f"{loc}: ") or msg.count(loc) != 1:
                 faults.append(f"{loc} = null: {msg}")
+        for value in (True, "x", 1.5, [], {}):
+            try:
+                from_json_dict(_mutated(path, value))
+            except ScenarioValidationError:
+                pass  # well formed, but the entities disagree
+            except ScenarioFormatError as exc:
+                msg = str(exc)
+                if value == [] and path[-1] == "days" and msg == f"{parent}: segment needs at least one day":
+                    continue  # well typed, but the segment itself refuses it
+                if not msg.startswith(f"{loc}: ") or msg.count(loc) != 1:
+                    faults.append(f"{loc} = {value!r}: {msg}")
         key = path[-1]
         if isinstance(key, int):
             continue
