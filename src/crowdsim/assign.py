@@ -31,8 +31,6 @@ from .scoring import (
     trustworthy_score,
 )
 
-#: Candidate pairs materialised per task at first; each rebuild doubles the count.
-_CANDIDATE_BLOCK = 64
 #: Worker rows scored in a task's first block of the threshold search; each later block doubles.
 _ROW_BLOCK = 16
 #: Bytes of rank columns each piece table memoises (at the week shape's 1000
@@ -105,10 +103,7 @@ class AssignOutcome:
 
 @dataclass
 class _Scores:
-    """Score factors for one task over workers (1-D), worker rows x times (2-D), or candidate pairs.
-
-    ``rw`` and ``tw`` are per worker row, or per pair for candidate pairs.
-    """
+    """Score factors for one task over workers (1-D) or worker rows x times (2-D); ``rw`` and ``tw`` are per row."""
 
     total: np.ndarray
     ts: np.ndarray
@@ -249,12 +244,8 @@ class ScoreEngine:
             c.id: np.array([w.reward_demand.get(c.id, c.cat_reward) for w in self.workers])
             for c in self.categories.values()
         }
-        # The raw trust per category as Python floats (for bit-exact scalar
-        # powers), with its powered vectors cached per category and exponent.
-        self._trust_raw: dict[int, list[float]] = {
-            c.id: [trustworthy_score(w.trust_for(c.id)) for w in self.workers]
-            for c in self.categories.values()
-        }
+        # The powered trust per category, cached per exponent and computed
+        # from Python floats for bit-exact scalar powers.
         self._trust_pow: dict[int, dict[float, np.ndarray]] = {c: {} for c in self.categories}
 
         # Live bookings, one column per worker: the first ``_bk_count[i]``
@@ -332,7 +323,6 @@ class ScoreEngine:
             )
         trust[category_id] = c
         raw = trustworthy_score(c)
-        self._trust_raw[category_id][i] = raw
         for exponent, vec in self._trust_pow[category_id].items():
             vec[i] = raw**exponent
 
@@ -344,7 +334,8 @@ class ScoreEngine:
         cached = self._trust_pow[task.category_id]
         vec = cached.get(exponent)
         if vec is None:
-            vec = cached[exponent] = np.array([r**exponent for r in self._trust_raw[task.category_id]])
+            raws = [trustworthy_score(w.trust_for(task.category_id)) for w in self.workers]
+            vec = cached[exponent] = np.array([r**exponent for r in raws])
         return vec
 
     # -- time lookups ----------------------------------------------------
@@ -477,17 +468,31 @@ class ScoreEngine:
         return bound
 
 
-def _breakdown(s: _Scores, i) -> ScoreBreakdown:
-    """The factors at index ``i`` of a score table whose ``rw``/``tw`` share that index."""
-    ts = float(s.ts[i])
+def _breakdown(s: _Scores, cell, row) -> ScoreBreakdown:
+    """The factors at index ``cell`` of a score table, whose worker row is ``row``."""
+    ts = float(s.ts[cell])
     return ScoreBreakdown(
         time_score=ts,
-        availability=float(s.avail[i]),
-        reward=float(s.rw[i]),
-        trust_weighted=float(s.tw[i]),
-        total=float(s.total[i]),
+        availability=float(s.avail[cell]),
+        reward=float(s.rw[row]),
+        trust_weighted=float(s.tw[row]),
+        total=float(s.total[cell]),
         time_feasible=ts > 0.0,
     )
+
+
+def _failure(ts_ok: np.ndarray, avail: np.ndarray, rw: np.ndarray, tw: np.ndarray) -> OutcomeKind:
+    """Why no pair scores positive, given whose time scores are positive (``ts_ok``) and the other factors.
+
+    No positive time score makes the deadline infeasible.  A pair that
+    fails only on the reward makes the reward insufficient; anything else
+    leaves no suitable worker.
+    """
+    if not ts_ok.any():
+        return OutcomeKind.DEADLINE_INFEASIBLE
+    if (ts_ok & (avail > 0) & (tw > 0) & (rw == 0)).any():
+        return OutcomeKind.REWARD_INSUFFICIENT
+    return OutcomeKind.NO_SUITABLE_WORKER
 
 
 def _availability_mask(
@@ -546,24 +551,20 @@ def online_assign(
                 task_id=task.id,
                 worker_id=engine.workers[i].id,
                 dispatch_time=t,
-                breakdown=_breakdown(s, i),
+                breakdown=_breakdown(s, i, i),
                 ttc_min=float(s.ttc[i]),
                 travel_km=float(s.travel_km[i]),
             )
             return AssignOutcome(OutcomeKind.ASSIGNED, assignment, eff_task.pto_reward)
-        ts_ok = mask & (s.ts > 0)
-        if not ts_ok.any():
-            return AssignOutcome(OutcomeKind.DEADLINE_INFEASIBLE)
-        reward_only = ts_ok & (s.avail > 0) & (s.tw > 0) & (s.rw == 0)
-        if not reward_only.any():
-            return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
-        owner = engine.owners[task.owner_id]
-        increment = min(owner.raise_increment, owner.max_reward_raise - raised)
-        if increment > 0:
-            raised += increment
-            eff_task = replace(eff_task, pto_reward=eff_task.pto_reward + increment)
-            continue
-        return AssignOutcome(OutcomeKind.REWARD_INSUFFICIENT)
+        kind = _failure(mask & (s.ts > 0), s.avail, s.rw, s.tw)
+        if kind is OutcomeKind.REWARD_INSUFFICIENT:
+            owner = engine.owners[task.owner_id]
+            increment = min(owner.raise_increment, owner.max_reward_raise - raised)
+            if increment > 0:
+                raised += increment
+                eff_task = replace(eff_task, pto_reward=eff_task.pto_reward + increment)
+                continue
+        return AssignOutcome(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -617,113 +618,101 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
 
 
 class _Candidates:
-    """One batched task: its candidate pairs and the pair it proposes.
+    """One batched task: its positive pairs, found as the rounds need them, and the pair it proposes.
 
-    Pairs are sorted by (total desc, worker id asc, time asc); the proposal
-    is the pair at ``pointer``.  Only a prefix of that order is materialised,
-    found by a threshold search (Fagin, Lotem & Naor, PODS 2001) over
-    per-worker score bounds that need no distances.  When the pointer runs
-    past the prefix, the search runs again for a prefix twice as long.
+    Pairs are proposed in (total desc, worker id asc, time asc) order; the
+    proposal is the pair at ``pointer``.  They come from a threshold search
+    (Fagin, Lotem & Naor, PODS 2001) over per-worker bounds that need no
+    distances: ``score(rows)`` scores the worker rows ``rows`` (an index
+    array, or ``slice(None)`` for all) over the task's grid ``times``, and
+    ``bound[r]`` is at or above every positive total in row ``r``.  A found
+    pair is final once its total is strictly above ``top``, the highest bound
+    among the unscored rows (the first ``final`` pairs are); a row whose bound
+    equals the total may hold an equal total that wins its tie on worker id.
+    When the pair at the pointer is not final, the next block of
+    highest-bound unscored rows is scored (``_ROW_BLOCK`` rows at first,
+    doubling each time) and its positive pairs are merged into the order.
+    Every pair before the pointer was final when proposed, so the merged
+    pairs all sort after it.  A row whose bound is not positive holds no
+    positive total and is never scored.
     """
 
     __slots__ = (
-        "task", "priority", "reason", "pointer", "w", "time", "pairs", "_grid",
-        "worker", "t0", "t1", "total", "clash",
+        "task", "priority", "reason", "pointer", "score", "bound", "top", "block", "times",
+        "w", "j", "totals", "ttc", "final", "worker", "t0", "t1", "total", "clash",
     )
 
-    def __init__(self, task: Task, priority: float):
+    def __init__(self, task: Task, priority: float, score, bound: np.ndarray, times: np.ndarray):
         self.task = task
         self.priority = priority
         self.reason: OutcomeKind | None = None  # why the task is not placed, once that is known
         self.pointer = 0
-        self.w: np.ndarray = np.empty(0, dtype=np.intp)  # worker index of each pair
-        self.time: np.ndarray = np.empty(0)  # dispatch time of each pair
-        self.pairs: _Scores | None = None  # the pairs' factors, in the same order
-        self._grid = None  # (score, bound, times) while positive pairs may lie past the prefix
+        self.score = score
+        bound[~(bound > 0.0)] = -np.inf  # as scored rows are marked
+        self.bound = bound
+        self.top = float(bound.max())
+        self.block = _ROW_BLOCK
+        self.times = times
+        # The pairs found so far, in preference order.
+        self.w = np.empty(0, dtype=np.int32)  # worker index
+        self.j = np.empty(0, dtype=np.int32)  # grid-time index
+        self.totals = np.empty(0)
+        self.ttc = np.empty(0)
+        self.final = 0  # how many of them are final
         self.worker = -1  # worker index of the proposed pair
         self.t0 = self.t1 = self.total = 0.0  # its work interval [t0, t1) and total
         self.clash = False  # whether [t0, t1) overlaps one of the worker's bookings
 
-    def load(self, score, bound: np.ndarray, times: np.ndarray, cap: int) -> None:
-        """Keep the first ``cap`` positive pairs of the grid over ``times``, scoring rows only as needed.
-
-        ``score(rows)`` scores the worker rows ``rows`` (an index array, or
-        ``slice(None)`` for all), and ``bound[r]`` is at or above every
-        positive total in row ``r``.  Rows are scored in descending bound
-        order, in blocks of ``_ROW_BLOCK`` rows that double each time.  Once
-        ``cap`` positive totals are known, let T be the cap-th best: a row
-        whose bound is below T holds no pair of the prefix, so the search
-        stops at the first such row.  A row whose bound equals T may hold a
-        total of T that wins its tie on worker id, so it is still scored.
-        Keeping every scored pair at or above T then gives exactly the prefix
-        a full grid would, ties at the cutoff included.  A task with no
-        positive pair is scored over the full grid once more for its reason.
-        """
-        order = np.argsort(-bound)
-        live = int(np.count_nonzero(bound > 0.0))
-        blocks: list[tuple[np.ndarray, _Scores]] = []
-        found = np.empty(0)  # positive totals of the rows scored so far
-        start, size = 0, _ROW_BLOCK
-        while start < live:
-            if len(found) >= cap and bound[order[start]] < np.partition(found, -cap)[-cap]:
-                break
-            rows = order[start : min(start + size, live)]
-            g = score(rows)
-            blocks.append((rows, g))
-            found = np.concatenate((found, g.total[g.total > 0.0]))
-            start += len(rows)
-            size *= 2
-        n_positive = len(found)
-        if n_positive == 0:
-            g = score(slice(None))
-            ts_ok = g.ts > 0
-            if not ts_ok.any():
-                self.reason = OutcomeKind.DEADLINE_INFEASIBLE
-            elif (ts_ok & (g.avail > 0) & (g.rw[:, None] == 0) & (g.tw[:, None] > 0)).any():
-                self.reason = OutcomeKind.REWARD_INSUFFICIENT
-            else:
-                self.reason = OutcomeKind.NO_SUITABLE_WORKER
-            return
-        # Every pair at or above the cap-th best total (or every positive
-        # pair, when fewer were found), so that after the lexsort the kept
-        # pairs are the exact prefix of the full preference order.
-        m = min(cap, n_positive)
-        cutoff = np.partition(found, -m)[-m]
-        self._grid = (score, bound, times) if n_positive > cap or start < live else None
-        cols = []
-        for rows, g in blocks:
-            sel = np.flatnonzero(g.total >= cutoff)
-            r, t = np.divmod(sel, g.total.shape[1])
-            per_cell = (g.total, g.ts, g.avail, g.ttc, g.travel_km)
-            cols.append((rows[r], t, *(a.ravel()[sel] for a in per_cell), g.rw[r], g.tw[r]))
-        w, t, total, ts, avail, ttc, travel_km, rw, tw = (np.concatenate(c) for c in zip(*cols))
-        order = np.lexsort((t, w, -total))[:cap]
-        self.w = w[order]
-        self.time = times[t[order]]
-        self.pairs = _Scores(
-            total=total[order],
-            ts=ts[order],
-            avail=avail[order],
-            ttc=ttc[order],
-            travel_km=travel_km[order],
-            rw=rw[order],
-            tw=tw[order],
-        )
+    def _extend(self) -> None:
+        """Score the next block of highest-bound unscored rows and merge their positive pairs in."""
+        b = self.bound
+        n = min(self.block, len(b))
+        rows = np.argpartition(b, len(b) - n)[len(b) - n :]
+        rows = rows[b[rows] > 0.0]
+        b[rows] = -np.inf
+        self.top = float(b.max())
+        self.block *= 2
+        g = self.score(rows)
+        r, j = np.nonzero(g.total > 0.0)
+        w = np.concatenate((self.w, rows[r].astype(np.int32)))
+        totals = np.concatenate((self.totals, g.total[r, j]))
+        ttc = np.concatenate((self.ttc, g.ttc[r, j]))
+        j = np.concatenate((self.j, j.astype(np.int32)))
+        order = np.lexsort((j, w, -totals))
+        self.w, self.j, self.totals, self.ttc = w[order], j[order], totals[order], ttc[order]
+        self.final = int(np.count_nonzero(self.totals > self.top))
 
     def propose(self) -> bool:
         """Make the pair at the pointer the proposal; False, with a reason, when no pair is left."""
-        if self.pointer == len(self.w) and self._grid is not None:
-            self.load(*self._grid, 2 * len(self.w))
         i = self.pointer
-        if i >= len(self.w):
-            # Every positive pair was lost to bookings or competition.
-            self.reason = OutcomeKind.NO_SUITABLE_WORKER
+        while i >= self.final and self.top > 0.0:
+            self._extend()
+        if i == len(self.totals):
+            if i:  # every positive pair was lost to bookings or competition
+                self.reason = OutcomeKind.NO_SUITABLE_WORKER
+            else:
+                g = self.score(slice(None))
+                self.reason = _failure(g.ts > 0, g.avail, g.rw[:, None], g.tw[:, None])
             return False
         self.worker = int(self.w[i])
-        self.t0 = float(self.time[i])
-        self.t1 = self.t0 + float(self.pairs.ttc[i])
-        self.total = float(self.pairs.total[i])
+        self.t0 = float(self.times[self.j[i]])
+        self.t1 = self.t0 + float(self.ttc[i])
+        self.total = float(self.totals[i])
         return True
+
+    def assignment(self, worker_id: int) -> Assignment:
+        """The proposal as an assignment, its factors scored again on the worker's row alone."""
+        i = self.pointer
+        g = self.score(self.w[i : i + 1])
+        j = int(self.j[i])
+        return Assignment(
+            task_id=self.task.id,
+            worker_id=worker_id,
+            dispatch_time=self.t0,
+            breakdown=_breakdown(g, (0, j), 0),
+            ttc_min=float(g.ttc[0, j]),
+            travel_km=float(g.travel_km[0, j]),
+        )
 
 
 def offline_assign(
@@ -759,34 +748,31 @@ def offline_assign(
     if not engine.workers:
         return [], [(t.id, OutcomeKind.NO_SUITABLE_WORKER) for t in tasks_sorted]
 
-    max_exp = max(t.expiration for t in tasks_sorted)
-    times = grid.times(now, before=max_exp)
-    ctx = engine.grid_context(times) if len(times) else None
+    times = grid.times(now, before=max(t.expiration for t in tasks_sorted))
+    if not len(times):  # the grid ends before now; otherwise it starts at now, before every expiration
+        return [], [(t.id, OutcomeKind.DEADLINE_INFEASIBLE) for t in tasks_sorted]
+    ctx = engine.grid_context(times)
     cum_exps = engine._cumulative(np.array([t.expiration for t in tasks_sorted]))
 
     cands: list[_Candidates] = []
     for j, task in enumerate(tasks_sorted):
-        cand = _Candidates(
-            task, task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id])
-        )
-        k = int(np.searchsorted(times, task.expiration, side="left")) if ctx is not None else 0
-        if k == 0:
-            cand.reason = OutcomeKind.DEADLINE_INFEASIBLE
-        else:
-            f = engine._factors(task, cum_exps[:, j])
-            cand.load(
+        k = int(np.searchsorted(times, task.expiration, side="left"))
+        f = engine._factors(task, cum_exps[:, j])
+        cands.append(
+            _Candidates(
+                task,
+                task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id]),
                 partial(engine.score_grid, task, ctx, k, factors=f),
                 engine.row_bounds(task, ctx, k, factors=f),
-                ctx.times,
-                _CANDIDATE_BLOCK,
+                times,
             )
-        cands.append(cand)
+        )
 
     # Honoured proposals persist across rounds.  A worker that only lost
     # refused proposals keeps the rest: they were pairwise disjoint and free
     # of bookings, and no booking changes in this call.
     held: dict[int, list[_Candidates]] = {}
-    movers = [c for c in cands if c.reason is None]
+    movers = cands
     while movers:
         movers = [c for c in movers if c.propose()]
         # The round's new proposals against the live bookings at once.
@@ -820,18 +806,8 @@ def offline_assign(
     assignments: list[Assignment] = []
     unassigned: list[tuple[int, OutcomeKind]] = []
     for c in cands:
-        if c.reason is not None:
+        if c.reason is None:
+            assignments.append(c.assignment(engine.workers[c.worker].id))
+        else:
             unassigned.append((c.task.id, c.reason))
-            continue
-        i = c.pointer
-        assignments.append(
-            Assignment(
-                task_id=c.task.id,
-                worker_id=engine.workers[c.worker].id,
-                dispatch_time=c.t0,
-                breakdown=_breakdown(c.pairs, i),
-                ttc_min=float(c.pairs.ttc[i]),
-                travel_km=float(c.pairs.travel_km[i]),
-            )
-        )
     return assignments, unassigned

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -142,16 +143,20 @@ def _run_both(inst):
 
 
 def _oracle_cases():
-    """Every seed at the default candidate block (id: the bare seed) and at
-    blocks 1 and 2, which cap and rebuild every table; plain and with ties.
-    Blocks 1 and 2 run again with one worker row per first search block, so
-    the threshold search stops early on these few-worker instances."""
+    """Every seed at five first row blocks of the threshold search, plain and with ties.
+
+    Blocks of 1, 2, 3 and 5 rows make the search extend many times on these
+    few-worker instances.  The ids keep the tags these cases had when the
+    search also took a candidate cap, so each case's history stays under one
+    name: the bare seed is the default block of 16 rows, ``block1`` and
+    ``block2`` are blocks of 1 and 2 rows, and ``block1-rows1`` and
+    ``block2-rows1`` are blocks of 3 and 5 rows.
+    """
+    tags = {16: [], 1: ["block1"], 2: ["block2"], 3: ["block1", "rows1"], 5: ["block2", "rows1"]}
     for ties in (False, True):
-        for block, rows in ((64, 16), (1, 16), (2, 16), (1, 1), (2, 1)):
+        for rows, tag in tags.items():
             for seed in range(200):
-                tags = [str(seed)] + ["ties"] * ties + ([f"block{block}"] if block != 64 else [])
-                tags += [f"rows{rows}"] if rows != 16 else []
-                yield pytest.param(seed, block, rows, ties, id="-".join(tags))
+                yield pytest.param(seed, rows, ties, id="-".join([str(seed)] + ["ties"] * ties + tag))
 
 
 def _with_clones(inst):
@@ -160,9 +165,8 @@ def _with_clones(inst):
     return replace(inst, tasks=inst.tasks + [replace(t, id=t.id + offset) for t in inst.tasks])
 
 
-@pytest.mark.parametrize("seed, block, rows, ties", _oracle_cases())
-def test_offline_matches_oracle(seed, block, rows, ties, monkeypatch):
-    monkeypatch.setattr(assign, "_CANDIDATE_BLOCK", block)
+@pytest.mark.parametrize("seed, rows, ties", _oracle_cases())
+def test_offline_matches_oracle(seed, rows, ties, monkeypatch):
     monkeypatch.setattr(assign, "_ROW_BLOCK", rows)
     draws = []
     tie_pick = assign._tie_pick
@@ -217,13 +221,14 @@ def test_offline_matches_oracle_on_a_contended_batch(ties, monkeypatch):
 def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     # Row 1's bound (2T) puts it first, and its one pair scores T. Row 0's
     # bound is exactly T and its pair also scores T, which wins the tie on
-    # worker id. So row 0 must be scored although T is known when the search
-    # reaches it: the search stops at a bound below T, not at T. Row 2 shares
-    # row 0's block; row 3's bound is below T, so it is left for the rebuilds.
+    # worker id. So row 0 must be scored before any pair of total T is
+    # proposed: a pair is final only above the unscored rows' highest bound,
+    # not at it. Row 2 shares row 0's block; row 3's bound (T/2) is below
+    # every pair found by then, so it stays unscored until the pointer
+    # reaches a pair of total T/2.
     monkeypatch.setattr(assign, "_ROW_BLOCK", 1)
     T = 0.5
     totals = np.array([T, T, T / 2, T / 4])
-    bound = np.array([T, 2 * T, T, T / 2])
     scored = []
 
     def score(rows):
@@ -232,22 +237,64 @@ def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
         ones = np.ones_like(total)
         return assign._Scores(total=total, ts=total, avail=ones, ttc=ones, travel_km=ones, rw=ones[:, 0], tw=ones[:, 0])
 
-    cand = assign._Candidates(_task(1), priority=1.0)
-    cand.load(score, bound, np.array([0.0]), cap=1)
+    bound = np.array([T, 2 * T, T, T / 2])
+    cand = assign._Candidates(_task(1), 1.0, score, bound, np.array([0.0]))
+    assert cand.propose()
+    assert (cand.worker, cand.total) == (0, T)
     assert scored == [[1], [0, 2]]
-    assert cand.w.tolist() == [0]
-    # Moving past the prefix searches again with twice the cap; row 3 is
-    # scored only once the cap exceeds the pairs at or above its bound.
     cand.pointer = 1
     assert cand.propose()
-    assert cand.worker == 1
-    assert len(scored) == 4
+    assert (cand.worker, cand.total) == (1, T)
+    assert scored == [[1], [0, 2]]
     cand.pointer = 2
     assert cand.propose()
-    assert (cand.worker, cand.t0, cand.total) == (2, 0.0, T / 2)
-    assert scored[-3:] == [[1], [0, 2], [3]]
+    assert (cand.worker, cand.t0, cand.t1, cand.total) == (2, 0.0, 1.0, T / 2)
+    assert scored == [[1], [0, 2], [3]]
+    cand.pointer = 3
+    assert cand.propose()
+    assert (cand.worker, cand.total) == (3, T / 4)
     cand.pointer = 4
     assert not cand.propose()
+    assert cand.reason is OutcomeKind.NO_SUITABLE_WORKER
+    assert len(scored) == 3
+
+
+def _bits(*xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("block", [1, 16])
+@pytest.mark.parametrize("seed", range(100))
+def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
+    # Stepping the pointer to the end walks the full grid's positive cells in
+    # (total desc, worker id asc, time asc) order, however the rows are
+    # blocked, and a proposal's assignment rescores its cell bit for bit.
+    monkeypatch.setattr(assign, "_ROW_BLOCK", block)
+    inst = random_instance(seed)
+    engine = inst.engine()
+    times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
+    if not len(times):
+        return
+    ctx = engine.grid_context(times)
+    for task in inst.tasks:
+        k = int(np.searchsorted(times, task.expiration, side="left"))
+        full = engine.score_grid(task, ctx, k)
+        cells = sorted(zip(*np.nonzero(full.total > 0.0)), key=lambda c: (-full.total[c], c[0], c[1]))
+        bound = engine.row_bounds(task, ctx, k)
+        cand = assign._Candidates(task, 1.0, partial(engine.score_grid, task, ctx, k), bound, times)
+        got = []
+        while cand.propose():
+            got.append((cand.worker, cand.t0, cand.total))
+            a = cand.assignment(engine.workers[cand.worker].id)
+            b = a.breakdown
+            i, j = cells[len(got) - 1]
+            assert a.dispatch_time == times[j]
+            assert b.time_feasible
+            got_bits = _bits(b.time_score, b.availability, b.reward, b.trust_weighted, b.total, a.ttc_min, a.travel_km)
+            cell = (full.ts[i, j], full.avail[i, j], full.rw[i], full.tw[i], full.total[i, j], full.ttc[i, j])
+            assert got_bits == _bits(*cell, full.travel_km[i, j]), (seed, task.id, i, j)
+            cand.pointer += 1
+        assert got == [(i, times[j], full.total[i, j]) for i, j in cells], (seed, task.id)
 
 
 def test_offline_outcomes_cover_every_task():
