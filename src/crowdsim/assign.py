@@ -26,6 +26,7 @@ from .scoring import (
     ScoreBreakdown,
     TaskExpiredError,
     VelocityProfile,
+    reach,
     task_priority_score,
     total_score,
     trustworthy_score,
@@ -276,21 +277,24 @@ class ScoreEngine:
     def release(self, worker_id: int, start: float, end: float) -> None:
         """Drop one booking of [start, end) that :meth:`book` placed."""
         i = self.index_of[worker_id]
+        try:
+            j = self._column(i).index((start, end))
+        except ValueError:
+            raise ValueError(f"worker {worker_id} holds no booking [{start}, {end})") from None
         last = self._bk_count[i] - 1
         starts, ends = self._bk_start[:, i], self._bk_end[:, i]
-        hits = np.flatnonzero((starts[: last + 1] == start) & (ends[: last + 1] == end))
-        if not len(hits):
-            raise ValueError(f"worker {worker_id} holds no booking [{start}, {end})")
-        j = hits[0]
         starts[j], ends[j] = starts[last], ends[last]
         starts[last], ends[last] = np.inf, -np.inf
         self._bk_count[i] = last
 
+    def _column(self, i: int) -> list[tuple[float, float]]:
+        """Worker index ``i``'s bookings in table order, as (start, end) tuples of Python floats."""
+        k = self._bk_count[i]
+        return list(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist()))
+
     def bookings_of(self, worker_id: int) -> list[tuple[float, float]]:
         """A worker's bookings in the table, as (start, end) tuples in ascending order."""
-        i = self.index_of[worker_id]
-        k = self._bk_count[i]
-        return sorted(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist()))
+        return sorted(self._column(self.index_of[worker_id]))
 
     def booked(self, start, end, rows=slice(None)) -> np.ndarray:
         """Whether [start, end) overlaps a booking, for each worker index in ``rows``.
@@ -298,6 +302,10 @@ class ScoreEngine:
         ``start`` and ``end`` are scalars or arrays aligned with ``rows``.
         """
         return ((self._bk_start[:, rows] < end) & (self._bk_end[:, rows] > start)).any(axis=0)
+
+    def is_free(self, i: int, start: float, end: float) -> bool:
+        """Whether [start, end) overlaps none of worker index ``i``'s bookings: :meth:`booked` for one worker."""
+        return not any(s < end and e > start for s, e in self._column(i))
 
     def live_worker(self, worker_id: int) -> Worker:
         """The worker with this run's trust counters and the bookings in the table."""
@@ -373,19 +381,23 @@ class ScoreEngine:
 
     # -- scoring ----------------------------------------------------------
 
-    def _reach(self, task: Task, times: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray):
-        """Distance, effective start and time to complete from positions at dispatch times.
-
-        Steps write in place into this call's own arrays; the operations and
-        their order are those of the scalar formulas.
-        """
+    def _distance(self, task: Task, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The distance from each position to the task's centroid, in a new array."""
         c = centroid(task.region)
         dist = np.subtract(c.x, x)
         dy = np.subtract(c.y, y)
         np.multiply(dist, dist, out=dist)
         np.multiply(dy, dy, out=dy)
-        np.sqrt(np.add(dist, dy, out=dist), out=dist)
-        eff = np.divide(dist, speed, out=dy)  # travel minutes, then the effective start
+        return np.sqrt(np.add(dist, dy, out=dist), out=dist)
+
+    def _reach(self, task: Task, times: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray):
+        """Distance, effective start and time to complete from positions at dispatch times.
+
+        Steps write in place into this call's own arrays; the operations and
+        their order are those of the scalar formulas (``scoring.reach``).
+        """
+        dist = self._distance(task, x, y)
+        eff = np.divide(dist, speed)  # travel minutes, then the effective start
         np.multiply(eff, 60.0, out=eff)
         np.add(times, eff, out=eff)
         if task.start_earliest is not None:
@@ -583,15 +595,10 @@ def baseline_nearest(
     Deliberately ignores availability, reward, and trust; only the winner
     is scored, for reporting.  Distance ties go to the lowest worker id.
     """
-    times = np.array([t])
-    x, y = engine._positions(times)
-    dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
-    free = _availability_mask(engine, ttc, t, exclude_workers)
-    if not free.any():
+    found = _nearest_free(task, engine, t, frozenset(exclude_workers))
+    if found is None:
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
-    i = int(np.argmin(np.where(free, dist, np.inf)))
-    if not free[i]:  # every free worker is infinitely far: the first of them
-        i = int(np.argmax(free))
+    i, ttc, dist = found
     worker = engine.workers[i]  # the live trust counters; the score reads no bookings
     assignment = Assignment(
         task_id=task.id,
@@ -600,10 +607,44 @@ def baseline_nearest(
         breakdown=total_score(
             task, worker, engine.owners[task.owner_id], engine.categories[task.category_id], t, engine.velocity
         ),
-        ttc_min=float(ttc[i]),
-        travel_km=float(dist[i]),
+        ttc_min=ttc,
+        travel_km=dist,
     )
     return AssignOutcome(OutcomeKind.ASSIGNED, assignment, task.pto_reward)
+
+
+def _nearest_free(task: Task, engine: ScoreEngine, t: float, exclude: frozenset[int]):
+    """The nearest free worker's index, time to complete and distance; None when no worker is free.
+
+    Only the distances are computed over every worker at first.  The
+    nearest worker that is not excluded wins if its own bookings leave it
+    free: masking busy workers out only raises other distances, so it is
+    also the first minimum of the masked distances.  When it is taken, or
+    no distance is finite, the full booking mask decides.
+    """
+    times = np.array([t])
+    x, y = engine._positions(times)
+    x, y, speed = x[:, 0], y[:, 0], engine._speeds(times)
+    near = engine._distance(task, x, y)
+    for wid in exclude:
+        i = engine.index_of.get(wid)
+        if i is not None:
+            near[i] = np.inf
+    if len(near):
+        i = int(np.argmin(near))  # the first NaN, if there is one
+        d = float(near[i])
+        if d < math.inf:
+            ttc = reach(task, d, float(speed[0]), t)[1]
+            if engine.is_free(i, t, t + ttc):
+                return i, ttc, d
+    dist, _eff, ttc = engine._reach(task, times, x, y, speed)
+    free = _availability_mask(engine, ttc, t, exclude)
+    if not free.any():
+        return None
+    i = int(np.argmin(np.where(free, dist, np.inf)))
+    if not free[i]:  # every free worker is infinitely far: the first of them
+        i = int(np.argmax(free))
+    return i, float(ttc[i]), float(dist[i])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,19 @@ def task_priority_score(task: Task, owner: TaskOwner, category: TaskCategory) ->
     return min(1.0, max(0.0, raw))
 
 
+def reach(task: Task, d: float, speed: float, t: float) -> tuple[float, float]:
+    """Effective start and time to complete, travelling ``d`` km at ``speed`` km/h from ``t``.
+
+    Work cannot begin before ``start_earliest``; the worker idles after
+    travelling.
+    """
+    travel = (d / speed) * 60.0
+    eff_start = t + travel
+    if task.start_earliest is not None and eff_start < task.start_earliest:
+        eff_start = task.start_earliest
+    return eff_start, (eff_start + task.duration) - t
+
+
 def total_score(
     task: Task,
     worker: Worker,
@@ -131,12 +144,7 @@ def total_score(
         raise ValueError(f"task {task.id}: dispatch time must be finite, got {t}")
     if t >= task.expiration:
         raise TaskExpiredError(f"task {task.id} expired at {task.expiration}, scored at t={t}")
-    d = distance(task.region, worker.pattern.value_at(t))
-    travel = (d / velocity.speed_at(t)) * 60.0
-    eff_start = t + travel
-    if task.start_earliest is not None and eff_start < task.start_earliest:
-        eff_start = task.start_earliest
-    ttc = (eff_start + task.duration) - t
+    eff_start, ttc = reach(task, distance(task.region, worker.pattern.value_at(t)), velocity.speed_at(t), t)
     if task.start_latest is not None and eff_start > task.start_latest:
         ts = -1.0
     else:

@@ -8,10 +8,11 @@ import textwrap
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
@@ -29,9 +30,9 @@ from crowdsim.assign import (
     offline_assign,
     online_assign,
 )
-from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
-from crowdsim.schedule import WEEK_MINUTES, Segment, WeeklySchedule
-from crowdsim.scoring import TaskExpiredError, VelocityProfile, total_score
+from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid, distance
+from crowdsim.schedule import ALL_DAYS, WEEK_MINUTES, Segment, WeeklySchedule
+from crowdsim.scoring import TaskExpiredError, VelocityProfile, reach, total_score
 from crowdsim.workload import GenParams, generate
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
@@ -257,6 +258,42 @@ def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     assert not cand.propose()
     assert cand.reason is OutcomeKind.NO_SUITABLE_WORKER
     assert len(scored) == 3
+
+
+def test_threshold_search_scores_a_row_whose_bound_ties_a_found_total(monkeypatch):
+    # Engine-level form of the test above.  Both workers stand at the task's
+    # centroid, so each row's bound is its best total.  Worker 2 (trust 1,
+    # bound 1/2) is scored first and holds a pair of total 1/4 at t = 80,
+    # which is exactly worker 1's bound (time score 1/2 at t = 0, trust
+    # 1/2).  Worker 2's pair at t = 0 clashes with a booking, so the task
+    # takes its next pair: worker 1's at t = 0, which wins the tie on
+    # worker id only if worker 1's row is scored before worker 2's pair of
+    # 1/4 counts as final.
+    monkeypatch.setattr(assign, "_ROW_BLOCK", 1)
+    task = _task(1, duration=120.0, expiration=240.0)
+    workers = [
+        _worker(1, trust={1: TrustCounters(initial_score=0.5)}),
+        _worker(2, trust={1: TrustCounters(initial_score=1.0)}, bookings=[(0.0, 10.0)]),
+    ]
+    engine = _engine(workers)
+    times = TimeGrid(80.0, WEEK_MINUTES).times(0.0, before=task.expiration)
+    ctx = engine.grid_context(times)
+    assert engine.row_bounds(task, ctx, len(times)).tolist() == [0.25, 0.5]
+    assert engine.score_grid(task, ctx, len(times)).total.tolist() == [[0.25, 0.125, -0.25], [0.5, 0.25, -0.5]]
+    inst = Instance(
+        tasks=[task],
+        workers=workers,
+        owners={1: OWNER},
+        categories={1: CAT},
+        now=0.0,
+        step=80.0,
+        horizon=WEEK_MINUTES,
+        velocity=VEL,
+        seed=0,
+    )
+    got_triples, got_kinds, want_triples, want_kinds = _run_both(inst)
+    assert got_triples == want_triples == {(1, 1, 0.0)}
+    assert got_kinds == want_kinds == {}
 
 
 def _bits(*xs) -> list[str]:
@@ -581,6 +618,76 @@ def test_nearest_winner_is_scored_on_the_live_state(seed, data):
     assert out.assignment.breakdown == total_score(task, live[want], owner, cat, t, inst.velocity)
 
 
+def _nearest_full_mask(task, engine, t, exclude) -> AssignOutcome:
+    """The baseline with no nearest-worker fast path: the full booking mask on every decision."""
+    times = np.array([t])
+    x, y = engine._positions(times)
+    dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
+    free = assign._availability_mask(engine, ttc, t, exclude)
+    if not free.any():
+        return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
+    i = int(np.argmin(np.where(free, dist, np.inf)))
+    if not free[i]:
+        i = int(np.argmax(free))
+    worker = engine.workers[i]
+    owner, cat = engine.owners[task.owner_id], engine.categories[task.category_id]
+    breakdown = total_score(task, worker, owner, cat, t, engine.velocity)
+    assignment = Assignment(task.id, worker.id, t, breakdown, float(ttc[i]), float(dist[i]))
+    return AssignOutcome(OutcomeKind.ASSIGNED, assignment, task.pto_reward)
+
+
+#: Bookings placed against a worker's work interval [t, end) in the nearest
+#: fast-path test: the first two touch it without overlapping.
+_EDGE_BOOKINGS = {
+    "ends-at-t": lambda t, end: (t - 5.0, t),
+    "starts-at-end": lambda t, end: (end, end + 5.0),
+    "ends-an-ulp-after-t": lambda t, end: (t - 5.0, float(np.nextafter(t, np.inf))),
+    "starts-an-ulp-before-end": lambda t, end: (float(np.nextafter(end, -np.inf)), end + 5.0),
+    "covers": lambda t, end: (t - 10.0, end + 10.0),
+    "far-later": lambda t, end: (end + 100.0, end + 200.0),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    places=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=5),
+    kinds=st.lists(st.sets(st.sampled_from(sorted(_EDGE_BOOKINGS)), max_size=2), min_size=5, max_size=5),
+    excluded=st.sets(st.integers(1, 6)),
+    t=st.sampled_from([0.0, 7.5, 600.0]),
+    start_earliest=st.sampled_from([None, 0.0, 30.0, 650.0]),
+)
+@example(places=[], kinds=[set()] * 5, excluded=set(), t=0.0, start_earliest=None)  # no workers
+@example(places=[(1, 2), (3, 2)], kinds=[{"covers"}] + [set()] * 4, excluded=set(), t=0.0, start_earliest=None)
+@example(places=[(1, 2), (3, 2)], kinds=[{"covers"}] * 5, excluded=set(), t=7.5, start_earliest=30.0)
+@example(places=[(2, 2), (2, 3)], kinds=[set()] * 5, excluded={1}, t=0.0, start_earliest=650.0)
+def test_nearest_fast_path_matches_the_full_mask(places, kinds, excluded, t, start_earliest):
+    # Workers on a small lattice around the task, so distances tie, each
+    # with bookings that touch, just overlap or cover its work interval.
+    # The decision is the full-mask path's and the oracle's, bit for bit,
+    # and the full mask is built exactly when the nearest worker that is not
+    # excluded is taken (or there is none).
+    task = _task(1, region=Point(2.0, 2.0), start_earliest=start_earliest, expiration=t + 2000.0)
+    workers, intervals = [], {}
+    for wid, ((x, y), booked) in enumerate(zip(places, kinds), start=1):
+        worker = _worker(wid, x=float(x), y=float(y))
+        end = brute_force.work_interval(task, worker, t, VEL)[1]
+        workers.append(replace(worker, bookings=[_EDGE_BOOKINGS[k](t, end) for k in sorted(booked)]))
+        intervals[wid] = (distance(task.region, Point(float(x), float(y))), end)
+    engine = _engine(workers)
+    masks = []
+    mask = assign._availability_mask
+    with patch.object(assign, "_availability_mask", lambda *a: masks.append(a) or mask(*a)):
+        got = baseline_nearest(task, engine, t, exclude_workers=excluded)
+    want = _nearest_full_mask(task, engine, t, frozenset(excluded))
+    assert repr(got) == repr(want)
+    oracle = brute_force.nearest_oracle(task, workers, t, VEL, exclude=excluded)
+    assert (got.assignment.worker_id if got.assignment else None) == oracle
+    left = [w for w in workers if w.id not in excluded]
+    nearest = min(left, key=lambda w: (intervals[w.id][0], w.id), default=None)
+    taken = nearest is None or any(s < intervals[nearest.id][1] and e > t for s, e in nearest.bookings)
+    assert len(masks) == taken
+
+
 def test_one_time_places_and_speed_are_the_memoised_columns():
     # Two dispatch times in the same pattern and speed pieces read the same
     # read-only arrays, so an online decision gathers no places or speed.
@@ -676,7 +783,8 @@ def test_online_assign_rejects_non_finite_reward(reward, raised):
 def _check_engine_factors(inst: Instance, rng: random.Random) -> ScoreEngine:
     # Both vectorised paths give every factor bit for bit as scoring.total_score
     # does, at a piece end and one ulp either side of it as well as between
-    # ends. The work interval's end is compared instead of ttc, because
+    # ends, and the distance and time to complete as scoring.reach does. The
+    # work interval's end is also compared with the oracle's, because
     # (t + ttc) - t need not equal ttc in floats. One engine scores every
     # (task, time) pair in shuffled order, so later lookups are served from
     # the columns earlier ones memoised.
@@ -703,9 +811,12 @@ def _check_engine_factors(inst: Instance, rng: random.Random) -> ScoreEngine:
             b = total_score(task, w, owner, cat, t, inst.velocity)
             want = (b.time_score, b.availability, b.reward, b.trust_weighted, b.total)
             end_want = brute_force.work_interval(task, w, t, inst.velocity)[1]
+            d = distance(task.region, w.pattern.value_at(t))
+            reach_want = _bits(d, reach(task, d, inst.velocity.speed_at(t), t)[1])
             for s, k in ((at, i), (grids[q], (i, j))):
                 got = (s.ts[k], s.avail[k], s.rw[i], s.tw[i], s.total[k])
                 assert got == want, (seed, task.id, w.id, t)
+                assert _bits(s.travel_km[k], s.ttc[k]) == reach_want, (seed, task.id, w.id, t)
                 assert t + s.ttc[k] == end_want, (seed, task.id, w.id, t)
     return engine
 
@@ -750,6 +861,39 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
         assert len(table._columns) <= capacity
     assert len(ranks[id(engine._status)]) > 8
     assert len(ranks[id(engine._pattern)]) > 1
+
+
+@pytest.mark.parametrize("start_earliest", [None, 105.0, 650.0])
+def test_scalar_reach_is_the_kernels_bit_for_bit(start_earliest):
+    # scoring.reach, which times the nearest worker in the sc-nearest fast
+    # path, gives the kernel's effective start and time to complete at the
+    # speed and place piece ends and one ulp either side of them, on the
+    # floored speed the engine memoises.  A start_earliest of 650 clamps
+    # every start; one of 105 clamps only some.
+    vel = VelocityProfile(WeeklySchedule((Segment(ALL_DAYS, 60, 120, 7.0),), default=31.0), floor_kmh=9.0)
+    pattern = WeeklySchedule((Segment(ALL_DAYS, 90, 100, Point(1.3, 8.7)),), default=Point(0.1, 0.2))
+    worker = Worker(1, pattern, WeeklySchedule((), default=1.0), {1: 0.0})
+    engine = _engine([worker, _worker(2, x=3.3, y=1.7)], velocity=vel)
+    task = _task(1, region=Point(5.1, 4.9), start_earliest=start_earliest, expiration=2000.0)
+    ends = (60.0, 90.0, 100.0, 120.0)
+    times = np.array([t for e in ends for t in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))])
+    x, y = engine._positions(times)
+    dist, eff, ttc = engine._reach(task, times, x, y, engine._speeds(times))
+    clamped = set()
+    for j, t in enumerate(times.tolist()):
+        speed = float(engine._speeds(np.array([t]))[0])
+        assert speed == vel.speed_at(t) == (9.0 if 60 <= t < 120 else 31.0)
+        for i, w in enumerate(engine.workers):
+            d = distance(task.region, w.pattern.value_at(t))
+            got = reach(task, d, speed, t)
+            assert _bits(d, *got) == _bits(dist[i, j], eff[i, j], ttc[i, j]), (t, w.id)
+            if got[0] == start_earliest:
+                clamped.add((i, j))
+    if start_earliest is None:
+        assert not clamped
+    else:
+        assert 0 < len(clamped) <= dist.size
+        assert (len(clamped) == dist.size) == (start_earliest == 650.0)
 
 
 @pytest.mark.parametrize("seed", range(300))

@@ -629,6 +629,34 @@ def test_nearest_decisions_copy_no_worker(monkeypatch):
     assert calls == {}
 
 
+def test_nearest_builds_the_full_mask_only_when_the_nearest_is_taken(monkeypatch):
+    # An sc-nearest decision checks only the nearest worker that is not
+    # excluded against its own bookings; the full booking mask is built on
+    # exactly the decisions where that worker is taken.  Which worker that
+    # is, and whether it is taken, is read from the vectorised scores first.
+    masks = []
+    mask = assign._availability_mask
+    monkeypatch.setattr(assign, "_availability_mask", lambda *a: masks.append(a) or mask(*a))
+    built, taken = [], []
+    decide = simulate.baseline_nearest
+
+    def checked(task, engine, t, *, exclude_workers=()):
+        s = engine.score_at(task, t)
+        near = np.where([w.id in exclude_workers for w in engine.workers], np.inf, s.travel_km)
+        i = int(np.argmin(near))
+        taken.append(not near[i] < np.inf or bool(engine.booked(t, t + s.ttc)[i]))
+        before = len(masks)
+        out = decide(task, engine, t, exclude_workers=exclude_workers)
+        built.append(len(masks) - before)
+        return out
+
+    monkeypatch.setattr(simulate, "baseline_nearest", checked)
+    sc, config = _psc_days()
+    run(sc, replace(config, policy="sc-nearest"))
+    assert built == [int(x) for x in taken]
+    assert 0 < sum(taken) < len(taken), (sum(taken), len(taken))
+
+
 def test_booking_table_depth_follows_the_live_bookings(monkeypatch):
     # Each task's booking is released when it is rejected, expires or
     # completes, so after every event the table holds exactly the scenario's

@@ -43,3 +43,5 @@ def test_perfbench_trace_hooks_wrap_a_run(policy, tmp_path, monkeypatch):
     else:
         assert calls["assign.baseline_nearest.calls"] > 0
         assert calls["assign.score_at.calls"] == 0  # the baseline scores only its winner
+        # The full booking mask is built only when the nearest worker is taken.
+        assert calls["assign.availability_mask.calls"] < calls["assign.baseline_nearest.calls"]
