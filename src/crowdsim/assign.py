@@ -35,8 +35,8 @@ from .scoring import (
 #: Worker rows scored in a task's first block of the threshold search; each later block doubles.
 _ROW_BLOCK = 16
 #: Bytes of rank columns each piece table memoises (at the week shape's 1000
-#: workers, 1048 piece-index columns or 524 place columns; the status table
-#: there has 112 ranks and the pattern table 11).
+#: workers, 349 status columns or 524 place columns; the status table there
+#: has 112 ranks and the pattern table 11).
 _COLUMN_MEMO_BYTES = 8 << 20
 
 
@@ -135,40 +135,34 @@ class GridContext:
     speed: np.ndarray  # (times,)
 
 
-def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Float arrays end to end; none gives an empty array."""
-    return np.concatenate([np.empty(0), *arrays])
-
-
 class _PieceTable:
-    """The piece ends of many weekly schedules, one row each, for one exact lookup.
+    """The piece values of many weekly schedules, one row each, for one exact lookup.
 
     A week minute's rank is its place among ``cuts``, the sorted unique
     inner piece ends of all rows (all but a schedule's last end, which is the
     week's end).  Every row's piece at a minute depends only on that rank, so
     :meth:`index` serves each rank's column from a memo bounded by
     ``_COLUMN_MEMO_BYTES`` (least recently used goes first).  A column holds
-    every row's piece index, or, for a table built with ``values`` (shaped
-    (fields, pieces)), every row's values at its piece, shaped (fields, rows).
-    It is built by keying every inner end ``row * (len(cuts) + 1) + rank``,
-    and the rank the same way, so one ``searchsorted`` over integer keys
-    counts each row's ends at or before it.  Float keys such as ``end + row *
+    every row's ``values`` (per-piece fields, shaped (fields, pieces), the
+    rows' pieces end to end) at its piece, shaped (fields, rows).  It is
+    found by keying every inner end ``row * (len(cuts) + 1) + rank``, and
+    the rank the same way, so one ``searchsorted`` over integer keys counts
+    each row's ends at or before it.  Float keys such as ``end + row *
     WEEK_MINUTES`` would round near piece ends.  Leaving out the last end
     puts minutes that round up to the week's end in the last piece, the clamp
     ``WeeklySchedule`` applies.
     """
 
-    def __init__(self, schedules: Sequence[WeeklySchedule], values: np.ndarray | None = None):
-        inner = [s.piece_ends[:-1] for s in schedules]
-        ends = _concat(inner)
+    def __init__(self, schedules: Sequence[WeeklySchedule], values: np.ndarray):
+        ends = np.array([e for s in schedules for e in s.piece_ends[:-1]], dtype=float)
         self._cuts = np.unique(ends)
-        self._rows = np.arange(len(inner))
+        self._rows = np.arange(len(schedules))
         self._row_keys = self._rows * (len(self._cuts) + 1)
-        self._keys = np.repeat(self._row_keys, [len(e) for e in inner]) + np.searchsorted(self._cuts, ends)
+        self._keys = np.repeat(self._row_keys, [len(s.piece_ends) - 1 for s in schedules])
+        self._keys += np.searchsorted(self._cuts, ends)
         self._values = values
         self._columns: OrderedDict[int, np.ndarray] = OrderedDict()
-        size = self._rows.nbytes if values is None else len(values) * len(inner) * values.itemsize
-        self._capacity = max(1, _COLUMN_MEMO_BYTES // max(1, size))
+        self._capacity = max(1, _COLUMN_MEMO_BYTES // max(1, len(values) * len(schedules) * values.itemsize))
 
     def index(self, tm: np.ndarray) -> np.ndarray:
         """The column of each week minute's rank, stacked on a leading minutes axis."""
@@ -182,9 +176,7 @@ class _PieceTable:
         if col is not None:
             self._columns.move_to_end(rank)
             return col
-        col = np.searchsorted(self._keys, self._row_keys + rank) + self._rows
-        if self._values is not None:
-            col = self._values[:, col]
+        col = self._values[:, np.searchsorted(self._keys, self._row_keys + rank) + self._rows]
         col.flags.writeable = False
         self._columns[rank] = col
         if len(self._columns) > self._capacity:
@@ -224,8 +216,7 @@ class ScoreEngine:
         self.velocity = velocity
         n = len(self.workers)
 
-        # Piece values, concatenated in the row order of each piece table; the
-        # pattern and speed tables memoise each rank's places and speed.
+        # Per-piece fields in each table's row order: places (x, y); status integral to the piece start, value, start.
         patterns = [w.pattern for w in self.workers]
         cents = [centroid(v) for p in patterns for v in p.piece_values]
         self._pattern = _PieceTable(patterns, np.array([[c.x for c in cents], [c.y for c in cents]], dtype=float))
@@ -233,13 +224,9 @@ class ScoreEngine:
             if w.status.piece_prefix is None:
                 raise TypeError(f"worker {w.id} status schedule is not numeric")
         statuses = [w.status for w in self.workers]
-        self._status = _PieceTable(statuses)
-        self._st_start = _concat([s.piece_starts for s in statuses])
-        self._st_value = np.array([float(v) for s in statuses for v in s.piece_values], dtype=float)
-        self._st_prefix = _concat([s.piece_prefix[:-1] for s in statuses])
+        pieces = [(p, float(v), t) for s in statuses for p, v, t in zip(s.piece_prefix, s.piece_values, s.piece_starts)]
+        self._status = _PieceTable(statuses, np.array(pieces, dtype=float).reshape(-1, 3).T)
         self._st_week = np.array([s.week_integral for s in statuses], dtype=float)
-        speeds = np.maximum([float(v) for v in velocity.schedule.piece_values], velocity.floor_kmh)
-        self._speed = _PieceTable([velocity.schedule], speeds[None])
 
         self._demand: dict[int, np.ndarray] = {
             c.id: np.array([w.reward_demand.get(c.id, c.cat_reward) for w in self.workers])
@@ -363,12 +350,12 @@ class ScoreEngine:
         """
         nw = np.floor(times / WEEK_MINUTES)[:, None]
         tm = times[:, None] - nw * WEEK_MINUTES
-        p = self._status.index(tm[:, 0])
-        return (nw * self._st_week + self._st_prefix[p] + self._st_value[p] * (tm - self._st_start[p])).T
+        prefix, value, start = self._status.index(tm[:, 0]).transpose(1, 0, 2)
+        return (nw * self._st_week + prefix + value * (tm - start)).T
 
     def _speeds(self, times: np.ndarray) -> np.ndarray:
-        """The floored travel speed at each time, shaped (times,); for one time, a read-only memo view."""
-        return self._speed.index(np.mod(times, WEEK_MINUTES))[:, 0, 0]
+        """The floored travel speed at each time, shaped (times,), from the scalar reference."""
+        return np.array([self.velocity.speed_at(t) for t in times.tolist()], dtype=float)
 
     def grid_context(self, times: np.ndarray) -> GridContext:
         """Precompute positions, cumulative status and speed at shared batch grid times."""
@@ -390,7 +377,7 @@ class ScoreEngine:
         np.multiply(dy, dy, out=dy)
         return np.sqrt(np.add(dist, dy, out=dist), out=dist)
 
-    def _reach(self, task: Task, times: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray):
+    def _reach(self, task: Task, times: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray | float):
         """Distance, effective start and time to complete from positions at dispatch times.
 
         Steps write in place into this call's own arrays; the operations and
@@ -405,13 +392,13 @@ class ScoreEngine:
         ttc = np.add(eff, task.duration)
         return dist, eff, np.subtract(ttc, times, out=ttc)
 
-    def _factors(self, task: Task, cum_exp: np.ndarray | None = None) -> _TaskFactors:
-        """The task's time-independent factors; ``cum_exp`` may come from one lookup for many tasks."""
+    def _factors(self, task: Task) -> _TaskFactors:
+        """The task's time-independent factors."""
         margin = task.pto_reward - self._demand[task.category_id]
         return _TaskFactors(
             rw=np.where(margin > 0, margin / task.pto_reward, 0.0),
             tw=self._trust_vector(task),
-            cum_exp=self._cumulative(np.array([task.expiration]))[:, 0] if cum_exp is None else cum_exp,
+            cum_exp=self._cumulative(np.array([task.expiration]))[:, 0],
         )
 
     def _score(self, task: Task, f: _TaskFactors, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
@@ -624,7 +611,7 @@ def _nearest_free(task: Task, engine: ScoreEngine, t: float, exclude: frozenset[
     """
     times = np.array([t])
     x, y = engine._positions(times)
-    x, y, speed = x[:, 0], y[:, 0], engine._speeds(times)
+    x, y, speed = x[:, 0], y[:, 0], engine.velocity.speed_at(t)
     near = engine._distance(task, x, y)
     for wid in exclude:
         i = engine.index_of.get(wid)
@@ -634,7 +621,7 @@ def _nearest_free(task: Task, engine: ScoreEngine, t: float, exclude: frozenset[
         i = int(np.argmin(near))  # the first NaN, if there is one
         d = float(near[i])
         if d < math.inf:
-            ttc = reach(task, d, float(speed[0]), t)[1]
+            ttc = reach(task, d, speed, t)[1]
             if engine.is_free(i, t, t + ttc):
                 return i, ttc, d
     dist, _eff, ttc = engine._reach(task, times, x, y, speed)
@@ -793,12 +780,11 @@ def offline_assign(
     if not len(times):  # the grid ends before now; otherwise it starts at now, before every expiration
         return [], [(t.id, OutcomeKind.DEADLINE_INFEASIBLE) for t in tasks_sorted]
     ctx = engine.grid_context(times)
-    cum_exps = engine._cumulative(np.array([t.expiration for t in tasks_sorted]))
 
     cands: list[_Candidates] = []
-    for j, task in enumerate(tasks_sorted):
+    for task in tasks_sorted:
         k = int(np.searchsorted(times, task.expiration, side="left"))
-        f = engine._factors(task, cum_exps[:, j])
+        f = engine._factors(task)
         cands.append(
             _Candidates(
                 task,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
@@ -20,6 +21,7 @@ from typing import Any, Callable, ClassVar, Iterable, NamedTuple, NoReturn
 
 from .model import (
     KM_PER_MILE,
+    MAX_COORDINATE_KM,
     MAX_TIME_MIN,
     Disc,
     Point,
@@ -497,16 +499,13 @@ class GenParams:
     urgent_lead_range: tuple[int, int] = (30, 240)
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ParameterError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.n_tasks < 0:
-            raise ParameterError(f"n_tasks must be >= 0, got {self.n_tasks}")
-        if self.n_categories < 1:
-            raise ParameterError(f"n_categories must be >= 1, got {self.n_categories}")
-        if self.n_owners < 1:
-            raise ParameterError(f"n_owners must be >= 1, got {self.n_owners}")
-        if not (0 < self.map_size_km < math.inf):
-            raise ParameterError(f"map_size_km must be finite and > 0, got {self.map_size_km}")
+        for name, least in (("n_workers", 1), ("n_tasks", 0), ("n_categories", 1), ("n_owners", 1)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (0 < self.map_size_km <= MAX_COORDINATE_KM):
+            raise ParameterError(
+                f"map_size_km must be finite and > 0 and <= {MAX_COORDINATE_KM:g}, got {self.map_size_km}"
+            )
         for name in ("fraction_commuters", "urgent_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -515,10 +514,24 @@ class GenParams:
             raise ParameterError(f"status_levels must be non-empty values in [0, 1], got {self.status_levels}")
         for name in ("reward_range", "demand_range", "duration_range", "lead_range", "urgent_lead_range"):
             lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ParameterError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+            if not 0 < lo <= hi <= sys.float_info.max:
+                raise ParameterError(f"{name} must satisfy 0 < lo <= hi, both finite, got {(lo, hi)}")
+        # Money is drawn to the cent and minutes are drawn whole.
+        for name in ("reward_range", "demand_range"):
+            if not round(getattr(self, name)[0], 2) > 0:
+                raise ParameterError(f"{name} must start at a value that rounds to a cent, got {getattr(self, name)}")
+        for name in ("duration_range", "lead_range", "urgent_lead_range"):
+            if not all(isinstance(v, int) for v in getattr(self, name)):
+                raise ParameterError(f"{name} must hold integer minutes, got {getattr(self, name)}")
         if not (0 < self.horizon_min < math.inf):
             raise ParameterError(f"horizon_min must be finite and > 0, got {self.horizon_min}")
+        # A task is submitted before the horizon's last whole minute and expires at most the longest lead later.
+        longest = max(self.lead_range[1], self.urgent_lead_range[1], self.duration_range[1] + 1)
+        if not (1 <= self.horizon_min and int(self.horizon_min) + longest <= MAX_TIME_MIN):
+            raise ParameterError(
+                f"horizon_min must be at least 1 and, plus the longest lead that lead_range, urgent_lead_range and "
+                f"duration_range allow ({longest} minutes), at most 2**53 minutes, got {self.horizon_min}"
+            )
 
 
 def _count(n: int, fraction: float) -> int:

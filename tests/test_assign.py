@@ -689,14 +689,27 @@ def test_nearest_fast_path_matches_the_full_mask(places, kinds, excluded, t, sta
 
 
 def test_one_time_places_and_speed_are_the_memoised_columns():
-    # Two dispatch times in the same pattern and speed pieces read the same
-    # read-only arrays, so an online decision gathers no places or speed.
-    engine = _engine([_worker(1, x=1.0), _worker(2, x=3.0)])
+    # Two dispatch times in the same pattern and status pieces read the same
+    # read-only arrays, so an online decision gathers no places or status
+    # fields.  A status column holds each worker's integral up to its piece
+    # start, its piece value and its piece start.  The speed is the scalar
+    # reference's, bit for bit, on a floored piece and at its ends as well.
+    half = WeeklySchedule((Segment(ALL_DAYS, 0, 60, 0.5),), default=1.0)
+    vel = VelocityProfile(WeeklySchedule((Segment(ALL_DAYS, 60, 120, 2.5),), default=30.0), floor_kmh=5.0)
+    engine = _engine([_worker(1, x=1.0), replace(_worker(2, x=3.0), status=half)], velocity=vel)
     (x1, y1), (x2, y2) = (engine._positions(np.array([t])) for t in (10.0, 20.0 + WEEK_MINUTES))
-    s1, s2 = engine._speeds(np.array([10.0])), engine._speeds(np.array([20.0 + WEEK_MINUTES]))
-    assert np.shares_memory(x1, x2) and np.shares_memory(y1, y2) and np.shares_memory(s1, s2)
-    assert not (x1.flags.writeable or y1.flags.writeable or s1.flags.writeable)
-    assert (x1[:, 0].tolist(), y1[:, 0].tolist(), s1.tolist()) == ([1.0, 3.0], [5.0, 5.0], [30.0])
+    c1, c2, c3 = (engine._status.index(np.array([t])) for t in (10.0, 20.0, 90.0))
+    assert np.shares_memory(x1, x2) and np.shares_memory(y1, y2) and np.shares_memory(c1, c2)
+    assert not (x1.flags.writeable or y1.flags.writeable or c1.flags.writeable or c3.flags.writeable)
+    assert (x1[:, 0].tolist(), y1[:, 0].tolist()) == ([1.0, 3.0], [5.0, 5.0])
+    assert c1[0].tolist() == [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]]
+    assert c3[0].tolist() == [[0.0, 30.0], [1.0, 1.0], [0.0, 60.0]]
+    times = [10.0, 60.0, 90.0, 120.0, 90.0 + WEEK_MINUTES, -1e-13]
+    times += [float(np.nextafter(e, d)) for e in (60.0, 120.0) for d in (-np.inf, np.inf)]
+    want = _bits(*(vel.speed_at(t) for t in times))
+    assert _bits(*engine._speeds(np.array(times))) == want
+    assert [_bits(*engine._speeds(np.array([t]))) for t in times] == [[w] for w in want]
+    assert want[:4] == _bits(30.0, 5.0, 5.0, 30.0)
 
 
 # -- engine state -------------------------------------------------------------------
@@ -827,11 +840,11 @@ def test_engine_factors_equal_scalar_scores(seed):
 
 
 def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
-    # A memo of two piece-index columns per worker table, for a generated
-    # population whose statuses have about a hundred piece ends: lookups
-    # evict columns and build them again.  A pattern column holds two places
-    # per worker, so the same budget holds one, and score_at's places come
-    # from that memo as it evicts.
+    # A memo of one status column, for a generated population whose
+    # statuses have about a hundred piece ends: lookups evict columns and
+    # build them again.  A status column holds three fields per worker and a
+    # pattern column two places, so the same budget holds one pattern column
+    # too, and score_at's places come from that memo as it evicts.
     scenario = generate(GenParams(20, 300, urgent_fraction=0.5, horizon_min=1440.0), seed=4)
     now = 600.0
     inst = Instance(
@@ -845,7 +858,7 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
         velocity=scenario.velocity,
         seed=4,
     )
-    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", 2 * np.arange(len(inst.workers)).nbytes)
+    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", np.zeros((3, len(inst.workers))).nbytes)
     ranks: dict[int, set[int]] = {}
     column = assign._PieceTable._column
 
@@ -856,7 +869,7 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
     monkeypatch.setattr(assign._PieceTable, "_column", seen)
     engine = _check_engine_factors(inst, random.Random(4))
     assert len(inst.tasks) == 40
-    for table, capacity in ((engine._status, 2), (engine._pattern, 1)):
+    for table, capacity in ((engine._status, 1), (engine._pattern, 1)):
         assert table._capacity == capacity
         assert len(table._columns) <= capacity
     assert len(ranks[id(engine._status)]) > 8
@@ -961,6 +974,26 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
     assignments, _ = offline_assign(tasks, engine, now, grid)
     assert len(tasks) >= 20 and assignments
     assert sum(cells) < full / 2, (sum(cells), full)
+
+
+def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
+    # One batch of the 200x500 benchmark canary population: status integrals
+    # are looked up at the batch grid's times once, and each task's
+    # expiration integral on its own, so the batch builds no (tasks, workers)
+    # temporary.
+    scenario = generate(GenParams(200, 500, urgent_fraction=0.5), seed=0)
+    now = 1260.0
+    tasks = [t for t in scenario.tasks if t.submit_time <= now < t.expiration]
+    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
+    grids, lookups = [], []
+    for name, seen in (("grid_context", grids), ("_cumulative", lookups)):
+        method = getattr(ScoreEngine, name)
+        monkeypatch.setattr(ScoreEngine, name, lambda self, times, m=method, s=seen: s.append(times) or m(self, times))
+    assignments, _ = offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
+    assert len(tasks) >= 20 and assignments and len(grids) == 1
+    assert all(times is grids[0] or len(times) == 1 for times in lookups)
+    assert sum(times is grids[0] for times in lookups) == 1
+    assert sorted(times[0] for times in lookups if len(times) == 1) == sorted(t.expiration for t in tasks)
 
 
 def test_scalar_and_vectorised_lookups_agree_just_below_zero():

@@ -577,9 +577,9 @@ def _psc_days() -> tuple[Scenario, SimConfig]:
 
 def test_schedule_lookups_build_each_rank_column_at_most_once(monkeypatch):
     # A piece table searches its full key array only to build the column of
-    # piece indexes (or places, or speed) for a rank it has not seen, so over
-    # a whole run it does so at most once per rank, however many online
-    # decisions look it up, under either policy.
+    # places or status fields for a rank it has not seen, so over a whole run
+    # it does so at most once per rank, however many online decisions look
+    # it up, under either policy.  The speed reads the scalar reference.
     tables = []
     init = assign._PieceTable.__init__
 
@@ -606,7 +606,7 @@ def test_schedule_lookups_build_each_rank_column_at_most_once(monkeypatch):
             decide = getattr(simulate, assigner)
             m.setattr(simulate, assigner, lambda *a, decide=decide, **kw: decisions.append(a[2]) or decide(*a, **kw))
             run(sc, replace(config, policy=policy))
-        assert len(tables) == 3 and len(decisions) > 100, policy
+        assert len(tables) == 2 and len(decisions) > 100, policy
         for k, table in enumerate(tables):
             assert key_searches[k] <= len(table._cuts) + 1, (policy, k, key_searches[k], len(table._cuts) + 1)
 

@@ -37,6 +37,8 @@ def test_perfbench_trace_hooks_wrap_a_run(policy, tmp_path, monkeypatch):
     if policy == "psc":
         # simulate calls the batch assigner under the name the benchmark wraps.
         assert calls["assign.offline_assign.calls"] > 0
+        # One grid context per batch, as the benchmark's grid_context figures assume.
+        assert calls["assign.grid_context.calls"] == calls["assign.offline_assign.calls"]
         assert calls["assign.offline_assign.tasks"] > 0
         assert calls["assign.score_grid.calls"] > 0
         assert calls["assign.score_at.calls"] > 0

@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -519,6 +521,90 @@ def test_gen_params_validation():
         GenParams(n_workers=1, n_tasks=1, duration_range=(0, 10))
     with pytest.raises(ParameterError):
         GenParams(n_workers=1, n_tasks=1, horizon_min=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon_min", 0.5),
+        ("horizon_min", 1e17),
+        ("lead_range", (10**16, 10**16)),
+        ("urgent_lead_range", (1, 2**53)),
+        ("duration_range", (2**53, 2**53)),
+        ("duration_range", (10.0, 90.0)),
+        ("map_size_km", 5e6),
+        ("reward_range", (0.001, 0.002)),
+        ("demand_range", (0.004, 0.005)),
+        ("reward_range", (5.0, math.inf)),
+        ("demand_range", (2.0, math.nan)),
+        ("reward_range", (5, 10**400)),
+    ],
+)
+def test_gen_params_reject_what_generate_cannot_honour(field, value):
+    # Each of these once built a scenario with violations, one that saved
+    # but did not load, or a bare error from inside generate.
+    with pytest.raises(ParameterError, match=field):
+        GenParams(n_workers=1, n_tasks=1, **{field: value})
+
+
+def test_gen_params_horizon_limit_is_the_latest_expiration():
+    # A task is submitted by the horizon's last whole minute and expires at
+    # most the longest lead (1440 minutes by default) later, so the latest
+    # expiration is 2**53 - 1 at the largest horizon accepted.
+    GenParams(n_workers=1, n_tasks=1, horizon_min=2.0**53 - 1440)
+    with pytest.raises(ParameterError, match="horizon_min"):
+        GenParams(n_workers=1, n_tasks=1, horizon_min=2.0**53 - 1439)
+
+
+_MONEY = st.one_of(st.sampled_from([0.005, 0.0051, 0.01, 5.0, 1e300, 2.0**1023]), st.floats(0.004, 50.0))
+_MINUTES = st.one_of(st.sampled_from([1, 2, 1439, 1440, 1441, 2**40, 2**52]), st.integers(1, 3000))
+
+
+def _ranges(values: st.SearchStrategy, n: int) -> st.SearchStrategy:
+    """``n`` (lo, hi) ranges of ``values``, each in order."""
+    return st.tuples(*[st.tuples(values, values).map(sorted).map(tuple)] * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.tuples(st.integers(1, 3), st.integers(0, 6), st.integers(1, 3), st.integers(1, 3)),
+    map_size_km=st.one_of(st.sampled_from([5e-324, 0.001, 1e6]), st.floats(1e-3, 1e6)),
+    fractions=st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    status_levels=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    money=_ranges(_MONEY, 2),
+    minutes=_ranges(_MINUTES, 3),
+    horizon_min=st.one_of(st.sampled_from([1.0, 1.5, 1439.0, 1440.0, 2.0**52, 2.0**53 - 2000]), st.floats(1.0, 3e4)),
+    seed=st.integers(0, 2**32),
+)
+def test_every_gen_params_that_constructs_generates_a_valid_scenario(
+    counts, map_size_km, fractions, status_levels, money, minutes, horizon_min, seed
+):
+    # Small counts and boundary values: whatever GenParams accepts, generate
+    # draws a scenario that validates and saves, and loading it back saves
+    # the same bytes.
+    try:
+        params = GenParams(
+            *counts,
+            map_size_km=map_size_km,
+            fraction_commuters=fractions[0],
+            urgent_fraction=fractions[1],
+            status_levels=tuple(status_levels),
+            reward_range=money[0],
+            demand_range=money[1],
+            horizon_min=horizon_min,
+            duration_range=minutes[0],
+            lead_range=minutes[1],
+            urgent_lead_range=minutes[2],
+        )
+    except ParameterError:
+        return
+    scenario = generate(params, seed)
+    assert scenario.violations() == []
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        save(scenario, first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("name", ["n_categories", "n_owners"])
