@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
+from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid, distance
 from .schedule import WEEK_MINUTES, WeeklySchedule
 from .scoring import (
     MIN_PRIORITY_EXPONENT_BASE,
@@ -113,15 +113,6 @@ class _Scores:
     travel_km: np.ndarray
     rw: np.ndarray
     tw: np.ndarray
-
-
-@dataclass
-class _TaskFactors:
-    """The per-worker parts of one task's score that do not depend on the dispatch time."""
-
-    rw: np.ndarray
-    tw: np.ndarray
-    cum_exp: np.ndarray  # (workers,): status integral from 0 to the task's expiration
 
 
 @dataclass
@@ -343,15 +334,16 @@ class ScoreEngine:
         xy = self._pattern.index(np.mod(times, WEEK_MINUTES))
         return xy[:, 0].T, xy[:, 1].T
 
-    def _cumulative(self, times: np.ndarray) -> np.ndarray:
-        """Every worker's status integral from 0 to each time, shaped (workers, times).
+    def _cumulative(self, times: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The worker ``rows``' status integral from 0 to each time, shaped (rows, times).
 
+        The memoised columns are gathered to ``rows`` before the arithmetic.
         The array is laid out time-major, so one time's column is contiguous.
         """
         nw = np.floor(times / WEEK_MINUTES)[:, None]
         tm = times[:, None] - nw * WEEK_MINUTES
-        prefix, value, start = self._status.index(tm[:, 0]).transpose(1, 0, 2)
-        return (nw * self._st_week + prefix + value * (tm - start)).T
+        prefix, value, start = self._status.index(tm[:, 0])[:, :, rows].transpose(1, 0, 2)
+        return (nw * self._st_week[rows] + prefix + value * (tm - start)).T
 
     def _speeds(self, times: np.ndarray) -> np.ndarray:
         """The floored travel speed at each time, shaped (times,), from the scalar reference."""
@@ -392,16 +384,17 @@ class ScoreEngine:
         ttc = np.add(eff, task.duration)
         return dist, eff, np.subtract(ttc, times, out=ttc)
 
-    def _factors(self, task: Task) -> _TaskFactors:
-        """The task's time-independent factors."""
-        margin = task.pto_reward - self._demand[task.category_id]
-        return _TaskFactors(
-            rw=np.where(margin > 0, margin / task.pto_reward, 0.0),
-            tw=self._trust_vector(task),
-            cum_exp=self._cumulative(np.array([task.expiration]))[:, 0],
-        )
+    def _factors(self, task: Task, rows=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The task's reward, trust and status integral to its expiration, for the worker ``rows``.
 
-    def _score(self, task: Task, f: _TaskFactors, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
+        None depends on the dispatch time.  Each is elementwise over workers,
+        so a subset of rows has the same bits as those rows of the whole.
+        """
+        margin = task.pto_reward - self._demand[task.category_id][rows]
+        rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
+        return rw, self._trust_vector(task)[rows], self._cumulative(np.array([task.expiration]), rows)[:, 0]
+
+    def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
         """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``."""
         times = ctx.times[:k]
         dist, eff, ttc = self._reach(task, times, ctx.x[rows, :k], ctx.y[rows, :k], ctx.speed[:k])
@@ -412,9 +405,9 @@ class ScoreEngine:
         np.divide(ts, left, out=ts)
         if task.start_latest is not None:
             ts[eff > task.start_latest] = -1.0
-        avail = np.subtract(f.cum_exp[rows, None], ctx.cum_status[rows, :k], out=eff)
+        rw, tw, cum_exp = self._factors(task, rows)
+        avail = np.subtract(cum_exp[:, None], ctx.cum_status[rows, :k], out=eff)
         np.divide(avail, left, out=avail)
-        rw, tw = f.rw[rows], f.tw[rows]
         total = np.multiply(ts, avail)
         np.multiply(total, rw[:, None], out=total)
         np.multiply(total, tw[:, None], out=total)
@@ -422,22 +415,16 @@ class ScoreEngine:
 
     def score_at(self, task: Task, t: float) -> _Scores:
         """Score every worker for ``task`` dispatched at the single time ``t``."""
-        s = self._score(task, self._factors(task), self._context(np.array([t])), 1)
+        s = self._score(task, self._context(np.array([t])), 1)
         return replace(
             s, total=s.total[:, 0], ts=s.ts[:, 0], avail=s.avail[:, 0], ttc=s.ttc[:, 0], travel_km=s.travel_km[:, 0]
         )
 
-    def score_grid(
-        self, task: Task, ctx: GridContext, k: int, rows=slice(None), factors: _TaskFactors | None = None
-    ) -> _Scores:
-        """Score the worker ``rows`` (every worker by default) for ``task`` over the first ``k`` grid times.
+    def score_grid(self, task: Task, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
+        """Score the worker ``rows`` (every worker by default) for ``task`` over the first ``k`` grid times."""
+        return self._score(task, ctx, k, rows)
 
-        ``factors`` from :meth:`_factors` may be shared between calls for one task.
-        """
-        f = self._factors(task) if factors is None else factors
-        return self._score(task, f, ctx, k, rows)
-
-    def row_bounds(self, task: Task, ctx: GridContext, k: int, factors: _TaskFactors | None = None) -> np.ndarray:
+    def row_bounds(self, task: Task, ctx: GridContext, k: int) -> np.ndarray:
         """Per worker, a bound at or above every positive total :meth:`score_grid` gives over the first ``k`` times.
 
         The bound takes no distance.  Travel is never negative, so the
@@ -451,18 +438,18 @@ class ScoreEngine:
         can round down) could turn a negative time score into a positive
         total, so its bound is +inf.
         """
-        f = self._factors(task) if factors is None else factors
+        rw, tw, cum_exp = self._factors(task)
         times = ctx.times[:k]
         exp = task.expiration
         left = exp - times
         eff = times if task.start_earliest is None else np.maximum(times, task.start_earliest)
         ts = ((exp - ((eff + task.duration) - times)) - times) / left
         # (times, workers), so that the reductions run over contiguous rows.
-        avail = np.subtract(f.cum_exp, ctx.cum_status.T[:k])
+        avail = np.subtract(cum_exp, ctx.cum_status.T[:k])
         np.divide(avail, left[:, None], out=avail)
         negative = avail.min(axis=0) < 0.0
         np.multiply(ts[:, None], avail, out=avail)
-        bound = (avail.max(axis=0) * f.rw) * f.tw
+        bound = (avail.max(axis=0) * rw) * tw
         bound[negative] = np.inf
         return bound
 
@@ -728,18 +715,17 @@ class _Candidates:
         self.total = float(self.totals[i])
         return True
 
-    def assignment(self, worker_id: int) -> Assignment:
-        """The proposal as an assignment, its factors scored again on the worker's row alone."""
-        i = self.pointer
-        g = self.score(self.w[i : i + 1])
-        j = int(self.j[i])
+    def assignment(self, engine: ScoreEngine) -> Assignment:
+        """The proposal as an assignment, its factors from the scalar reference (the kernel's equal, bit for bit)."""
+        task, worker = self.task, engine.workers[self.worker]  # the live trust counters, as at the batch time
+        owner, category = engine.owners[task.owner_id], engine.categories[task.category_id]
         return Assignment(
-            task_id=self.task.id,
-            worker_id=worker_id,
+            task_id=task.id,
+            worker_id=worker.id,
             dispatch_time=self.t0,
-            breakdown=_breakdown(g, (0, j), 0),
-            ttc_min=float(g.ttc[0, j]),
-            travel_km=float(g.travel_km[0, j]),
+            breakdown=total_score(task, worker, owner, category, self.t0, engine.velocity),
+            ttc_min=float(self.ttc[self.pointer]),
+            travel_km=distance(task.region, worker.pattern.value_at(self.t0)),
         )
 
 
@@ -784,13 +770,12 @@ def offline_assign(
     cands: list[_Candidates] = []
     for task in tasks_sorted:
         k = int(np.searchsorted(times, task.expiration, side="left"))
-        f = engine._factors(task)
         cands.append(
             _Candidates(
                 task,
                 task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id]),
-                partial(engine.score_grid, task, ctx, k, factors=f),
-                engine.row_bounds(task, ctx, k, factors=f),
+                partial(engine.score_grid, task, ctx, k),
+                engine.row_bounds(task, ctx, k),
                 times,
             )
         )
@@ -834,7 +819,7 @@ def offline_assign(
     unassigned: list[tuple[int, OutcomeKind]] = []
     for c in cands:
         if c.reason is None:
-            assignments.append(c.assignment(engine.workers[c.worker].id))
+            assignments.append(c.assignment(engine))
         else:
             unassigned.append((c.task.id, c.reason))
     return assignments, unassigned

@@ -166,7 +166,9 @@ class _Sim:
         # sc-nearest is the same loop without batches: every task goes online.
         batch_times = () if config.policy == "sc-nearest" else config.offline_batch_times
         self.batch_times = tuple(sorted(t for t in batch_times if t <= config.duration_min))
-        self.runs = {t.id: _Run(t, t.pto_reward) for t in scenario.tasks if t.submit_time <= config.duration_min}
+        # In task-id order, so a run does not depend on the order the scenario lists its tasks in.
+        tasks = sorted(scenario.tasks, key=lambda t: t.id)
+        self.runs = {t.id: _Run(t, t.pto_reward) for t in tasks if t.submit_time <= config.duration_min}
 
         self.heap: list[tuple] = []
         self.seq = 0

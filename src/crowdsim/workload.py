@@ -500,8 +500,11 @@ class GenParams:
 
     def __post_init__(self) -> None:
         for name, least in (("n_workers", 1), ("n_tasks", 0), ("n_categories", 1), ("n_owners", 1)):
-            if getattr(self, name) < least:
-                raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ParameterError(f"{name} must be >= {least}, got {v}")
         if not (0 < self.map_size_km <= MAX_COORDINATE_KM):
             raise ParameterError(
                 f"map_size_km must be finite and > 0 and <= {MAX_COORDINATE_KM:g}, got {self.map_size_km}"

@@ -305,10 +305,15 @@ def _bits(*xs) -> list[str]:
 def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
     # Stepping the pointer to the end walks the full grid's positive cells in
     # (total desc, worker id asc, time asc) order, however the rows are
-    # blocked, and a proposal's assignment rescores its cell bit for bit.
+    # blocked, and a proposal's assignment reports its cell's factors, from
+    # the scalar reference, bit for bit.
+    # The search is exact for any valid upper bound: a loosened one (scaled
+    # by 1 + 2**-20, or +inf on a seeded third of the rows) changes which
+    # rows are scored, never the proposals.
     monkeypatch.setattr(assign, "_ROW_BLOCK", block)
     inst = random_instance(seed)
     engine = inst.engine()
+    rng = np.random.default_rng(seed)
     times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
     if not len(times):
         return
@@ -317,21 +322,26 @@ def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
         k = int(np.searchsorted(times, task.expiration, side="left"))
         full = engine.score_grid(task, ctx, k)
         cells = sorted(zip(*np.nonzero(full.total > 0.0)), key=lambda c: (-full.total[c], c[0], c[1]))
-        bound = engine.row_bounds(task, ctx, k)
-        cand = assign._Candidates(task, 1.0, partial(engine.score_grid, task, ctx, k), bound, times)
-        got = []
-        while cand.propose():
-            got.append((cand.worker, cand.t0, cand.total))
-            a = cand.assignment(engine.workers[cand.worker].id)
-            b = a.breakdown
-            i, j = cells[len(got) - 1]
-            assert a.dispatch_time == times[j]
-            assert b.time_feasible
-            got_bits = _bits(b.time_score, b.availability, b.reward, b.trust_weighted, b.total, a.ttc_min, a.travel_km)
-            cell = (full.ts[i, j], full.avail[i, j], full.rw[i], full.tw[i], full.total[i, j], full.ttc[i, j])
-            assert got_bits == _bits(*cell, full.travel_km[i, j]), (seed, task.id, i, j)
-            cand.pointer += 1
-        assert got == [(i, times[j], full.total[i, j]) for i, j in cells], (seed, task.id)
+        exact = engine.row_bounds(task, ctx, k)
+        inf_third = exact.copy()
+        inf_third[rng.permutation(len(exact))[: (len(exact) + 2) // 3]] = np.inf
+        for bound in (exact.copy(), exact * (1 + 2**-20), inf_third):
+            cand = assign._Candidates(task, 1.0, partial(engine.score_grid, task, ctx, k), bound, times)
+            got = []
+            while cand.propose():
+                got.append((cand.worker, cand.t0, cand.total))
+                a = cand.assignment(engine)
+                b = a.breakdown
+                i, j = cells[len(got) - 1]
+                assert a.dispatch_time == times[j]
+                assert b.time_feasible
+                got_bits = _bits(
+                    b.time_score, b.availability, b.reward, b.trust_weighted, b.total, a.ttc_min, a.travel_km
+                )
+                cell = (full.ts[i, j], full.avail[i, j], full.rw[i], full.tw[i], full.total[i, j], full.ttc[i, j])
+                assert got_bits == _bits(*cell, full.travel_km[i, j]), (seed, task.id, i, j)
+                cand.pointer += 1
+            assert got == [(i, times[j], full.total[i, j]) for i, j in cells], (seed, task.id)
 
 
 def test_offline_outcomes_cover_every_task():
@@ -949,16 +959,19 @@ def test_row_bound_is_reached_by_a_worker_at_the_task(start_earliest):
     assert bound[1] > total[1].max()
 
 
-def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
-    # One batch of the 200x500 benchmark canary population, at one of its
-    # 6-hourly batch times: the threshold search must leave most (worker,
-    # time) cells unscored, where a full grid scores them all.
-    from crowdsim.workload import GenParams, generate
-
+def _canary_batch() -> tuple[list[Task], ScoreEngine, float]:
+    """The tasks, engine and time of one batch of the 200x500 benchmark canary population."""
     scenario = generate(GenParams(200, 500, urgent_fraction=0.5), seed=0)
     now = 1260.0
     tasks = [t for t in scenario.tasks if t.submit_time <= now < t.expiration]
-    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
+    return tasks, ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity), now
+
+
+def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
+    # At one of the canary's 6-hourly batch times, the threshold search must
+    # leave most (worker, time) cells unscored, where a full grid scores
+    # them all.
+    tasks, engine, now = _canary_batch()
     grid = TimeGrid(15.0, WEEK_MINUTES)
     times = grid.times(now, before=max(t.expiration for t in tasks))
     full = sum(len(engine.workers) * int(np.searchsorted(times, t.expiration)) for t in tasks)
@@ -977,23 +990,74 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
 
 
 def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
-    # One batch of the 200x500 benchmark canary population: status integrals
-    # are looked up at the batch grid's times once, and each task's
-    # expiration integral on its own, so the batch builds no (tasks, workers)
-    # temporary.
-    scenario = generate(GenParams(200, 500, urgent_fraction=0.5), seed=0)
-    now = 1260.0
-    tasks = [t for t in scenario.tasks if t.submit_time <= now < t.expiration]
-    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
-    grids, lookups = [], []
-    for name, seen in (("grid_context", grids), ("_cumulative", lookups)):
-        method = getattr(ScoreEngine, name)
-        monkeypatch.setattr(ScoreEngine, name, lambda self, times, m=method, s=seen: s.append(times) or m(self, times))
+    # In one canary batch, status integrals are looked up at the batch
+    # grid's times once and otherwise at one task expiration at a time, and
+    # a score block looks up only its own rows, bit for bit those rows of
+    # the whole lookup: the batch builds no (tasks, workers) temporary.
+    tasks, engine, now = _canary_batch()
+    grids, lookups, blocks = [], [], []
+    grid_context, cumulative, score = ScoreEngine.grid_context, ScoreEngine._cumulative, ScoreEngine._score
+
+    def traced_grid_context(self, *args):
+        grids.append(args[0])
+        return grid_context(self, *args)
+
+    def traced_cumulative(self, *args):
+        out = cumulative(self, *args)
+        lookups.append((args[0], out, blocks[-1] if blocks else None))
+        return out
+
+    def traced_score(self, *args):
+        rows = args[3] if len(args) > 3 else slice(None)
+        blocks.append(np.arange(len(self.workers))[rows])
+        try:
+            return score(self, *args)
+        finally:
+            blocks.pop()
+
+    monkeypatch.setattr(ScoreEngine, "grid_context", traced_grid_context)
+    monkeypatch.setattr(ScoreEngine, "_cumulative", traced_cumulative)
+    monkeypatch.setattr(ScoreEngine, "_score", traced_score)
     assignments, _ = offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
     assert len(tasks) >= 20 and assignments and len(grids) == 1
-    assert all(times is grids[0] or len(times) == 1 for times in lookups)
-    assert sum(times is grids[0] for times in lookups) == 1
-    assert sorted(times[0] for times in lookups if len(times) == 1) == sorted(t.expiration for t in tasks)
+    assert all(times is grids[0] or len(times) == 1 for times, _, _ in lookups)
+    assert sum(times is grids[0] for times, _, _ in lookups) == 1
+    assert {times[0] for times, _, _ in lookups if len(times) == 1} == {t.expiration for t in tasks}
+    in_blocks = [(times, out, rows) for times, out, rows in lookups if rows is not None]
+    assert any(len(rows) < len(engine.workers) for _, _, rows in in_blocks)
+    for times, out, rows in in_blocks:
+        assert len(times) == 1 and out.shape == (len(rows), 1)
+        assert np.array_equal(out, cumulative(engine, times)[rows])
+
+
+def test_batch_records_keep_only_their_bound(monkeypatch):
+    # A batched task's record holds its bound as its one worker-wide array.
+    # Its score partial holds the task, the batch's shared grid context and
+    # the task's grid length: reward, trust and the expiration integral are
+    # computed for each scored block, not kept.
+    tasks, engine, now = _canary_batch()
+    records = []
+    init = assign._Candidates.__init__
+
+    def traced_init(self, *args):
+        init(self, *args)
+        records.append(self)
+        wide = [
+            name
+            for name in self.__slots__
+            if isinstance(getattr(self, name), np.ndarray)
+            and getattr(self, name) is not self.times
+            and len(getattr(self, name)) == len(engine.workers)
+        ]
+        assert wide == ["bound"]
+
+    monkeypatch.setattr(assign._Candidates, "__init__", traced_init)
+    offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
+    assert len(records) == len(tasks)
+    for c in records:
+        held = (*c.score.args, *c.score.keywords.values())
+        assert not any(isinstance(a, np.ndarray) for a in held)
+        assert [type(a) for a in held] == [Task, assign.GridContext, int]
 
 
 def test_scalar_and_vectorised_lookups_agree_just_below_zero():

@@ -3,11 +3,15 @@
 import copy
 import math
 import random
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdsim import assign, simulate
 from crowdsim.assign import Assignment, OutcomeKind, ScoreEngine
@@ -15,7 +19,7 @@ from crowdsim.model import Point, Rect, Task, TaskCategory, TaskOwner, TrustCoun
 from crowdsim.schedule import WeeklySchedule
 from crowdsim.scoring import ScoreBreakdown, VelocityProfile, total_score
 from crowdsim.simulate import SimConfig, TaskState, _Sim, accept_decision, performance_metrics, run
-from crowdsim.workload import GenParams, Scenario, builtin_scenarios, generate
+from crowdsim.workload import GenParams, Scenario, builtin_scenarios, generate, load, save
 
 
 def _trace(report, kinds=("dispatch", "accepted", "rejected", "completed", "expired", "unassignable")):
@@ -541,6 +545,50 @@ def test_same_seed_same_run(policy):
     assert a.log == b.log
     assert a.counts == b.counts
     assert a.performance_def1 == b.performance_def1
+
+
+def _outputs(report) -> tuple[str, list[Worker]]:
+    """The text of a run's log, counts and task states, and its final workers by id.
+
+    The report lists final workers in the scenario's order.  They are
+    compared by value: a generated schedule holds int minutes where a loaded
+    one holds floats, so their texts differ.
+    """
+    final = sorted(report.final_workers, key=lambda w: w.id)
+    return repr((report.log, report.counts, list(report.task_state.items()))), final
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_workers=st.integers(1, 8),
+    n_tasks=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+    policy=st.sampled_from(["psc", "sc-nearest"]),
+    data=st.data(),
+)
+def test_run_is_a_function_of_the_scenario_content(n_workers, n_tasks, seed, policy, data):
+    # Listing the tasks or the workers in another order, adding a task that
+    # is submitted after the horizon, and a save/load round trip each leave
+    # the run's log, counts and task states byte for byte as they were, and
+    # its final workers equal.
+    sc = generate(GenParams(n_workers=n_workers, n_tasks=n_tasks, horizon_min=1440.0, urgent_fraction=0.5), seed=seed)
+    cfg = SimConfig(duration_min=1440.0, offline_batch_times=(180.0, 540.0, 900.0), seed=seed, policy=policy)
+    want = _outputs(run(sc, cfg))
+    late = replace(
+        sc.tasks[0], id=max(t.id for t in sc.tasks) + 1, submit_time=1441.0, expiration=1600.0,
+        start_earliest=None, start_latest=None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scenario.json")
+        save(sc, path)
+        loaded = load(path)
+    for other in (
+        replace(sc, tasks=data.draw(st.permutations(sc.tasks))),
+        replace(sc, workers=data.draw(st.permutations(sc.workers))),
+        replace(sc, tasks=[*sc.tasks, late]),
+        loaded,
+    ):
+        assert _outputs(run(other, cfg)) == want
 
 
 def test_different_acceptance_seed_changes_outcomes():

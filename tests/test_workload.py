@@ -538,13 +538,21 @@ def test_gen_params_validation():
         ("reward_range", (5.0, math.inf)),
         ("demand_range", (2.0, math.nan)),
         ("reward_range", (5, 10**400)),
+        ("n_workers", 1.5),
+        ("n_workers", 2.0),
+        ("n_tasks", 1.5),
+        ("n_tasks", True),
+        ("n_categories", 3.0),
+        ("n_categories", "3"),
+        ("n_owners", False),
+        ("n_owners", 8.0),
     ],
 )
 def test_gen_params_reject_what_generate_cannot_honour(field, value):
     # Each of these once built a scenario with violations, one that saved
     # but did not load, or a bare error from inside generate.
     with pytest.raises(ParameterError, match=field):
-        GenParams(n_workers=1, n_tasks=1, **{field: value})
+        GenParams(**{"n_workers": 1, "n_tasks": 1, field: value})
 
 
 def test_gen_params_horizon_limit_is_the_latest_expiration():
