@@ -185,10 +185,10 @@ class ScoreEngine:
     owns the run state: it copies each worker's trust counters and bookings
     once and never changes the input ``Worker`` records.  The simulator
     advances a counter through :meth:`refresh_trust` and changes bookings
-    through :meth:`book` and :meth:`release`; :meth:`live_worker` reports a
-    worker as the run stands.  The records in ``workers`` are the engine's
-    own: each one's ``trust`` dict is its live counters, and its
-    ``bookings`` stay the input's, so keep :meth:`live_worker` copies, not them.
+    through :meth:`book` and :meth:`release`.  The records in ``workers``
+    are the engine's own: each one's ``trust`` dict is its live counters,
+    while its ``bookings`` stay the input's.  The live bookings are one list
+    per worker that holds any, and :meth:`is_free` checks one worker's list.
     """
 
     def __init__(
@@ -205,7 +205,6 @@ class ScoreEngine:
         self.categories: dict[int, TaskCategory] = {c.id: c for c in categories}
         self.owners: dict[int, TaskOwner] = {o.id: o for o in owners}
         self.velocity = velocity
-        n = len(self.workers)
 
         # Per-piece fields in each table's row order: places (x, y); status integral to the piece start, value, start.
         patterns = [w.pattern for w in self.workers]
@@ -227,14 +226,9 @@ class ScoreEngine:
         # from Python floats for bit-exact scalar powers.
         self._trust_pow: dict[int, dict[float, np.ndarray]] = {c: {} for c in self.categories}
 
-        # Live bookings, one column per worker: the first ``_bk_count[i]``
-        # rows of column i hold its half-open [start, end) bookings in no
-        # particular order, and the (+inf, -inf) padding overlaps nothing.
-        # Worker-major columns make the per-worker reduction in
-        # :meth:`booked` run along contiguous rows.
-        self._bk_start = np.full((1, n), np.inf)
-        self._bk_end = np.full((1, n), -np.inf)
-        self._bk_count = [0] * n
+        # Live bookings by worker index, half-open [start, end) in booking
+        # order; only the workers that hold a booking have an entry.
+        self._bookings: dict[int, list[tuple[float, float]]] = {}
         for w in self.workers:
             for start, end in w.bookings:
                 self.book(w.id, start, end)
@@ -242,53 +236,23 @@ class ScoreEngine:
     # -- live state ----------------------------------------------------
 
     def book(self, worker_id: int, start: float, end: float) -> None:
-        """Book a worker for [start, end); the table doubles when the worker's column is full."""
-        i = self.index_of[worker_id]
-        j = self._bk_count[i]
-        if j == len(self._bk_start):
-            self._bk_start = np.concatenate((self._bk_start, np.full_like(self._bk_start, np.inf)))
-            self._bk_end = np.concatenate((self._bk_end, np.full_like(self._bk_end, -np.inf)))
-        self._bk_start[j, i] = start
-        self._bk_end[j, i] = end
-        self._bk_count[i] = j + 1
+        """Book a worker for [start, end)."""
+        self._bookings.setdefault(self.index_of[worker_id], []).append((start, end))
 
     def release(self, worker_id: int, start: float, end: float) -> None:
-        """Drop one booking of [start, end) that :meth:`book` placed."""
+        """Drop one booking of [start, end) that :meth:`book` placed; a worker's last release drops its entry."""
         i = self.index_of[worker_id]
+        held = self._bookings.get(i, [])
         try:
-            j = self._column(i).index((start, end))
+            held.remove((start, end))
         except ValueError:
             raise ValueError(f"worker {worker_id} holds no booking [{start}, {end})") from None
-        last = self._bk_count[i] - 1
-        starts, ends = self._bk_start[:, i], self._bk_end[:, i]
-        starts[j], ends[j] = starts[last], ends[last]
-        starts[last], ends[last] = np.inf, -np.inf
-        self._bk_count[i] = last
-
-    def _column(self, i: int) -> list[tuple[float, float]]:
-        """Worker index ``i``'s bookings in table order, as (start, end) tuples of Python floats."""
-        k = self._bk_count[i]
-        return list(zip(self._bk_start[:k, i].tolist(), self._bk_end[:k, i].tolist()))
-
-    def bookings_of(self, worker_id: int) -> list[tuple[float, float]]:
-        """A worker's bookings in the table, as (start, end) tuples in ascending order."""
-        return sorted(self._column(self.index_of[worker_id]))
-
-    def booked(self, start, end, rows=slice(None)) -> np.ndarray:
-        """Whether [start, end) overlaps a booking, for each worker index in ``rows``.
-
-        ``start`` and ``end`` are scalars or arrays aligned with ``rows``.
-        """
-        return ((self._bk_start[:, rows] < end) & (self._bk_end[:, rows] > start)).any(axis=0)
+        if not held:
+            del self._bookings[i]
 
     def is_free(self, i: int, start: float, end: float) -> bool:
-        """Whether [start, end) overlaps none of worker index ``i``'s bookings: :meth:`booked` for one worker."""
-        return not any(s < end and e > start for s, e in self._column(i))
-
-    def live_worker(self, worker_id: int) -> Worker:
-        """The worker with this run's trust counters and the bookings in the table."""
-        i = self.index_of[worker_id]
-        return replace(self.workers[i], trust=dict(self.workers[i].trust), bookings=self.bookings_of(worker_id))
+        """Whether [start, end) overlaps none of worker index ``i``'s bookings."""
+        return not any(s < end and e > start for s, e in self._bookings.get(i, ()))
 
     def refresh_trust(self, worker_id: int, category_id: int, event: str) -> None:
         """Advance one trust counter on ``event`` and update the cached trust of that category."""
@@ -454,16 +418,21 @@ class ScoreEngine:
         return bound
 
 
-def _breakdown(s: _Scores, cell, row) -> ScoreBreakdown:
-    """The factors at index ``cell`` of a score table, whose worker row is ``row``."""
-    ts = float(s.ts[cell])
-    return ScoreBreakdown(
-        time_score=ts,
-        availability=float(s.avail[cell]),
-        reward=float(s.rw[row]),
-        trust_weighted=float(s.tw[row]),
-        total=float(s.total[cell]),
-        time_feasible=ts > 0.0,
+def _placement(engine: ScoreEngine, task: Task, i: int, t: float, ttc: float, travel_km: float) -> Assignment:
+    """Worker index ``i`` placed on ``task`` at ``t``, its factors from the scalar ``total_score``.
+
+    The kernel's factors equal it bit for bit.  The record in
+    ``engine.workers`` holds the live trust counters; the score reads no bookings.
+    """
+    worker = engine.workers[i]
+    owner, category = engine.owners[task.owner_id], engine.categories[task.category_id]
+    return Assignment(
+        task_id=task.id,
+        worker_id=worker.id,
+        dispatch_time=t,
+        breakdown=total_score(task, worker, owner, category, t, engine.velocity),
+        ttc_min=ttc,
+        travel_km=travel_km,
     )
 
 
@@ -484,8 +453,18 @@ def _failure(ts_ok: np.ndarray, avail: np.ndarray, rw: np.ndarray, tw: np.ndarra
 def _availability_mask(
     engine: ScoreEngine, ttc: np.ndarray, t: float, exclude_workers: Iterable[int]
 ) -> np.ndarray:
-    """Workers free over [t, t + ttc) and not excluded."""
-    mask = ~engine.booked(t, t + ttc)
+    """Workers free over [t, t + ttc) and not excluded.
+
+    Only the workers holding bookings are scanned, with :meth:`ScoreEngine.is_free`'s
+    test written inline: a call per busy worker would cost more than its scan.
+    """
+    mask = np.ones(len(engine.workers), dtype=bool)
+    busy = engine._bookings
+    for (i, held), end in zip(busy.items(), (t + ttc[list(busy)]).tolist()):
+        for s, e in held:
+            if s < end and e > t:
+                mask[i] = False
+                break
     for wid in exclude_workers:
         i = engine.index_of.get(wid)
         if i is not None:
@@ -533,14 +512,7 @@ def online_assign(
         best = float(masked_total.max())
         if best > 0.0:
             i = int(np.argmax(masked_total))
-            assignment = Assignment(
-                task_id=task.id,
-                worker_id=engine.workers[i].id,
-                dispatch_time=t,
-                breakdown=_breakdown(s, i, i),
-                ttc_min=float(s.ttc[i]),
-                travel_km=float(s.travel_km[i]),
-            )
+            assignment = _placement(engine, eff_task, i, t, float(s.ttc[i]), float(s.travel_km[i]))
             return AssignOutcome(OutcomeKind.ASSIGNED, assignment, eff_task.pto_reward)
         kind = _failure(mask & (s.ts > 0), s.avail, s.rw, s.tw)
         if kind is OutcomeKind.REWARD_INSUFFICIENT:
@@ -573,18 +545,7 @@ def baseline_nearest(
     if found is None:
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
     i, ttc, dist = found
-    worker = engine.workers[i]  # the live trust counters; the score reads no bookings
-    assignment = Assignment(
-        task_id=task.id,
-        worker_id=worker.id,
-        dispatch_time=t,
-        breakdown=total_score(
-            task, worker, engine.owners[task.owner_id], engine.categories[task.category_id], t, engine.velocity
-        ),
-        ttc_min=ttc,
-        travel_km=dist,
-    )
-    return AssignOutcome(OutcomeKind.ASSIGNED, assignment, task.pto_reward)
+    return AssignOutcome(OutcomeKind.ASSIGNED, _placement(engine, task, i, t, ttc, dist), task.pto_reward)
 
 
 def _nearest_free(task: Task, engine: ScoreEngine, t: float, exclude: frozenset[int]):
@@ -716,17 +677,10 @@ class _Candidates:
         return True
 
     def assignment(self, engine: ScoreEngine) -> Assignment:
-        """The proposal as an assignment, its factors from the scalar reference (the kernel's equal, bit for bit)."""
-        task, worker = self.task, engine.workers[self.worker]  # the live trust counters, as at the batch time
-        owner, category = engine.owners[task.owner_id], engine.categories[task.category_id]
-        return Assignment(
-            task_id=task.id,
-            worker_id=worker.id,
-            dispatch_time=self.t0,
-            breakdown=total_score(task, worker, owner, category, self.t0, engine.velocity),
-            ttc_min=float(self.ttc[self.pointer]),
-            travel_km=distance(task.region, worker.pattern.value_at(self.t0)),
-        )
+        """The proposal as an assignment, scored on the live trust counters as at the batch time."""
+        task, i, t = self.task, self.worker, self.t0
+        travel_km = distance(task.region, engine.workers[i].pattern.value_at(t))
+        return _placement(engine, task, i, t, float(self.ttc[self.pointer]), travel_km)
 
 
 def offline_assign(
@@ -787,14 +741,8 @@ def offline_assign(
     movers = cands
     while movers:
         movers = [c for c in movers if c.propose()]
-        # The round's new proposals against the live bookings at once.
-        booked = engine.booked(
-            np.array([c.t0 for c in movers]),
-            np.array([c.t1 for c in movers]),
-            np.array([c.worker for c in movers], dtype=np.intp),
-        )
-        for c, clash in zip(movers, booked.tolist()):
-            c.clash = clash
+        for c in movers:
+            c.clash = not engine.is_free(c.worker, c.t0, c.t1)
             held.setdefault(c.worker, []).append(c)
 
         refused: list[_Candidates] = []

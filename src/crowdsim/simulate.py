@@ -242,7 +242,7 @@ class _Sim:
             self._hold(r, outcome.assignment)
             return
         if outcome.kind is OutcomeKind.NO_SUITABLE_WORKER:
-            # Usually transient congestion (everyone booked right now), so
+            # Usually transient congestion (every worker busy right now), so
             # retry one grid step later as long as the deadline allows.
             retry_at = t + self.grid.step_min
             if retry_at < task.expiration and retry_at <= self.config.duration_min:

@@ -10,7 +10,7 @@ exceed the offered reward.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from crowdsim.assign import ScoreEngine
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker
@@ -148,7 +148,12 @@ def random_instance(seed: int) -> Instance:
     )
 
 
-def booking_columns(engine: ScoreEngine) -> list[list[tuple[float, float]]]:
-    """The bookings in each worker's column of the engine's table, in table order."""
-    starts, ends = engine._bk_start.T.tolist(), engine._bk_end.T.tolist()
-    return [list(zip(s[:k], e[:k])) for s, e, k in zip(starts, ends, engine._bk_count)]
+def bookings_of(engine: ScoreEngine, worker_id: int) -> list[tuple[float, float]]:
+    """A worker's live bookings in the engine, as (start, end) tuples in ascending order."""
+    return sorted(engine._bookings.get(engine.index_of[worker_id], []))
+
+
+def live_worker(engine: ScoreEngine, worker_id: int) -> Worker:
+    """The worker with the engine's live trust counters and the bookings it still holds."""
+    w = engine.workers[engine.index_of[worker_id]]
+    return replace(w, trust=dict(w.trust), bookings=bookings_of(engine, worker_id))

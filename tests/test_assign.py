@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 from pathlib import Path
 from unittest.mock import patch
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from instances import Instance, random_instance
+from instances import Instance, live_worker, random_instance
 
 import crowdsim
 from crowdsim import assign
@@ -460,6 +460,15 @@ def test_online_matches_oracle(seed):
     got_wid = out.assignment.worker_id if out.assignment else None
     assert got_wid == wid, f"seed {seed}"
     assert out.effective_reward == eff, f"seed {seed}"
+    if out.assignment:
+        # The winner's report is the scalar one for the same worker under the raised reward.
+        a, w = out.assignment, next(w for w in inst.workers if w.id == wid)
+        raised = replace(task, pto_reward=eff)
+        d = distance(task.region, w.pattern.value_at(t))
+        want = total_score(raised, w, owner, cat, t, inst.velocity)
+        assert _bits(*astuple(a.breakdown)) == _bits(*astuple(want)), f"seed {seed}"
+        ttc = reach(raised, d, inst.velocity.speed_at(t), t)[1]
+        assert _bits(a.ttc_min, a.travel_km) == _bits(ttc, d), f"seed {seed}"
 
 
 def test_online_picks_highest_total_lowest_id_tie():
@@ -598,7 +607,7 @@ def test_nearest_winner_is_scored_on_the_live_state(seed, data):
         step = data.draw(st.sampled_from(["trust", "book", "release"]))
         if step == "trust":
             cid = data.draw(st.sampled_from(sorted(inst.categories)))
-            c = engine.live_worker(wid).trust_for(cid)
+            c = live_worker(engine, wid).trust_for(cid)
             events = ["assigned"] + ["accepted"] * (c.accepted < c.assigned)
             events += ["completed"] * (c.completed < c.accepted)
             engine.refresh_trust(wid, cid, data.draw(st.sampled_from(events)))
@@ -617,7 +626,7 @@ def test_nearest_winner_is_scored_on_the_live_state(seed, data):
         task = replace(task, expiration=t + task.duration + 60.0)
     exclude = frozenset(data.draw(st.sets(st.sampled_from(ids))))
     out = baseline_nearest(task, engine, t, exclude_workers=exclude)
-    live = {wid: engine.live_worker(wid) for wid in ids}
+    live = {wid: live_worker(engine, wid) for wid in ids}
     assert [w.bookings for w in live.values()] == [sorted(held[wid]) for wid in ids]
     want = brute_force.nearest_oracle(task, live.values(), t, inst.velocity, exclude)
     if want is None:
@@ -733,7 +742,7 @@ def test_engine_trust_refresh_changes_scores():
     before = [engine.score_at(task, 0.0).total[0] for task in tasks]
     for event in ["assigned"] * 10 + ["accepted"]:
         engine.refresh_trust(worker.id, 1, event)
-    live = engine.live_worker(worker.id)
+    live = live_worker(engine, worker.id)
     assert live.trust == {1: TrustCounters(assigned=10, accepted=1, completed=0)}
     assert worker.trust == {}
     for task, owner, old in zip(tasks, owners, before):

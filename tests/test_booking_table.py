@@ -1,4 +1,9 @@
-"""The engine's booking table against the plain-Python overlap oracle."""
+"""The engine's per-worker booking lists against the plain-Python overlap oracle.
+
+Bookings are read through the queries the assigners make,
+``_availability_mask`` and ``ScoreEngine.is_free``, and through
+``instances.bookings_of``.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import _overlaps
-from instances import booking_columns, random_instance
+from instances import bookings_of, random_instance
 
 from crowdsim.assign import ScoreEngine, _availability_mask
 
@@ -18,7 +23,7 @@ _length = st.one_of(st.just(0.0), st.integers(1, 20).map(float), st.floats(0.0, 
 def _check_against_oracle(engine: ScoreEngine, held: dict[int, list], data) -> None:
     ids = [w.id for w in engine.workers]
     for wid in ids:
-        assert engine.bookings_of(wid) == sorted(held[wid])
+        assert bookings_of(engine, wid) == sorted(held[wid])
 
     # Online mask: one dispatch time, a work length per worker.
     t = data.draw(_time)
@@ -29,18 +34,18 @@ def _check_against_oracle(engine: ScoreEngine, held: dict[int, list], data) -> N
 
     # Batch round: one interval per proposal, several proposals per worker.
     n = data.draw(st.integers(0, 8))
-    rows = np.array([data.draw(st.integers(0, len(ids) - 1)) for _ in range(n)], dtype=np.intp)
+    rows = [data.draw(st.integers(0, len(ids) - 1)) for _ in range(n)]
     t0 = np.array([data.draw(_time) for _ in range(n)])
     t1 = t0 + np.array([data.draw(_length) for _ in range(n)])
-    want = [_overlaps((t0[k], t1[k]), held[ids[rows[k]]]) for k in range(n)]
-    assert engine.booked(t0, t1, rows).tolist() == want
+    for k in range(n):
+        assert (not engine.is_free(rows[k], t0[k], t1[k])) == _overlaps((t0[k], t1[k]), held[ids[rows[k]]])
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_booking_table_matches_overlap_oracle(seed, data):
     # Bookings and releases come in any order; a booking changes only its
-    # own worker's column, and every query, at any time, sees what is held.
+    # own worker's list, and every query, at any time, sees what is held.
     inst = random_instance(seed)
     engine = inst.engine()
     held = {w.id: list(w.bookings) for w in inst.workers}
@@ -57,26 +62,26 @@ def test_booking_table_matches_overlap_oracle(seed, data):
             wid = data.draw(st.sampled_from(ids))
             start = data.draw(_time)
             end = start + data.draw(_length)
-            before = booking_columns(engine)
+            before = {w: bookings_of(engine, w) for w in ids}
             engine.book(wid, start, end)
             held[wid].append((start, end))
-            after = booking_columns(engine)
-            i = engine.index_of[wid]
-            assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
-        assert engine.bookings_of(wid) == sorted(held[wid])
+            after = {w: bookings_of(engine, w) for w in ids}
+            assert {w: b for w, b in after.items() if w != wid} == {w: b for w, b in before.items() if w != wid}
+        assert bookings_of(engine, wid) == sorted(held[wid])
         t = data.draw(_time)
-        assert engine.booked(t, t + 1.0).tolist() == [_overlaps((t, t + 1.0), held[w]) for w in ids]
+        got = [not engine.is_free(i, t, t + 1.0) for i in range(len(ids))]
+        assert got == [_overlaps((t, t + 1.0), held[w]) for w in ids]
     _check_against_oracle(engine, held, data)
 
 
-def test_table_widens_and_keeps_every_booking():
+def test_a_worker_list_grows_and_keeps_every_booking():
     inst = random_instance(3)
     engine = inst.engine()
     wid = inst.workers[0].id
     want = sorted(inst.workers[0].bookings + [(1000.0 - 10 * k, 1005.0 - 10 * k) for k in range(40)])
     for k in range(40):
         engine.book(wid, 1000.0 - 10 * k, 1005.0 - 10 * k)
-    assert engine.bookings_of(wid) == want
+    assert bookings_of(engine, wid) == want
 
 
 def test_release_of_an_unheld_booking_fails():

@@ -13,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 import brute_force
+from instances import live_worker
 
 from crowdsim import simulate
 from crowdsim.assign import OutcomeKind
@@ -59,7 +60,7 @@ class _Checker:
 
     def offline(self, real):
         def wrapped(tasks, engine, now, grid, rng_seed=0):
-            workers = [engine.live_worker(w.id) for w in engine.workers]
+            workers = [live_worker(engine, w.id) for w in engine.workers]
             assignments, unassigned = real(tasks, engine, now, grid, rng_seed)
             want, want_kinds = brute_force.offline_oracle(
                 tasks,
@@ -84,7 +85,7 @@ class _Checker:
 
     def online(self, real):
         def wrapped(task, engine, t, *, already_raised=0.0, exclude_workers=()):
-            workers = [engine.live_worker(w.id) for w in engine.workers]
+            workers = [live_worker(engine, w.id) for w in engine.workers]
             out = real(task, engine, t, already_raised=already_raised, exclude_workers=exclude_workers)
             owner, cat = self.owners[task.owner_id], self.categories[task.category_id]
             want = brute_force.online_oracle(
@@ -108,7 +109,7 @@ class _Checker:
 
     def nearest(self, real):
         def wrapped(task, engine, t, *, exclude_workers=()):
-            workers = [engine.live_worker(w.id) for w in engine.workers]
+            workers = [live_worker(engine, w.id) for w in engine.workers]
             out = real(task, engine, t, exclude_workers=exclude_workers)
             want = brute_force.nearest_oracle(task, workers, t, self.velocity, exclude=frozenset(exclude_workers))
             if want is None:
