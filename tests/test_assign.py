@@ -1,5 +1,6 @@
 """Assignment engines versus the plain-Python oracles, plus edge cases."""
 
+import math
 import os
 import random
 import subprocess
@@ -488,11 +489,21 @@ def test_online_reward_raise_steps_until_covered():
 
 
 def test_online_reward_raise_partial_final_increment():
-    # Budget 5 in steps of 4: second step is the 1-unit remainder.
+    # Budget 5 in steps of 4: second step is the 1-unit remainder.  A raise
+    # changes no booking or time to complete, so the booking mask is built
+    # once; each raise rescores.
     owner = TaskOwner(1, pto_priority=1.0, max_reward_raise=5.0, raise_increment=4.0)
-    out = online_assign(_task(1, pto_reward=10.0), _engine([_worker(demand=14.5)], owners=[owner]), 0.0)
+    engine = _engine([_worker(demand=14.5)], owners=[owner])
+    masks, scores = [], []
+    mask, score_at = assign._availability_mask, ScoreEngine.score_at
+    with (
+        patch.object(assign, "_availability_mask", lambda *a: masks.append(a) or mask(*a)),
+        patch.object(ScoreEngine, "score_at", lambda *a: scores.append(a) or score_at(*a)),
+    ):
+        out = online_assign(_task(1, pto_reward=10.0), engine, 0.0)
     assert out.kind is OutcomeKind.ASSIGNED
     assert out.effective_reward == 15.0
+    assert (len(masks), len(scores)) == (1, 3)
 
 
 def test_online_reward_raise_exhausted_reports_reward_insufficient():
@@ -542,6 +553,14 @@ def test_online_booked_worker_is_skipped():
 def test_online_expired_task_raises():
     with pytest.raises(TaskExpiredError):
         online_assign(_task(1, expiration=100.0), _engine([_worker()]), 100.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_online_rejects_a_non_finite_time(t):
+    # As total_score and the nearest baseline do; +inf is past any expiration, but is not a time.
+    with pytest.raises(ValueError, match=f"task 1: dispatch time must be finite, got {t}") as info:
+        online_assign(_task(1), _engine([_worker()]), t)
+    assert info.type is ValueError
 
 
 # -- nearest baseline ---------------------------------------------------------------
@@ -639,9 +658,8 @@ def test_nearest_winner_is_scored_on_the_live_state(seed, data):
 
 def _nearest_full_mask(task, engine, t, exclude) -> AssignOutcome:
     """The baseline with no nearest-worker fast path: the full booking mask on every decision."""
-    times = np.array([t])
-    x, y = engine._positions(times)
-    dist, _eff, ttc = engine._reach(task, times, x[:, 0], y[:, 0], engine._speeds(times))
+    x, y = engine._places(t)
+    dist, _eff, ttc = engine._reach(task, t, x, y, engine.velocity.speed_at(t))
     free = assign._availability_mask(engine, ttc, t, exclude)
     if not free.any():
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
@@ -709,25 +727,26 @@ def test_nearest_fast_path_matches_the_full_mask(places, kinds, excluded, t, sta
 
 def test_one_time_places_and_speed_are_the_memoised_columns():
     # Two dispatch times in the same pattern and status pieces read the same
-    # read-only arrays, so an online decision gathers no places or status
+    # read-only array, so an online decision gathers no places or status
     # fields.  A status column holds each worker's integral up to its piece
-    # start, its piece value and its piece start.  The speed is the scalar
-    # reference's, bit for bit, on a floored piece and at its ends as well.
+    # start, its piece value and its piece start.  A grid's speeds are the
+    # scalar reference's, bit for bit, on a floored piece and at its ends as
+    # well.
     half = WeeklySchedule((Segment(ALL_DAYS, 0, 60, 0.5),), default=1.0)
     vel = VelocityProfile(WeeklySchedule((Segment(ALL_DAYS, 60, 120, 2.5),), default=30.0), floor_kmh=5.0)
     engine = _engine([_worker(1, x=1.0), replace(_worker(2, x=3.0), status=half)], velocity=vel)
-    (x1, y1), (x2, y2) = (engine._positions(np.array([t])) for t in (10.0, 20.0 + WEEK_MINUTES))
-    c1, c2, c3 = (engine._status.index(np.array([t])) for t in (10.0, 20.0, 90.0))
-    assert np.shares_memory(x1, x2) and np.shares_memory(y1, y2) and np.shares_memory(c1, c2)
-    assert not (x1.flags.writeable or y1.flags.writeable or c1.flags.writeable or c3.flags.writeable)
-    assert (x1[:, 0].tolist(), y1[:, 0].tolist()) == ([1.0, 3.0], [5.0, 5.0])
-    assert c1[0].tolist() == [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]]
-    assert c3[0].tolist() == [[0.0, 30.0], [1.0, 1.0], [0.0, 60.0]]
+    p1, p2 = (engine._places(t) for t in (10.0, 20.0 + WEEK_MINUTES))
+    c1, c2, c3 = (engine._status.at(t) for t in (10.0, 20.0, 90.0))
+    assert p1 is p2 and c1 is c2
+    assert not (p1.flags.writeable or c1.flags.writeable or c3.flags.writeable)
+    assert p1.tolist() == [[1.0, 3.0], [5.0, 5.0]]
+    assert c1.tolist() == [[0.0, 0.0], [1.0, 0.5], [0.0, 0.0]]
+    assert c3.tolist() == [[0.0, 30.0], [1.0, 1.0], [0.0, 60.0]]
     times = [10.0, 60.0, 90.0, 120.0, 90.0 + WEEK_MINUTES, -1e-13]
     times += [float(np.nextafter(e, d)) for e in (60.0, 120.0) for d in (-np.inf, np.inf)]
     want = _bits(*(vel.speed_at(t) for t in times))
-    assert _bits(*engine._speeds(np.array(times))) == want
-    assert [_bits(*engine._speeds(np.array([t]))) for t in times] == [[w] for w in want]
+    assert _bits(*engine.grid_context(np.array(times)).speed) == want
+    assert [_bits(*engine.grid_context(np.array([t])).speed) for t in times] == [[w] for w in want]
     assert want[:4] == _bits(30.0, 5.0, 5.0, 30.0)
 
 
@@ -879,13 +898,13 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
     )
     monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", np.zeros((3, len(inst.workers))).nbytes)
     ranks: dict[int, set[int]] = {}
-    column = assign._PieceTable._column
+    at = assign._PieceTable.at
 
-    def seen(table, rank):
-        ranks.setdefault(id(table), set()).add(rank)
-        return column(table, rank)
+    def seen(table, tm):
+        ranks.setdefault(id(table), set()).add(int(np.searchsorted(table._cuts, tm, side="right")))
+        return at(table, tm)
 
-    monkeypatch.setattr(assign._PieceTable, "_column", seen)
+    monkeypatch.setattr(assign._PieceTable, "at", seen)
     engine = _check_engine_factors(inst, random.Random(4))
     assert len(inst.tasks) == 40
     for table, capacity in ((engine._status, 1), (engine._pattern, 1)):
@@ -909,12 +928,15 @@ def test_scalar_reach_is_the_kernels_bit_for_bit(start_earliest):
     task = _task(1, region=Point(5.1, 4.9), start_earliest=start_earliest, expiration=2000.0)
     ends = (60.0, 90.0, 100.0, 120.0)
     times = np.array([t for e in ends for t in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))])
-    x, y = engine._positions(times)
-    dist, eff, ttc = engine._reach(task, times, x, y, engine._speeds(times))
+    ctx = engine.grid_context(times)
+    dist, eff, ttc = engine._reach(task, times, ctx.x, ctx.y, ctx.speed)
     clamped = set()
     for j, t in enumerate(times.tolist()):
-        speed = float(engine._speeds(np.array([t]))[0])
+        speed = float(ctx.speed[j])
         assert speed == vel.speed_at(t) == (9.0 if 60 <= t < 120 else 31.0)
+        # The sc-nearest fallback's one-time kernel call gives the grid's column.
+        one = engine._reach(task, t, *engine._places(t), speed)
+        assert [_bits(*a) for a in one] == [_bits(*a[:, j]) for a in (dist, eff, ttc)], t
         for i, w in enumerate(engine.workers):
             d = distance(task.region, w.pattern.value_at(t))
             got = reach(task, d, speed, t)
@@ -999,21 +1021,26 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
 
 
 def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
-    # In one canary batch, status integrals are looked up at the batch
-    # grid's times once and otherwise at one task expiration at a time, and
-    # a score block looks up only its own rows, bit for bit those rows of
-    # the whole lookup: the batch builds no (tasks, workers) temporary.
+    # In one canary batch, status integrals are looked up one time at a
+    # time: once at each of the batch grid's times, inside its one grid
+    # context, and otherwise at task expirations.  A score block looks up
+    # only its own rows, bit for bit those rows of the whole lookup: the
+    # batch builds no (tasks, workers) temporary.
     tasks, engine, now = _canary_batch()
-    grids, lookups, blocks = [], [], []
-    grid_context, cumulative, score = ScoreEngine.grid_context, ScoreEngine._cumulative, ScoreEngine._score
+    grids, lookups, blocks, inside = [], [], [], []
+    grid_context, cumulative, score = ScoreEngine.grid_context, ScoreEngine._cumulative, ScoreEngine.score_grid
 
-    def traced_grid_context(self, *args):
-        grids.append(args[0])
-        return grid_context(self, *args)
+    def traced_grid_context(self, times):
+        grids.append(times)
+        inside.append(True)
+        try:
+            return grid_context(self, times)
+        finally:
+            inside.pop()
 
-    def traced_cumulative(self, *args):
-        out = cumulative(self, *args)
-        lookups.append((args[0], out, blocks[-1] if blocks else None))
+    def traced_cumulative(self, t, *rows):
+        out = cumulative(self, t, *rows)
+        lookups.append((t, out, bool(inside), blocks[-1] if blocks else None))
         return out
 
     def traced_score(self, *args):
@@ -1026,17 +1053,17 @@ def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
 
     monkeypatch.setattr(ScoreEngine, "grid_context", traced_grid_context)
     monkeypatch.setattr(ScoreEngine, "_cumulative", traced_cumulative)
-    monkeypatch.setattr(ScoreEngine, "_score", traced_score)
+    monkeypatch.setattr(ScoreEngine, "score_grid", traced_score)
     assignments, _ = offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
     assert len(tasks) >= 20 and assignments and len(grids) == 1
-    assert all(times is grids[0] or len(times) == 1 for times, _, _ in lookups)
-    assert sum(times is grids[0] for times, _, _ in lookups) == 1
-    assert {times[0] for times, _, _ in lookups if len(times) == 1} == {t.expiration for t in tasks}
-    in_blocks = [(times, out, rows) for times, out, rows in lookups if rows is not None]
+    assert all(np.ndim(t) == 0 and out.ndim == 1 for t, out, _, _ in lookups)
+    assert [t for t, _, grid, _ in lookups if grid] == grids[0].tolist()
+    assert {t for t, _, grid, _ in lookups if not grid} == {t.expiration for t in tasks}
+    in_blocks = [(t, out, rows) for t, out, _, rows in lookups if rows is not None]
     assert any(len(rows) < len(engine.workers) for _, _, rows in in_blocks)
-    for times, out, rows in in_blocks:
-        assert len(times) == 1 and out.shape == (len(rows), 1)
-        assert np.array_equal(out, cumulative(engine, times)[rows])
+    for t, out, rows in in_blocks:
+        assert out.shape == (len(rows),)
+        assert np.array_equal(out, cumulative(engine, t)[rows])
 
 
 def test_batch_records_keep_only_their_bound(monkeypatch):

@@ -42,6 +42,12 @@ def test_perfbench_trace_hooks_wrap_a_run(policy, tmp_path, monkeypatch):
         assert calls["assign.offline_assign.tasks"] > 0
         assert calls["assign.score_grid.calls"] > 0
         assert calls["assign.score_at.calls"] > 0
+        # score_at scores through the kernel, not the batch's traced names, so those spans count batch work only.
+        for name, _start, _end, parent in tracer.spans:
+            if name in ("assign.score_grid", "assign.grid_context"):
+                while parent >= 0:
+                    assert tracer.spans[parent][0] != "assign.score_at", name
+                    parent = tracer.spans[parent][3]
     else:
         assert calls["assign.baseline_nearest.calls"] > 0
         assert calls["assign.score_at.calls"] == 0  # the baseline scores only its winner
