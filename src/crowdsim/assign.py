@@ -36,8 +36,8 @@ from .scoring import (
 #: Worker rows scored in a task's first block of the threshold search; each later block doubles.
 _ROW_BLOCK = 16
 #: Bytes of rank columns each piece table memoises (at the week shape's 1000
-#: workers, 349 status columns or 524 place columns; the status table there
-#: has 112 ranks and the pattern table 11).
+#: workers, 524 place columns; the pattern table there has 11 ranks, and the
+#: status table, one row per status class, holds all of its 112).
 _COLUMN_MEMO_BYTES = 8 << 20
 
 
@@ -118,12 +118,15 @@ class _Scores:
 
 @dataclass
 class GridContext:
-    """Positions, cumulative status and speed at shared dispatch times; a grid stacks one memo column per time."""
+    """Positions per worker, status integrals per status class, and speed, at shared dispatch times.
+
+    A grid stacks one memo column per time.
+    """
 
     times: np.ndarray
     x: np.ndarray  # (workers, times), a view of a time-major array
     y: np.ndarray
-    cum_status: np.ndarray  # (workers, times), a view of a time-major array
+    cum_status: np.ndarray  # (classes, times), a view of a time-major array
     speed: np.ndarray  # (times,)
 
 
@@ -188,6 +191,13 @@ class ScoreEngine:
     per worker that holds any, and :meth:`is_free` checks one worker's list.
     Each schedule lookup reads one time's memoised piece-table column;
     :meth:`grid_context` stacks one such column per batch grid time.
+
+    Workers that declare the same status schedule form one status class:
+    the status table has one row per class, and ``_class`` gives each
+    worker's class (classes numbered in worker order).  Availability is
+    computed per class, with each cell's operands and operations, and
+    gathered to workers only where it meets a per-worker factor, so every
+    score is the one a row per worker would give, bit for bit.
     """
 
     def __init__(
@@ -209,10 +219,20 @@ class ScoreEngine:
         patterns = [w.pattern for w in self.workers]
         cents = [centroid(v) for p in patterns for v in p.piece_values]
         self._pattern = _PieceTable(patterns, np.array([[c.x for c in cents], [c.y for c in cents]], dtype=float))
+        # A status class is keyed on the bits of its piece starts and values,
+        # which fix its ends and integrals: 1 and 1.0 share a class, 0.0 and -0.0 do not.
+        class_of: dict[bytes, int] = {}
+        statuses: list[WeeklySchedule] = []  # one per class, in worker order
+        classes = []
         for w in self.workers:
-            if w.status.piece_prefix is None:
+            s = w.status
+            if s.piece_prefix is None:
                 raise TypeError(f"worker {w.id} status schedule is not numeric")
-        statuses = [w.status for w in self.workers]
+            c = class_of.setdefault(np.array((s.piece_starts, s.piece_values), float).tobytes(), len(statuses))
+            if c == len(statuses):
+                statuses.append(s)
+            classes.append(c)
+        self._class = np.array(classes, dtype=np.intp)
         pieces = [(p, float(v), t) for s in statuses for p, v, t in zip(s.piece_prefix, s.piece_values, s.piece_starts)]
         self._status = _PieceTable(statuses, np.array(pieces, dtype=float).reshape(-1, 3).T)
         self._st_week = np.array([s.week_integral for s in statuses], dtype=float)
@@ -293,12 +313,12 @@ class ScoreEngine:
         """Every worker's expected centroid (x, y) at ``t``: the read-only memoised column, shaped (2, workers)."""
         return self._pattern.at(t % WEEK_MINUTES)
 
-    def _cumulative(self, t: float, rows=slice(None)) -> np.ndarray:
-        """The worker ``rows``' status integral from 0 to ``t``: ``WeeklySchedule.cumulative`` on their column rows."""
+    def _cumulative(self, t: float) -> np.ndarray:
+        """Each status class's integral from 0 to ``t``: ``WeeklySchedule.cumulative`` on the memoised column."""
         nw = math.floor(t / WEEK_MINUTES)
         tm = t - nw * WEEK_MINUTES
-        prefix, value, start = self._status.at(tm)[:, rows]
-        return nw * self._st_week[rows] + prefix + value * (tm - start)
+        prefix, value, start = self._status.at(tm)
+        return nw * self._st_week + prefix + value * (tm - start)
 
     def grid_context(self, times: np.ndarray) -> GridContext:
         """Positions, cumulative status and speed at shared batch grid times, one memo column per time."""
@@ -335,14 +355,15 @@ class ScoreEngine:
         return dist, eff, np.subtract(ttc, times, out=ttc)
 
     def _factors(self, task: Task, rows=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The task's reward, trust and status integral to its expiration, for the worker ``rows``.
+        """The task's reward and trust for the worker ``rows``, and each status class's integral to its expiration.
 
-        None depends on the dispatch time.  Each is elementwise over workers,
-        so a subset of rows has the same bits as those rows of the whole.
+        None depends on the dispatch time.  Reward and trust are elementwise
+        over workers, so a subset of rows has the same bits as those rows of
+        the whole.
         """
         margin = task.pto_reward - self._demand[task.category_id][rows]
         rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
-        return rw, self._trust_vector(task)[rows], self._cumulative(task.expiration, rows)
+        return rw, self._trust_vector(task)[rows], self._cumulative(task.expiration)
 
     def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
         """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``."""
@@ -356,8 +377,10 @@ class ScoreEngine:
         if task.start_latest is not None:
             ts[eff > task.start_latest] = -1.0
         rw, tw, cum_exp = self._factors(task, rows)
-        avail = np.subtract(cum_exp[:, None], ctx.cum_status[rows, :k], out=eff)
+        # Availability per status class, then gathered to the rows.
+        avail = np.subtract(cum_exp[:, None], ctx.cum_status[:, :k])
         np.divide(avail, left, out=avail)
+        avail = avail[self._class[rows]]
         total = np.multiply(ts, avail)
         np.multiply(total, rw[:, None], out=total)
         np.multiply(total, tw[:, None], out=total)
@@ -385,6 +408,11 @@ class ScoreEngine:
         matters.  A row where availability is negative (a status integral
         can round down) could turn a negative time score into a positive
         total, so its bound is +inf.
+
+        Every worker of a status class has its class's availability, so the
+        negative test and the maximum over times are taken per class, in
+        O(classes x times), and gathered to the workers: each worker's
+        bound is the one its own column would give, bit for bit.
         """
         rw, tw, cum_exp = self._factors(task)
         times = ctx.times[:k]
@@ -392,13 +420,13 @@ class ScoreEngine:
         left = exp - times
         eff = times if task.start_earliest is None else np.maximum(times, task.start_earliest)
         ts = ((exp - ((eff + task.duration) - times)) - times) / left
-        # (times, workers), so that the reductions run over contiguous rows.
+        # (times, classes), so that the reductions run over contiguous rows.
         avail = np.subtract(cum_exp, ctx.cum_status.T[:k])
         np.divide(avail, left[:, None], out=avail)
         negative = avail.min(axis=0) < 0.0
         np.multiply(ts[:, None], avail, out=avail)
-        bound = (avail.max(axis=0) * rw) * tw
-        bound[negative] = np.inf
+        bound = (avail.max(axis=0)[self._class] * rw) * tw
+        bound[negative[self._class]] = np.inf
         return bound
 
 
@@ -686,10 +714,11 @@ def offline_assign(
     exact ties, and a proposal whose work interval overlaps the worker's
     bookings or an already honoured interval is refused.  Refused tasks
     move to their next pair and the rounds repeat until nothing is refused.
-    A round re-decides only the workers that received a new proposal, over
-    all the proposals they hold; every other worker would honour the same
-    proposals again, so the rounds are the same as when every worker
-    decides in each.  Scores are computed once against the state at ``now``
+    A round re-decides only the workers that received a new proposal that
+    does not overlap their bookings, over all the proposals they hold;
+    every other worker would honour the same proposals again and refuse
+    the new ones, so the rounds are the same as when every worker decides
+    in each.  Scores are computed once against the state at ``now``
     and never revised within the batch.
     """
     if not tasks:
@@ -721,17 +750,27 @@ def offline_assign(
 
     # Honoured proposals persist across rounds.  A worker that only lost
     # refused proposals keeps the rest: they were pairwise disjoint and free
-    # of bookings, and no booking changes in this call.
+    # of bookings, and no booking changes in this call.  So a worker whose
+    # new proposals all clash with its bookings refuses them without
+    # deciding: a clash is never kept, and its held proposals are kept in
+    # any order.  A worker that decides keeps its clashes in the tie runs,
+    # whose draw depends on every tied task.
     held: dict[int, list[_Candidates]] = {}
     movers = cands
     while movers:
         movers = [c for c in movers if c.propose()]
         for c in movers:
             c.clash = not engine.is_free(c.worker, c.t0, c.t1)
-            held.setdefault(c.worker, []).append(c)
+        deciding = {c.worker for c in movers if not c.clash}
 
         refused: list[_Candidates] = []
-        for w in sorted({c.worker for c in movers}):
+        for c in movers:
+            if c.worker in deciding:
+                held.setdefault(c.worker, []).append(c)
+            else:
+                c.pointer += 1
+                refused.append(c)
+        for w in sorted(deciding):
             ranked = sorted(held[w], key=lambda c: (-c.priority, -c.total, c.task.id))
             kept = held[w] = []
             for _key, group in groupby(ranked, key=lambda c: (c.priority, c.total)):

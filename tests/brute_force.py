@@ -1,14 +1,18 @@
 """Plain-Python reference assigners used as oracles in the tests.
 
 Everything here is built directly on the scalar scoring functions with
-naive loops and lists — no numpy, no shared code with the vectorised
-engine — so agreement between the two is meaningful evidence.
+naive loops and lists — no shared code with the vectorised engine — so
+agreement between the two is meaningful evidence.  Only
+``row_bounds_per_worker`` uses numpy: it repeats the batch bound's array
+formula, whose reductions fix the bits of each bound.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+
+import numpy as np
 
 from crowdsim.model import Task, TaskCategory, TaskOwner, Worker, distance
 from crowdsim.scoring import VelocityProfile, task_priority_score, total_score
@@ -34,6 +38,37 @@ def work_interval(task: Task, worker: Worker, t: float, velocity: VelocityProfil
         eff = task.start_earliest
     ttc = (eff + task.duration) - t
     return t, t + ttc
+
+
+def row_bounds_per_worker(
+    task: Task,
+    workers,
+    owner: TaskOwner,
+    category: TaskCategory,
+    times: list[float],
+    velocity: VelocityProfile,
+) -> np.ndarray:
+    """The batch bound of each worker (in id order) over dispatch ``times``, from its own status column.
+
+    The formula is the engine's, with each worker's status integrals from
+    ``WeeklySchedule.cumulative`` and its reward and trust factors from
+    ``total_score``, so a bound computed once per status class must equal it.
+    """
+    workers = sorted(workers, key=lambda w: w.id)
+    times = np.array(times, dtype=float)
+    exp = task.expiration
+    left = exp - times
+    eff = times if task.start_earliest is None else np.maximum(times, task.start_earliest)
+    ts = ((exp - ((eff + task.duration) - times)) - times) / left
+    cum_exp = np.array([w.status.cumulative(exp) for w in workers])
+    cum_status = np.array([[w.status.cumulative(t) for w in workers] for t in times.tolist()])
+    avail = (cum_exp - cum_status) / left[:, None]
+    factors = [total_score(task, w, owner, category, float(times[0]), velocity) for w in workers]
+    rw = np.array([b.reward for b in factors])
+    tw = np.array([b.trust_weighted for b in factors])
+    bound = ((ts[:, None] * avail).max(axis=0) * rw) * tw
+    bound[avail.min(axis=0) < 0.0] = np.inf
+    return bound
 
 
 def _overlaps(iv: tuple[float, float], others) -> bool:

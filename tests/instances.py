@@ -35,7 +35,7 @@ class Instance:
         return ScoreEngine(self.workers, list(self.categories.values()), list(self.owners.values()), self.velocity)
 
 
-def _random_status(rng: random.Random) -> WeeklySchedule:
+def random_status(rng: random.Random) -> WeeklySchedule:
     default = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
     segments = []
     for _ in range(rng.randrange(3)):
@@ -59,7 +59,7 @@ def _random_pattern(rng: random.Random) -> WeeklySchedule:
     return WeeklySchedule((Segment(ALL_DAYS, a, min(b, 1440), away),), default=home)
 
 
-def _random_worker(rng: random.Random, wid: int, category_ids: list[int]) -> Worker:
+def random_worker(rng: random.Random, wid: int, category_ids: list[int]) -> Worker:
     demand = {}
     trust = {}
     for cid in category_ids:
@@ -77,7 +77,7 @@ def _random_worker(rng: random.Random, wid: int, category_ids: list[int]) -> Wor
     return Worker(
         id=wid,
         pattern=_random_pattern(rng),
-        status=_random_status(rng),
+        status=random_status(rng),
         reward_demand=demand,
         trust=trust,
         bookings=bookings,
@@ -126,7 +126,7 @@ def random_instance(seed: int) -> Instance:
         )
         for oid in (1, 2)
     }
-    workers = [_random_worker(rng, wid, list(categories)) for wid in range(1, rng.randrange(1, 5) + 1)]
+    workers = [random_worker(rng, wid, list(categories)) for wid in range(1, rng.randrange(1, 5) + 1)]
     tasks = [_random_task(rng, tid, now, list(categories), list(owners)) for tid in range(1, rng.randrange(1, 5) + 1)]
     step = rng.choice([15.0, 30.0])
     horizon = now + step * rng.randrange(2, 6)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from instances import Instance, live_worker, random_instance
+from instances import Instance, live_worker, random_instance, random_status, random_worker
 
 import crowdsim
 from crowdsim import assign
@@ -410,6 +410,35 @@ def test_offline_conflict_cascade_with_seeded_tie():
     assert sorted(a.dispatch_time for a in assignments2) == [0.0, 15.0]
     winner2 = brute_force.tie_pick(4, 1, [1, 2])
     assert {a.task_id for a in assignments2 if a.dispatch_time == 0.0} == {winner2}
+
+
+def test_a_clashing_proposal_stays_in_its_tie_run(monkeypatch):
+    # One worker at the tasks' centroid, booked on [90, 100).  Task 1 (two
+    # hours, reward 4, time score 1/2, reward score 3/4) and tasks 2 and 3
+    # (one hour, reward 2, 3/4 and 1/2) tie on priority (clamped to 1) and
+    # on total, and each proposes t = 0 first.  Task 1's interval clashes
+    # with the booking, yet the worker also receives free proposals, so it
+    # decides with task 1 in the tie run: the seeded draw over ids 1, 2 and
+    # 3 picks which of tasks 2 and 3 keeps t = 0.  In later rounds the
+    # worker often receives only task 1's clashing proposals, and refuses them.
+    draws = []
+    tie_pick = assign._tie_pick
+    monkeypatch.setattr(assign, "_tie_pick", lambda *args: draws.append(args) or tie_pick(*args))
+    cat = TaskCategory(1, "c", 1.0, 1.0)
+    worker = _worker(1, demand=1.0, bookings=[(90.0, 100.0)])
+    tasks = [_task(1, duration=120.0, pto_reward=4.0)] + [_task(i, duration=60.0, pto_reward=2.0) for i in (2, 3)]
+    engine = _engine([worker], [cat])
+    totals = [engine.score_at(t, 0.0).total[0] for t in tasks]
+    assert totals[0] == totals[1] == totals[2] > 0.0
+    first = set()
+    for seed in range(8):
+        inst = Instance(tasks, [worker], {1: OWNER}, {1: cat}, 0.0, 15.0, WEEK_MINUTES, VEL, seed)
+        draws.clear()
+        got_triples, got_kinds, want_triples, want_kinds = _run_both(inst)
+        assert got_triples == want_triples and got_kinds == want_kinds, seed
+        assert draws[0] == (seed, 1, [1, 2, 3])
+        first |= {tid for tid, _, t in got_triples if t == 0.0}
+    assert first == {2, 3}
 
 
 def test_offline_priority_wins_conflicts():
@@ -880,9 +909,10 @@ def test_engine_factors_equal_scalar_scores(seed):
 def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
     # A memo of one status column, for a generated population whose
     # statuses have about a hundred piece ends: lookups evict columns and
-    # build them again.  A status column holds three fields per worker and a
-    # pattern column two places, so the same budget holds one pattern column
-    # too, and score_at's places come from that memo as it evicts.
+    # build them again.  A status column holds three fields per status class
+    # and a pattern column two places per worker; the population has fewer
+    # classes than two thirds of its workers, so the same budget holds one
+    # pattern column too, and score_at's places come from that memo as it evicts.
     scenario = generate(GenParams(20, 300, urgent_fraction=0.5, horizon_min=1440.0), seed=4)
     now = 600.0
     inst = Instance(
@@ -896,7 +926,9 @@ def test_engine_factors_equal_scalar_scores_as_the_memo_evicts(monkeypatch):
         velocity=scenario.velocity,
         seed=4,
     )
-    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", np.zeros((3, len(inst.workers))).nbytes)
+    classes = len(inst.engine()._st_week)
+    assert 3 * classes < 2 * len(inst.workers)
+    monkeypatch.setattr(assign, "_COLUMN_MEMO_BYTES", np.zeros((3, classes)).nbytes)
     ranks: dict[int, set[int]] = {}
     at = assign._PieceTable.at
 
@@ -975,6 +1007,91 @@ def test_row_bounds_cover_every_positive_total(seed):
             assert np.array_equal(getattr(sub, name), getattr(full, name)[rows]), (seed, task.id, name)
 
 
+def _distinct_statuses(rng: random.Random, n: int) -> list[WeeklySchedule]:
+    """``n`` random status schedules, no two with the same pieces."""
+    found: dict[tuple, WeeklySchedule] = {}
+    while len(found) < n:
+        s = random_status(rng)
+        found.setdefault((s.piece_starts, tuple(map(float, s.piece_values))), s)
+    return list(found.values())
+
+
+def _int_and_float_minutes(rng: random.Random) -> list[WeeklySchedule]:
+    """One random status schedule written with int minutes and values, and with float ones."""
+    a = rng.randrange(0, 1380, 30)
+    b = rng.randrange(a + 30, 1441, 30)
+    v, d = rng.choice([(0, 1), (1, 0)])
+    as_int = WeeklySchedule((Segment(ALL_DAYS, a, b, v),), default=d)
+    as_float = WeeklySchedule((Segment(ALL_DAYS, float(a), float(b), float(v)),), default=float(d))
+    assert as_int == as_float and repr(as_int) != repr(as_float)
+    return [as_int, as_float]
+
+
+@pytest.mark.parametrize("case", ["distinct", "pool-of-3", "int-and-float"])
+@pytest.mark.parametrize("seed", range(40))
+def test_status_classes_give_the_per_worker_bounds_and_scores(seed, case):
+    # The engine keeps one status row per distinct schedule.  On eight
+    # random workers whose statuses are all distinct, drawn from a pool of
+    # three, or one schedule written with int and with float minutes, every
+    # bound equals the per-worker reference formula and every grid cell the
+    # scalar score, bit for bit.  The pool holds a status below zero, which
+    # a scenario may not declare, so that some classes' availability is
+    # negative and their workers' bounds are +inf.
+    rng = random.Random(seed)
+    inst = random_instance(seed)
+    workers = [random_worker(rng, wid, list(inst.categories)) for wid in range(1, 9)]
+    if case == "distinct":
+        statuses = _distinct_statuses(rng, len(workers))
+    else:
+        if case == "pool-of-3":
+            pool = _distinct_statuses(rng, 2) + [WeeklySchedule((), default=-0.25)]
+        else:
+            pool = _int_and_float_minutes(rng)
+        statuses = [rng.choice(pool) for _ in workers]
+    inst = replace(inst, workers=[replace(w, status=s) for w, s in zip(workers, statuses)])
+    engine = inst.engine()
+    # One class per distinct set of pieces, numbered in worker order.
+    pieces = [(s.piece_starts, tuple(map(float, s.piece_values))) for s in statuses]
+    classes = engine._class.tolist()
+    n = len(engine._st_week)
+    assert n == {"distinct": 8, "int-and-float": 1}.get(case, len(set(pieces))) <= (3 if case == "pool-of-3" else 8)
+    assert len(set(zip(pieces, classes))) == len(set(pieces)) == n
+    assert list(dict.fromkeys(classes)) == list(range(n))
+    times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
+    ctx = engine.grid_context(times)
+    for task in inst.tasks:
+        k = int(np.searchsorted(times, task.expiration, side="left"))
+        if k == 0:
+            continue
+        owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
+        want = brute_force.row_bounds_per_worker(task, inst.workers, owner, cat, times[:k].tolist(), inst.velocity)
+        assert _bits(*engine.row_bounds(task, ctx, k)) == _bits(*want), (seed, task.id)
+        g = engine.score_grid(task, ctx, k)
+        for i, w in enumerate(engine.workers):
+            for j, t in enumerate(times[:k].tolist()):
+                b = total_score(task, w, owner, cat, t, inst.velocity)
+                got = _bits(g.ts[i, j], g.avail[i, j], g.total[i, j])
+                assert got == _bits(b.time_score, b.availability, b.total), (seed, task.id, w.id, t)
+
+
+def test_status_classes_keep_the_sign_of_zero():
+    # 0.0 and -0.0 are equal floats with different bits, so they make two
+    # classes, while 1 and 1.0 make one.
+    statuses = [WeeklySchedule((), default=d) for d in (0.0, -0.0, 1, 1.0, 0.0)]
+    engine = _engine([replace(_worker(i + 1), status=s) for i, s in enumerate(statuses)])
+    assert engine._class.tolist() == [0, 1, 2, 2, 0]
+
+
+def test_the_generated_week_population_has_eight_status_classes():
+    # The generator draws 600 commuters with one status schedule and 400
+    # others with one of seven start offsets: the shared schedules that
+    # the engine computes availability for once each.
+    scenario = generate(GenParams(1000, 5000), seed=1)
+    engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
+    assert len(engine._st_week) == 8
+    assert np.bincount(engine._class)[0] == 600  # the first 600 workers commute
+
+
 @pytest.mark.parametrize("start_earliest", [None, 40.0])
 def test_row_bound_is_reached_by_a_worker_at_the_task(start_earliest):
     # With no travel the bound's time score is the kernel's, so a worker at
@@ -1022,10 +1139,11 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
 
 def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
     # In one canary batch, status integrals are looked up one time at a
-    # time: once at each of the batch grid's times, inside its one grid
-    # context, and otherwise at task expirations.  A score block looks up
-    # only its own rows, bit for bit those rows of the whole lookup: the
-    # batch builds no (tasks, workers) temporary.
+    # time, one value per status class: once at each of the batch grid's
+    # times, inside its one grid context, and otherwise at task
+    # expirations.  A score block of fewer rows than workers looks up the
+    # same per-class integrals as the whole: the batch builds no (tasks,
+    # workers) temporary.
     tasks, engine, now = _canary_batch()
     grids, lookups, blocks, inside = [], [], [], []
     grid_context, cumulative, score = ScoreEngine.grid_context, ScoreEngine._cumulative, ScoreEngine.score_grid
@@ -1038,8 +1156,8 @@ def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
         finally:
             inside.pop()
 
-    def traced_cumulative(self, t, *rows):
-        out = cumulative(self, t, *rows)
+    def traced_cumulative(self, t):
+        out = cumulative(self, t)
         lookups.append((t, out, bool(inside), blocks[-1] if blocks else None))
         return out
 
@@ -1055,15 +1173,15 @@ def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
     monkeypatch.setattr(ScoreEngine, "_cumulative", traced_cumulative)
     monkeypatch.setattr(ScoreEngine, "score_grid", traced_score)
     assignments, _ = offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
-    assert len(tasks) >= 20 and assignments and len(grids) == 1
-    assert all(np.ndim(t) == 0 and out.ndim == 1 for t, out, _, _ in lookups)
+    classes = len(engine._st_week)
+    assert len(tasks) >= 20 and assignments and len(grids) == 1 and classes < len(engine.workers)
+    assert all(np.ndim(t) == 0 and out.shape == (classes,) for t, out, _, _ in lookups)
     assert [t for t, _, grid, _ in lookups if grid] == grids[0].tolist()
     assert {t for t, _, grid, _ in lookups if not grid} == {t.expiration for t in tasks}
     in_blocks = [(t, out, rows) for t, out, _, rows in lookups if rows is not None]
     assert any(len(rows) < len(engine.workers) for _, _, rows in in_blocks)
-    for t, out, rows in in_blocks:
-        assert out.shape == (len(rows),)
-        assert np.array_equal(out, cumulative(engine, t)[rows])
+    for t, out, _rows in in_blocks:
+        assert np.array_equal(out, cumulative(engine, t))
 
 
 def test_batch_records_keep_only_their_bound(monkeypatch):
@@ -1118,6 +1236,6 @@ def test_scalar_and_vectorised_lookups_agree_just_below_zero():
         for i, w in enumerate(engine.workers):
             c = centroid(w.pattern.value_at(t))
             assert (ctx.x[i, j], ctx.y[i, j]) == (c.x, c.y)
-            assert ctx.cum_status[i, j] == w.status.cumulative(t)
+            assert ctx.cum_status[engine._class[i], j] == w.status.cumulative(t)
             b = total_score(task, w, OWNER, CAT, t, vel)
             assert (s.ts[i], s.avail[i], s.total[i]) == (b.time_score, b.availability, b.total)

@@ -1,6 +1,7 @@
 """Scenario JSON round-trips, strict schema errors, and the generator."""
 
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdsim import workload
 from crowdsim.model import Disc, Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import Segment, WeeklySchedule
 from crowdsim.scoring import VelocityProfile
@@ -193,6 +195,36 @@ def test_load_reports_bad_json(tmp_path, content):
     p.write_bytes(content)
     with pytest.raises(ScenarioFormatError, match=re.escape(f"{p}: invalid JSON")):
         load(p)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_generate_and_load_pause_cyclic_gc_and_restore_the_callers_state(enabled, tmp_path, monkeypatch):
+    # Records are built with cyclic GC off, and the caller's state comes
+    # back after a load, a generate and a load that fails; a collector the
+    # caller had disabled stays disabled.
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save(generate(GenParams(5, 10), seed=1), good)
+    doc = json.loads(good.read_text())
+    del doc["units"]
+    bad.write_text(json.dumps(doc))
+    during = []
+    validate, velocity = Scenario.validate, workload._default_velocity
+    monkeypatch.setattr(Scenario, "validate", lambda self: during.append(gc.isenabled()) or validate(self))
+    monkeypatch.setattr(workload, "_default_velocity", lambda: during.append(gc.isenabled()) or velocity())
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load(good)
+        after = [gc.isenabled()]
+        with pytest.raises(ScenarioFormatError, match="missing field 'units'"):
+            load(bad)
+        after.append(gc.isenabled())
+        generate(GenParams(5, 10), seed=2)
+        after.append(gc.isenabled())
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after == [enabled] * 3
+    assert during == [False, False]
 
 
 # -- strict schema ----------------------------------------------------------------
