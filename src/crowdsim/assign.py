@@ -606,94 +606,83 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
     return rnd.choice(ids)
 
 
-class _Candidates:
-    """One batched task: its positive pairs, found as the rounds need them, and the pair it proposes.
+def _pairs(score, bound: np.ndarray, times: np.ndarray):
+    """A task's positive pairs (worker index, t0, ttc, total), in (total desc, worker asc, time asc) order.
 
-    Pairs are proposed in (total desc, worker id asc, time asc) order; the
-    proposal is the pair at ``pointer``.  They come from a threshold search
-    (Fagin, Lotem & Naor, PODS 2001) over per-worker bounds that need no
-    distances: ``score(rows)`` scores the worker rows ``rows`` (an index
-    array, or ``slice(None)`` for all) over the task's grid ``times``, and
-    ``bound[r]`` is at or above every positive total in row ``r``.  A found
-    pair is final once its total is strictly above ``top``, the highest bound
-    among the unscored rows (the first ``final`` pairs are); a row whose bound
-    equals the total may hold an equal total that wins its tie on worker id.
-    When the pair at the pointer is not final, the next block of
-    highest-bound unscored rows is scored (``_ROW_BLOCK`` rows at first,
-    doubling each time) and its positive pairs are merged into the order.
-    Every pair before the pointer was final when proposed, so the merged
-    pairs all sort after it.  A row whose bound is not positive holds no
-    positive total and is never scored.
+    The pairs come from a threshold search (Fagin, Lotem & Naor, PODS 2001)
+    over per-worker bounds that need no distances: ``score(rows)`` scores the
+    worker rows ``rows`` (an index array) over the grid ``times``, and
+    ``bound[r]`` is at or above every positive total in row ``r``.  Each
+    step scores the block of highest-bound unscored rows (``_ROW_BLOCK`` rows
+    at first, doubling each time) and merges their positive pairs with the
+    pending ones.  A pair is final once its total is strictly above ``top``,
+    the highest bound among the unscored rows: a row whose bound equals the
+    total may hold an equal total that wins its tie on worker id.  The final
+    pairs are yielded and dropped, so every later pair sorts after them.  A
+    row whose bound is not positive holds no positive total and is never
+    scored.  ``bound`` is marked in place as rows are scored.
     """
+    bound[~(bound > 0.0)] = -np.inf  # as scored rows are marked
+    top = float(bound.max())
+    block = _ROW_BLOCK
+    # The pending pairs, in preference order.
+    w, j, totals, ttc = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
+    while top > 0.0:
+        n = min(block, len(bound))
+        rows = np.argpartition(bound, len(bound) - n)[len(bound) - n :]
+        rows = rows[bound[rows] > 0.0]
+        bound[rows] = -np.inf
+        top = float(bound.max())
+        block *= 2
+        g = score(rows)
+        r, c = np.nonzero(g.total > 0.0)
+        w = np.concatenate((w, rows[r].astype(np.int32)))
+        j = np.concatenate((j, c.astype(np.int32)))
+        totals = np.concatenate((totals, g.total[r, c]))
+        ttc = np.concatenate((ttc, g.ttc[r, c]))
+        order = np.lexsort((j, w, -totals))
+        w, j, totals, ttc = w[order], j[order], totals[order], ttc[order]
+        del g, r, c, order  # a suspended generator keeps its locals: hold only the pending pairs
+        final = int(np.count_nonzero(totals > top))
+        # Memoryviews make each pair Python numbers only when it is taken.
+        yield from zip(*map(memoryview, (w[:final], times[j[:final]], ttc[:final], totals[:final])))
+        w, j, totals, ttc = w[final:], j[final:], totals[final:], ttc[final:]
 
-    __slots__ = (
-        "task", "priority", "reason", "pointer", "score", "bound", "top", "block", "times",
-        "w", "j", "totals", "ttc", "final", "worker", "t0", "t1", "total", "clash",
-    )
+
+class _Candidates:
+    """One batched task and the pair it proposes; each :meth:`propose` takes the next pair of :func:`_pairs`."""
+
+    __slots__ = ("task", "priority", "score", "pairs", "worker", "t0", "ttc", "t1", "total", "clash", "reason")
 
     def __init__(self, task: Task, priority: float, score, bound: np.ndarray, times: np.ndarray):
         self.task = task
         self.priority = priority
-        self.reason: OutcomeKind | None = None  # why the task is not placed, once that is known
-        self.pointer = 0
         self.score = score
-        bound[~(bound > 0.0)] = -np.inf  # as scored rows are marked
-        self.bound = bound
-        self.top = float(bound.max())
-        self.block = _ROW_BLOCK
-        self.times = times
-        # The pairs found so far, in preference order.
-        self.w = np.empty(0, dtype=np.int32)  # worker index
-        self.j = np.empty(0, dtype=np.int32)  # grid-time index
-        self.totals = np.empty(0)
-        self.ttc = np.empty(0)
-        self.final = 0  # how many of them are final
-        self.worker = -1  # worker index of the proposed pair
-        self.t0 = self.t1 = self.total = 0.0  # its work interval [t0, t1) and total
+        self.pairs = _pairs(score, bound, times)
+        self.worker = -1  # worker index of the proposed pair; -1 until one is proposed
+        self.t0 = self.ttc = self.t1 = self.total = 0.0  # its work interval [t0, t1 = t0 + ttc) and total
         self.clash = False  # whether [t0, t1) overlaps one of the worker's bookings
-
-    def _extend(self) -> None:
-        """Score the next block of highest-bound unscored rows and merge their positive pairs in."""
-        b = self.bound
-        n = min(self.block, len(b))
-        rows = np.argpartition(b, len(b) - n)[len(b) - n :]
-        rows = rows[b[rows] > 0.0]
-        b[rows] = -np.inf
-        self.top = float(b.max())
-        self.block *= 2
-        g = self.score(rows)
-        r, j = np.nonzero(g.total > 0.0)
-        w = np.concatenate((self.w, rows[r].astype(np.int32)))
-        totals = np.concatenate((self.totals, g.total[r, j]))
-        ttc = np.concatenate((self.ttc, g.ttc[r, j]))
-        j = np.concatenate((self.j, j.astype(np.int32)))
-        order = np.lexsort((j, w, -totals))
-        self.w, self.j, self.totals, self.ttc = w[order], j[order], totals[order], ttc[order]
-        self.final = int(np.count_nonzero(self.totals > self.top))
+        self.reason: OutcomeKind | None = None  # why the task is not placed, once that is known
 
     def propose(self) -> bool:
-        """Make the pair at the pointer the proposal; False, with a reason, when no pair is left."""
-        i = self.pointer
-        while i >= self.final and self.top > 0.0:
-            self._extend()
-        if i == len(self.totals):
-            if i:  # every positive pair was lost to bookings or competition
+        """Make the next pair the proposal; False, with a reason, when no pair is left."""
+        pair = next(self.pairs, None)
+        if pair is None:
+            if self.worker >= 0:  # every positive pair was lost to bookings or competition
                 self.reason = OutcomeKind.NO_SUITABLE_WORKER
             else:
                 g = self.score(slice(None))
                 self.reason = _failure(g.ts > 0, g.avail, g.rw[:, None], g.tw[:, None])
             return False
-        self.worker = int(self.w[i])
-        self.t0 = float(self.times[self.j[i]])
-        self.t1 = self.t0 + float(self.ttc[i])
-        self.total = float(self.totals[i])
+        self.worker, self.t0, self.ttc, self.total = pair
+        self.t1 = self.t0 + self.ttc
         return True
 
     def assignment(self, engine: ScoreEngine) -> Assignment:
         """The proposal as an assignment, scored on the live trust counters as at the batch time."""
         task, i, t = self.task, self.worker, self.t0
         travel_km = distance(task.region, engine.workers[i].pattern.value_at(t))
-        return _placement(engine, task, i, t, float(self.ttc[self.pointer]), travel_km)
+        return _placement(engine, task, i, t, self.ttc, travel_km)
 
 
 def offline_assign(
@@ -707,13 +696,14 @@ def offline_assign(
 
     Candidate pairs for a task are every grid time before its expiration
     crossed with every worker, kept when the total score is positive, and
-    preferred by higher total, then lower worker id, then earlier time.
+    preferred by higher total, then lower worker id, then earlier time;
+    :func:`_pairs` finds them only as far as the rounds need them.
     Conflicts are settled in proposal rounds: every unplaced task proposes
     its best remaining pair; on each worker, proposals are honoured in
     order of task priority score, then total, then a seeded draw among
     exact ties, and a proposal whose work interval overlaps the worker's
-    bookings or an already honoured interval is refused.  Refused tasks
-    move to their next pair and the rounds repeat until nothing is refused.
+    bookings or an already honoured interval is refused.  A refused task
+    proposes its next pair and the rounds repeat until nothing is refused.
     A round re-decides only the workers that received a new proposal that
     does not overlap their bookings, over all the proposals they hold;
     every other worker would honour the same proposals again and refuse
@@ -768,7 +758,6 @@ def offline_assign(
             if c.worker in deciding:
                 held.setdefault(c.worker, []).append(c)
             else:
-                c.pointer += 1
                 refused.append(c)
         for w in sorted(deciding):
             ranked = sorted(held[w], key=lambda c: (-c.priority, -c.total, c.task.id))
@@ -781,7 +770,6 @@ def offline_assign(
                     run.sort(key=lambda c: c.task.id != winner)  # the winner, then the rest in id order
                 for c in run:
                     if c.clash or any(h.t0 < c.t1 and c.t0 < h.t1 for h in kept):
-                        c.pointer += 1
                         refused.append(c)
                     else:
                         kept.append(c)

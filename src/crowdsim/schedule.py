@@ -30,7 +30,7 @@ WEEKEND = frozenset((5, 6))
 
 @dataclass(frozen=True)
 class Segment(Generic[V]):
-    """Constant value on [start_min, end_min) of each listed day (0 = Monday)."""
+    """Constant value on [start_min, end_min) of each listed day (0 = Monday); minutes are stored as floats."""
 
     days: frozenset[int]
     start_min: float
@@ -49,6 +49,8 @@ class Segment(Generic[V]):
                 "segment needs 0 <= start_min < end_min <= 1440, got "
                 f"[{self.start_min!r}, {self.end_min!r})"
             )
+        object.__setattr__(self, "start_min", float(self.start_min))
+        object.__setattr__(self, "end_min", float(self.end_min))
 
 
 @dataclass(frozen=True, slots=True)

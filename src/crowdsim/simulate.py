@@ -47,7 +47,8 @@ class SimConfig:
     ``response_delay_min`` is how long a dispatched worker takes to accept
     or reject; rejections therefore cost real time.  The batch assigner
     dispatches on a grid of ``grid_step_min`` steps that ends at
-    ``duration_min``; online retries wait one step.
+    ``duration_min``; online retries wait one step.  ``duration_min`` and
+    the batch times are stored as floats.
     """
 
     duration_min: float
@@ -68,6 +69,9 @@ class SimConfig:
         for t in self.offline_batch_times:
             if not (0 <= t < math.inf):
                 raise ValueError(f"batch times must be finite and >= 0, got {t}")
+        # Float minutes, so that int and float times give one log text.
+        object.__setattr__(self, "duration_min", float(self.duration_min))
+        object.__setattr__(self, "offline_batch_times", tuple(map(float, self.offline_batch_times)))
 
 
 class TaskState(str, Enum):

@@ -226,8 +226,8 @@ def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     # worker id. So row 0 must be scored before any pair of total T is
     # proposed: a pair is final only above the unscored rows' highest bound,
     # not at it. Row 2 shares row 0's block; row 3's bound (T/2) is below
-    # every pair found by then, so it stays unscored until the pointer
-    # reaches a pair of total T/2.
+    # every pair found by then, so it stays unscored until a pair of total
+    # T/2 is proposed. Each propose() takes the next pair.
     monkeypatch.setattr(assign, "_ROW_BLOCK", 1)
     T = 0.5
     totals = np.array([T, T, T / 2, T / 4])
@@ -244,18 +244,14 @@ def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     assert cand.propose()
     assert (cand.worker, cand.total) == (0, T)
     assert scored == [[1], [0, 2]]
-    cand.pointer = 1
     assert cand.propose()
     assert (cand.worker, cand.total) == (1, T)
     assert scored == [[1], [0, 2]]
-    cand.pointer = 2
     assert cand.propose()
     assert (cand.worker, cand.t0, cand.t1, cand.total) == (2, 0.0, 1.0, T / 2)
     assert scored == [[1], [0, 2], [3]]
-    cand.pointer = 3
     assert cand.propose()
     assert (cand.worker, cand.total) == (3, T / 4)
-    cand.pointer = 4
     assert not cand.propose()
     assert cand.reason is OutcomeKind.NO_SUITABLE_WORKER
     assert len(scored) == 3
@@ -304,7 +300,7 @@ def _bits(*xs) -> list[str]:
 @pytest.mark.parametrize("block", [1, 16])
 @pytest.mark.parametrize("seed", range(100))
 def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
-    # Stepping the pointer to the end walks the full grid's positive cells in
+    # Proposing until no pair is left walks the full grid's positive cells in
     # (total desc, worker id asc, time asc) order, however the rows are
     # blocked, and a proposal's assignment reports its cell's factors, from
     # the scalar reference, bit for bit.
@@ -341,8 +337,50 @@ def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
                 )
                 cell = (full.ts[i, j], full.avail[i, j], full.rw[i], full.tw[i], full.total[i, j], full.ttc[i, j])
                 assert got_bits == _bits(*cell, full.travel_km[i, j]), (seed, task.id, i, j)
-                cand.pointer += 1
             assert got == [(i, times[j], full.total[i, j]) for i, j in cells], (seed, task.id)
+
+
+@pytest.mark.parametrize("block", [1, 2, 16])
+@pytest.mark.parametrize("seed", range(100))
+def test_pairs_yields_the_positive_cells_in_order(seed, block, monkeypatch):
+    # _pairs on its own, over a synthetic score of a random totals matrix
+    # whose totals repeat across rows.  A row's bound is at least its
+    # largest positive total: exactly that total, a little or a level above
+    # it, or +inf.  A row with no positive total has a NaN, zero, negative
+    # or positive bound.  The stream is every positive cell as (row, time,
+    # ttc, total) in (total desc, row asc, time asc) order, in Python
+    # numbers, and no row is scored twice or with a bound that is not
+    # positive.
+    monkeypatch.setattr(assign, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    n_rows, n_times = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+    levels = [math.nan, -0.5, -0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0]
+    totals = rng.choice(levels, size=(n_rows, n_times))
+    totals[rng.random(n_rows) < 0.3] = -1.0  # rows with no positive total
+    ttc = rng.uniform(1.0, 60.0, size=(n_rows, n_times))
+    times = np.cumsum(rng.uniform(1.0, 30.0, size=n_times))
+    bound = np.empty(n_rows)
+    for i, row in enumerate(totals):
+        best = max((t for t in row.tolist() if t > 0.0), default=None)
+        if best is None:
+            bound[i] = rng.choice([math.nan, 0.0, -0.0, -1.0, -math.inf, 0.5, math.inf])
+        else:
+            bound[i] = rng.choice([best, best, best * (1 + 2**-52), best + 0.25, math.inf])
+    scored = []
+
+    def score(rows):
+        scored.extend(rows.tolist())
+        ones = np.ones((len(rows), n_times))
+        total = totals[rows]
+        return assign._Scores(total=total, ts=total, avail=ones, ttc=ttc[rows], travel_km=ones, rw=ones[:, 0], tw=ones[:, 0])
+
+    cells = sorted(zip(*np.nonzero(totals > 0.0)), key=lambda c: (-totals[c], c[0], c[1]))
+    want = [(int(i), float(times[j]), float(ttc[i, j]), float(totals[i, j])) for i, j in cells]
+    got = list(assign._pairs(score, bound.copy(), times))
+    assert got == want, seed
+    assert all(type(i) is int and {type(x) for x in rest} == {float} for i, *rest in got)
+    assert len(scored) == len(set(scored))
+    assert all(bound[i] > 0.0 for i in scored), seed
 
 
 def test_offline_outcomes_cover_every_task():
@@ -1185,10 +1223,11 @@ def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
 
 
 def test_batch_records_keep_only_their_bound(monkeypatch):
-    # A batched task's record holds its bound as its one worker-wide array.
-    # Its score partial holds the task, the batch's shared grid context and
-    # the task's grid length: reward, trust and the expiration integral are
-    # computed for each scored block, not kept.
+    # A batched task's record and its pair generator hold the task's bound
+    # as their one worker-wide array.  Its score partial holds the task, the
+    # batch's shared grid context and the task's grid length: reward, trust
+    # and the expiration integral are computed for each scored block, not
+    # kept, and a suspended generator keeps no block's scores.
     tasks, engine, now = _canary_batch()
     records = []
     init = assign._Candidates.__init__
@@ -1196,12 +1235,12 @@ def test_batch_records_keep_only_their_bound(monkeypatch):
     def traced_init(self, *args):
         init(self, *args)
         records.append(self)
+        held = {name: getattr(self, name) for name in self.__slots__}
+        held.update(self.pairs.gi_frame.f_locals)
         wide = [
             name
-            for name in self.__slots__
-            if isinstance(getattr(self, name), np.ndarray)
-            and getattr(self, name) is not self.times
-            and len(getattr(self, name)) == len(engine.workers)
+            for name, a in held.items()
+            if isinstance(a, np.ndarray) and name != "times" and len(a) == len(engine.workers)
         ]
         assert wide == ["bound"]
 
@@ -1212,6 +1251,9 @@ def test_batch_records_keep_only_their_bound(monkeypatch):
         held = (*c.score.args, *c.score.keywords.values())
         assert not any(isinstance(a, np.ndarray) for a in held)
         assert [type(a) for a in held] == [Task, assign.GridContext, int]
+    suspended = [c.pairs.gi_frame.f_locals for c in records if c.pairs.gi_frame is not None]
+    assert suspended
+    assert not any(isinstance(a, assign._Scores) for frame in suspended for a in frame.values())
 
 
 def test_scalar_and_vectorised_lookups_agree_just_below_zero():
