@@ -20,14 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid, distance
+from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
 from .schedule import WEEK_MINUTES, WeeklySchedule
 from .scoring import (
     MIN_PRIORITY_EXPONENT_BASE,
     ScoreBreakdown,
     TaskExpiredError,
     VelocityProfile,
-    reach,
     task_priority_score,
     total_score,
     trustworthy_score,
@@ -75,19 +74,17 @@ class OutcomeKind(str, Enum):
 
 @dataclass(frozen=True)
 class Assignment:
-    """A concrete (task, worker, dispatch time) decision with its scores."""
+    """A concrete (task, worker, dispatch time) decision with the scalar breakdown it was scored on."""
 
     task_id: int
     worker_id: int
     dispatch_time: float
     breakdown: ScoreBreakdown
-    ttc_min: float
-    travel_km: float
 
     @property
     def booking(self) -> tuple[float, float]:
-        """Half-open interval the worker is considered occupied for."""
-        return (self.dispatch_time, self.dispatch_time + self.ttc_min)
+        """Half-open interval the worker is considered occupied for: the dispatch time plus the time to complete."""
+        return (self.dispatch_time, self.dispatch_time + self.breakdown.ttc_min)
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,6 @@ class _Scores:
     ts: np.ndarray
     avail: np.ndarray
     ttc: np.ndarray
-    travel_km: np.ndarray
     rw: np.ndarray
     tw: np.ndarray
 
@@ -368,7 +364,7 @@ class ScoreEngine:
     def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
         """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``."""
         times = ctx.times[:k]
-        dist, eff, ttc = self._reach(task, times, ctx.x[rows, :k], ctx.y[rows, :k], ctx.speed[:k])
+        _dist, eff, ttc = self._reach(task, times, ctx.x[rows, :k], ctx.y[rows, :k], ctx.speed[:k])
         exp = task.expiration
         left = exp - times
         ts = np.subtract(exp, ttc)
@@ -384,7 +380,7 @@ class ScoreEngine:
         total = np.multiply(ts, avail)
         np.multiply(total, rw[:, None], out=total)
         np.multiply(total, tw[:, None], out=total)
-        return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, travel_km=dist, rw=rw, tw=tw)
+        return _Scores(total=total, ts=ts, avail=avail, ttc=ttc, rw=rw, tw=tw)
 
     # The batch's name for the kernel, which the benchmark traces; score_at calls _score.
     score_grid = _score
@@ -393,7 +389,7 @@ class ScoreEngine:
         """Score every worker for ``task`` dispatched at the single time ``t``."""
         (x, y), speed = self._places(t)[:, :, None], np.array([self.velocity.speed_at(t)])
         s = self._score(task, GridContext(np.array([t]), x, y, self._cumulative(t)[:, None], speed), 1)
-        return replace(s, **{f: getattr(s, f)[:, 0] for f in ("total", "ts", "avail", "ttc", "travel_km")})
+        return replace(s, **{f: getattr(s, f)[:, 0] for f in ("total", "ts", "avail", "ttc")})
 
     def row_bounds(self, task: Task, ctx: GridContext, k: int) -> np.ndarray:
         """Per worker, a bound at or above every positive total :meth:`score_grid` gives over the first ``k`` times.
@@ -430,22 +426,17 @@ class ScoreEngine:
         return bound
 
 
-def _placement(engine: ScoreEngine, task: Task, i: int, t: float, ttc: float, travel_km: float) -> Assignment:
-    """Worker index ``i`` placed on ``task`` at ``t``, its factors from the scalar ``total_score``.
+def _placement(engine: ScoreEngine, task: Task, i: int, t: float) -> Assignment:
+    """Worker index ``i`` placed on ``task`` at ``t``: the one way an assigner builds an :class:`Assignment`.
 
-    The kernel's factors equal it bit for bit.  The record in
-    ``engine.workers`` holds the live trust counters; the score reads no bookings.
+    Every figure of the placement, its booking included, comes from one
+    scalar ``total_score`` call; the kernel, which ranks the workers, gives
+    the same factors and reach bit for bit.  The record in ``engine.workers``
+    holds the live trust counters; the score reads no bookings.
     """
     worker = engine.workers[i]
     owner, category = engine.owners[task.owner_id], engine.categories[task.category_id]
-    return Assignment(
-        task_id=task.id,
-        worker_id=worker.id,
-        dispatch_time=t,
-        breakdown=total_score(task, worker, owner, category, t, engine.velocity),
-        ttc_min=ttc,
-        travel_km=travel_km,
-    )
+    return Assignment(task.id, worker.id, t, total_score(task, worker, owner, category, t, engine.velocity))
 
 
 def _failure(ts_ok: np.ndarray, avail: np.ndarray, rw: np.ndarray, tw: np.ndarray) -> OutcomeKind:
@@ -526,8 +517,7 @@ def online_assign(
         best = float(masked_total.max())
         if best > 0.0:
             i = int(np.argmax(masked_total))
-            assignment = _placement(engine, eff_task, i, t, float(s.ttc[i]), float(s.travel_km[i]))
-            return AssignOutcome(OutcomeKind.ASSIGNED, assignment, eff_task.pto_reward)
+            return AssignOutcome(OutcomeKind.ASSIGNED, _placement(engine, eff_task, i, t), eff_task.pto_reward)
         kind = _failure(mask & (s.ts > 0), s.avail, s.rw, s.tw)
         if kind is OutcomeKind.REWARD_INSUFFICIENT:
             owner = engine.owners[task.owner_id]
@@ -553,26 +543,17 @@ def baseline_nearest(
 ) -> AssignOutcome:
     """Assign to the nearest unoccupied worker by centroid distance.
 
-    Deliberately ignores availability, reward, and trust; only the winner
-    is scored, for reporting.  Distance ties go to the lowest worker id.
-    """
-    found = _nearest_free(task, engine, t, frozenset(exclude_workers))
-    if found is None:
-        return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
-    i, ttc, dist = found
-    return AssignOutcome(OutcomeKind.ASSIGNED, _placement(engine, task, i, t, ttc, dist), task.pto_reward)
-
-
-def _nearest_free(task: Task, engine: ScoreEngine, t: float, exclude: frozenset[int]):
-    """The nearest free worker's index, time to complete and distance; None when no worker is free.
-
+    Deliberately ignores availability, reward, and trust; only placements
+    are scored, for reporting.  Distance ties go to the lowest worker id.
     Only the distances are computed over every worker at first.  The
-    nearest worker that is not excluded wins if its own bookings leave it
-    free: masking busy workers out only raises other distances, so it is
-    also the first minimum of the masked distances.  When it is taken, or
-    no distance is finite, the full booking mask decides.
+    nearest worker that is not excluded is placed with :func:`_placement`,
+    and wins if that placement's booking leaves it free: masking busy
+    workers out only raises other distances, so it is also the first
+    minimum of the masked distances.  When it is taken (its placement is
+    discarded), or no distance is finite, the full booking mask decides.
     """
-    (x, y), speed = engine._places(t), engine.velocity.speed_at(t)
+    exclude = frozenset(exclude_workers)
+    x, y = engine._places(t)
     near = engine._distance(task, x, y)
     for wid in exclude:
         i = engine.index_of.get(wid)
@@ -580,19 +561,18 @@ def _nearest_free(task: Task, engine: ScoreEngine, t: float, exclude: frozenset[
             near[i] = np.inf
     if len(near):
         i = int(np.argmin(near))  # the first NaN, if there is one
-        d = float(near[i])
-        if d < math.inf:
-            ttc = reach(task, d, speed, t)[1]
-            if engine.is_free(i, t, t + ttc):
-                return i, ttc, d
-    dist, _eff, ttc = engine._reach(task, t, x, y, speed)
+        if near[i] < math.inf:
+            a = _placement(engine, task, i, t)
+            if engine.is_free(i, *a.booking):
+                return AssignOutcome(OutcomeKind.ASSIGNED, a, task.pto_reward)
+    dist, _eff, ttc = engine._reach(task, t, x, y, engine.velocity.speed_at(t))
     free = _availability_mask(engine, ttc, t, exclude)
     if not free.any():
-        return None
+        return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
     i = int(np.argmin(np.where(free, dist, np.inf)))
     if not free[i]:  # every free worker is infinitely far: the first of them
         i = int(np.argmax(free))
-    return i, float(ttc[i]), float(dist[i])
+    return AssignOutcome(OutcomeKind.ASSIGNED, _placement(engine, task, i, t), task.pto_reward)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +657,6 @@ class _Candidates:
         self.worker, self.t0, self.ttc, self.total = pair
         self.t1 = self.t0 + self.ttc
         return True
-
-    def assignment(self, engine: ScoreEngine) -> Assignment:
-        """The proposal as an assignment, scored on the live trust counters as at the batch time."""
-        task, i, t = self.task, self.worker, self.t0
-        travel_km = distance(task.region, engine.workers[i].pattern.value_at(t))
-        return _placement(engine, task, i, t, self.ttc, travel_km)
 
 
 def offline_assign(
@@ -779,7 +753,9 @@ def offline_assign(
     unassigned: list[tuple[int, OutcomeKind]] = []
     for c in cands:
         if c.reason is None:
-            assignments.append(c.assignment(engine))
+            # Scored on the live trust counters as at the batch time; its
+            # booking is [t0, t1), as the kernel's reach is the scalar one.
+            assignments.append(_placement(engine, c.task, c.worker, c.t0))
         else:
             unassigned.append((c.task.id, c.reason))
     return assignments, unassigned

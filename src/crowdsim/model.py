@@ -292,10 +292,10 @@ def validate_scenario(
                     "task", task.id, f"submit_time {task.submit_time} is after expiration {task.expiration}"
                 )
             )
-        if not (task.duration >= 0):
-            out.append(Violation("task", task.id, f"duration must be >= 0, got {task.duration}"))
-        if not (task.pto_reward > 0):
-            out.append(Violation("task", task.id, f"pto_reward must be > 0, got {task.pto_reward}"))
+        if not (0 <= task.duration < math.inf):
+            out.append(Violation("task", task.id, f"duration must be finite and >= 0, got {task.duration}"))
+        if not (0 < task.pto_reward < math.inf):
+            out.append(Violation("task", task.id, f"pto_reward must be finite and > 0, got {task.pto_reward}"))
         _check_unit(out, "task", task.id, "entered_priority", task.entered_priority)
         t1, t2 = task.start_earliest, task.start_latest
         if t1 is not None and t2 is not None and t1 > t2:

@@ -51,7 +51,7 @@ class VelocityProfile:
 
 @dataclass(frozen=True)
 class ScoreBreakdown:
-    """Per-factor scores for one (task, worker, time) candidate."""
+    """Per-factor scores for one (task, worker, time) candidate, with the reach they were scored on."""
 
     time_score: float
     availability: float
@@ -59,6 +59,8 @@ class ScoreBreakdown:
     trust_weighted: float
     total: float
     time_feasible: bool
+    ttc_min: float
+    travel_km: float
 
 
 def time_score(task: Task, ttc: float, t: float) -> float:
@@ -134,7 +136,7 @@ def total_score(
     t: float,
     velocity: VelocityProfile,
 ) -> ScoreBreakdown:
-    """Full factor breakdown for assigning ``task`` to ``worker`` at time ``t``.
+    """Full factor breakdown for assigning ``task`` to ``worker`` at time ``t``, with its time to complete and travel.
 
     The optional start window tightens the deadline factor: work cannot
     begin before ``start_earliest`` (the worker idles after travelling) and
@@ -144,7 +146,8 @@ def total_score(
         raise ValueError(f"task {task.id}: dispatch time must be finite, got {t}")
     if t >= task.expiration:
         raise TaskExpiredError(f"task {task.id} expired at {task.expiration}, scored at t={t}")
-    eff_start, ttc = reach(task, distance(task.region, worker.pattern.value_at(t)), velocity.speed_at(t), t)
+    d = distance(task.region, worker.pattern.value_at(t))
+    eff_start, ttc = reach(task, d, velocity.speed_at(t), t)
     if task.start_latest is not None and eff_start > task.start_latest:
         ts = -1.0
     else:
@@ -164,4 +167,6 @@ def total_score(
         trust_weighted=tw,
         total=total,
         time_feasible=ts > 0.0,
+        ttc_min=ttc,
+        travel_km=d,
     )

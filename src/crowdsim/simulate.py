@@ -275,7 +275,7 @@ class _Sim:
             r.state, r.accepted = TaskState.IN_PROGRESS, True
             self.engine.refresh_trust(a.worker_id, r.task.category_id, "accepted")
             self.log.append(LogRow(t, "accepted", task_id=tid, worker_id=a.worker_id))
-            self.push(max(a.dispatch_time + a.ttc_min, t), _R_COMPLETE, tid)
+            self.push(max(a.booking[1], t), _R_COMPLETE, tid)
         else:
             self.log.append(LogRow(t, "rejected", task_id=tid, worker_id=a.worker_id))
             self.engine.release(a.worker_id, *a.booking)
@@ -290,7 +290,7 @@ class _Sim:
         self.engine.release(a.worker_id, *a.booking)
         self.engine.refresh_trust(a.worker_id, r.task.category_id, "completed")
         r.state = TaskState.COMPLETED
-        self.travel_completed.append(a.travel_km)
+        self.travel_completed.append(a.breakdown.travel_km)
         self.log.append(LogRow(t, "completed", task_id=tid, worker_id=a.worker_id, reward=r.reward))
 
     def on_expire(self, t: float, tid: int) -> None:
@@ -330,8 +330,8 @@ class _Sim:
                 self._expire(self.runs[tid], duration)
 
         runs = self.runs.values()
-        # Completed work is released from the engine's table, so the report
-        # lists each worker's scenario bookings plus those of its accepted tasks.
+        # Completed work is released from the engine's per-worker booking lists,
+        # so the report lists each worker's scenario bookings plus those of its accepted tasks.
         engine = self.engine
         held = {w.id: [(float(s), float(e)) for s, e in w.bookings] for w in engine.workers}
         for r in runs:

@@ -33,7 +33,7 @@ from crowdsim.assign import (
 )
 from crowdsim.model import Point, Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid, distance
 from crowdsim.schedule import ALL_DAYS, WEEK_MINUTES, Segment, WeeklySchedule
-from crowdsim.scoring import TaskExpiredError, VelocityProfile, reach, total_score
+from crowdsim.scoring import ScoreBreakdown, TaskExpiredError, VelocityProfile, reach, total_score
 from crowdsim.workload import GenParams, generate
 
 VEL = VelocityProfile(schedule=WeeklySchedule((), default=30.0), floor_kmh=5.0)
@@ -237,7 +237,7 @@ def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
         scored.append(sorted(rows.tolist()))
         total = totals[rows][:, None]
         ones = np.ones_like(total)
-        return assign._Scores(total=total, ts=total, avail=ones, ttc=ones, travel_km=ones, rw=ones[:, 0], tw=ones[:, 0])
+        return assign._Scores(total=total, ts=total, avail=ones, ttc=ones, rw=ones[:, 0], tw=ones[:, 0])
 
     bound = np.array([T, 2 * T, T, T / 2])
     cand = assign._Candidates(_task(1), 1.0, score, bound, np.array([0.0]))
@@ -302,8 +302,9 @@ def _bits(*xs) -> list[str]:
 def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
     # Proposing until no pair is left walks the full grid's positive cells in
     # (total desc, worker id asc, time asc) order, however the rows are
-    # blocked, and a proposal's assignment reports its cell's factors, from
-    # the scalar reference, bit for bit.
+    # blocked, and a proposal's placement reports its cell's factors, from
+    # the scalar reference, bit for bit, and books the interval [t0, t1)
+    # the rounds clash-checked with the kernel's time to complete.
     # The search is exact for any valid upper bound: a loosened one (scaled
     # by 1 + 2**-20, or +inf on a seeded third of the rows) changes which
     # rows are scored, never the proposals.
@@ -318,6 +319,7 @@ def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
     for task in inst.tasks:
         k = int(np.searchsorted(times, task.expiration, side="left"))
         full = engine.score_grid(task, ctx, k)
+        dist = engine._distance(task, ctx.x[:, :k], ctx.y[:, :k])
         cells = sorted(zip(*np.nonzero(full.total > 0.0)), key=lambda c: (-full.total[c], c[0], c[1]))
         exact = engine.row_bounds(task, ctx, k)
         inf_third = exact.copy()
@@ -327,16 +329,17 @@ def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
             got = []
             while cand.propose():
                 got.append((cand.worker, cand.t0, cand.total))
-                a = cand.assignment(engine)
+                a = assign._placement(engine, task, cand.worker, cand.t0)
                 b = a.breakdown
                 i, j = cells[len(got) - 1]
                 assert a.dispatch_time == times[j]
                 assert b.time_feasible
+                assert _bits(*a.booking) == _bits(cand.t0, cand.t1), (seed, task.id, i, j)
                 got_bits = _bits(
-                    b.time_score, b.availability, b.reward, b.trust_weighted, b.total, a.ttc_min, a.travel_km
+                    b.time_score, b.availability, b.reward, b.trust_weighted, b.total, b.ttc_min, b.travel_km
                 )
                 cell = (full.ts[i, j], full.avail[i, j], full.rw[i], full.tw[i], full.total[i, j], full.ttc[i, j])
-                assert got_bits == _bits(*cell, full.travel_km[i, j]), (seed, task.id, i, j)
+                assert got_bits == _bits(*cell, dist[i, j]), (seed, task.id, i, j)
             assert got == [(i, times[j], full.total[i, j]) for i, j in cells], (seed, task.id)
 
 
@@ -372,7 +375,7 @@ def test_pairs_yields_the_positive_cells_in_order(seed, block, monkeypatch):
         scored.extend(rows.tolist())
         ones = np.ones((len(rows), n_times))
         total = totals[rows]
-        return assign._Scores(total=total, ts=total, avail=ones, ttc=ttc[rows], travel_km=ones, rw=ones[:, 0], tw=ones[:, 0])
+        return assign._Scores(total=total, ts=total, avail=ones, ttc=ttc[rows], rw=ones[:, 0], tw=ones[:, 0])
 
     cells = sorted(zip(*np.nonzero(totals > 0.0)), key=lambda c: (-totals[c], c[0], c[1]))
     want = [(int(i), float(times[j]), float(ttc[i, j]), float(totals[i, j])) for i, j in cells]
@@ -493,7 +496,8 @@ def test_offline_priority_wins_conflicts():
 
 
 def test_assignment_booking_interval():
-    a = Assignment(1, 2, 30.0, None, ttc_min=25.0, travel_km=1.0)
+    b = ScoreBreakdown(0.5, 0.5, 0.5, 0.5, 0.0625, True, ttc_min=25.0, travel_km=1.0)
+    a = Assignment(1, 2, 30.0, b)
     assert a.booking == (30.0, 55.0)
 
 
@@ -536,7 +540,7 @@ def test_online_matches_oracle(seed):
         want = total_score(raised, w, owner, cat, t, inst.velocity)
         assert _bits(*astuple(a.breakdown)) == _bits(*astuple(want)), f"seed {seed}"
         ttc = reach(raised, d, inst.velocity.speed_at(t), t)[1]
-        assert _bits(a.ttc_min, a.travel_km) == _bits(ttc, d), f"seed {seed}"
+        assert _bits(a.breakdown.ttc_min, a.breakdown.travel_km) == _bits(ttc, d), f"seed {seed}"
 
 
 def test_online_picks_highest_total_lowest_id_tie():
@@ -724,7 +728,11 @@ def test_nearest_winner_is_scored_on_the_live_state(seed, data):
 
 
 def _nearest_full_mask(task, engine, t, exclude) -> AssignOutcome:
-    """The baseline with no nearest-worker fast path: the full booking mask on every decision."""
+    """The baseline with no nearest-worker fast path: the full booking mask on every decision.
+
+    Its placement reports the kernel's time to complete and distance, so the
+    comparison also checks that the scalar reach equals them bit for bit.
+    """
     x, y = engine._places(t)
     dist, _eff, ttc = engine._reach(task, t, x, y, engine.velocity.speed_at(t))
     free = assign._availability_mask(engine, ttc, t, exclude)
@@ -736,7 +744,8 @@ def _nearest_full_mask(task, engine, t, exclude) -> AssignOutcome:
     worker = engine.workers[i]
     owner, cat = engine.owners[task.owner_id], engine.categories[task.category_id]
     breakdown = total_score(task, worker, owner, cat, t, engine.velocity)
-    assignment = Assignment(task.id, worker.id, t, breakdown, float(ttc[i]), float(dist[i]))
+    breakdown = replace(breakdown, ttc_min=float(ttc[i]), travel_km=float(dist[i]))
+    assignment = Assignment(task.id, worker.id, t, breakdown)
     return AssignOutcome(OutcomeKind.ASSIGNED, assignment, task.pto_reward)
 
 
@@ -918,23 +927,26 @@ def _check_engine_factors(inst: Instance, rng: random.Random) -> ScoreEngine:
             times |= {end, float(np.nextafter(end, -np.inf)), float(np.nextafter(end, np.inf))}
         queries.append((task, sorted(t for t in times if t < task.expiration)))
     rng.shuffle(queries)
-    grids = [engine.score_grid(task, engine.grid_context(np.array(times)), len(times)) for task, times in queries]
+    grids = []  # per query, the grid's scores and the kernel's distances
+    for task, times in queries:
+        ctx = engine.grid_context(np.array(times))
+        grids.append((engine.score_grid(task, ctx, len(times)), engine._distance(task, ctx.x, ctx.y)))
     pairs = [(q, j) for q, (_task, times) in enumerate(queries) for j in range(len(times))]
     rng.shuffle(pairs)
     for q, j in pairs:
         task, t = queries[q][0], queries[q][1][j]
         owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
-        at = engine.score_at(task, t)
+        at = engine.score_at(task, t), engine._distance(task, *engine._places(t))
         for i, w in enumerate(engine.workers):
             b = total_score(task, w, owner, cat, t, inst.velocity)
             want = (b.time_score, b.availability, b.reward, b.trust_weighted, b.total)
             end_want = brute_force.work_interval(task, w, t, inst.velocity)[1]
             d = distance(task.region, w.pattern.value_at(t))
             reach_want = _bits(d, reach(task, d, inst.velocity.speed_at(t), t)[1])
-            for s, k in ((at, i), (grids[q], (i, j))):
+            for (s, dist), k in ((at, i), (grids[q], (i, j))):
                 got = (s.ts[k], s.avail[k], s.rw[i], s.tw[i], s.total[k])
                 assert got == want, (seed, task.id, w.id, t)
-                assert _bits(s.travel_km[k], s.ttc[k]) == reach_want, (seed, task.id, w.id, t)
+                assert _bits(dist[k], s.ttc[k]) == reach_want, (seed, task.id, w.id, t)
                 assert t + s.ttc[k] == end_want, (seed, task.id, w.id, t)
     return engine
 
@@ -1041,7 +1053,7 @@ def test_row_bounds_cover_every_positive_total(seed):
             assert bound[i] >= full.total[i, j], (seed, task.id, i, j)
         rows = np.arange(len(engine.workers))[::-1]
         sub = engine.score_grid(task, ctx, k, rows)
-        for name in ("total", "ts", "avail", "ttc", "travel_km", "rw", "tw"):
+        for name in ("total", "ts", "avail", "ttc", "rw", "tw"):
             assert np.array_equal(getattr(sub, name), getattr(full, name)[rows]), (seed, task.id, name)
 
 

@@ -207,6 +207,16 @@ def test_validate_rejects_nan(mutate, fragment):
     assert fragment in messages and "nan" in messages, messages
 
 
+@pytest.mark.parametrize("field", ["pto_reward", "duration"])
+def test_validate_rejects_infinity(field):
+    # An infinite reward made the online raise check fail mid-run, and an
+    # infinite duration put NaN totals in the kernel.
+    tasks, workers, owners, categories = _mini_scenario()
+    tasks.append(replace(tasks[0], id=2, **{field: math.inf}))
+    messages = " | ".join(str(v) for v in validate_scenario(tasks, workers, owners, categories))
+    assert field in messages and "inf" in messages, messages
+
+
 @pytest.mark.parametrize("field", ["submit_time", "expiration", "start_earliest", "start_latest", "booking"])
 def test_validate_rejects_times_at_the_float_limit(field):
     # From 2**53 minutes on, adding a grid step can round back to the same

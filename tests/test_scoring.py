@@ -280,7 +280,7 @@ def test_total_zero_when_any_gate_fails(x, reward, status_level, pto_priority, e
 
 
 def test_breakdown_is_frozen():
-    b = ScoreBreakdown(0.5, 0.5, 0.5, 0.5, 0.0625, True)
+    b = ScoreBreakdown(0.5, 0.5, 0.5, 0.5, 0.0625, True, 10.0, 1.0)
     with pytest.raises(AttributeError):
         b.total = 1.0
 

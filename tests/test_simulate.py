@@ -140,8 +140,10 @@ def _assignment(avail: float, reward: float = 0.5, ts: float = 0.5) -> Assignmen
         trust_weighted=1.0,
         total=max(ts, 0.0) * avail * reward,
         time_feasible=ts > 0,
+        ttc_min=10.0,
+        travel_km=1.0,
     )
-    return Assignment(1, 1, 0.0, b, ttc_min=10.0, travel_km=1.0)
+    return Assignment(1, 1, 0.0, b)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.7, 1.0])
@@ -712,8 +714,8 @@ def test_nearest_builds_the_full_mask_only_when_the_nearest_is_taken(monkeypatch
     decide = simulate.baseline_nearest
 
     def checked(task, engine, t, *, exclude_workers=()):
-        s = engine.score_at(task, t)
-        near = np.where([w.id in exclude_workers for w in engine.workers], np.inf, s.travel_km)
+        s, dist = engine.score_at(task, t), engine._distance(task, *engine._places(t))
+        near = np.where([w.id in exclude_workers for w in engine.workers], np.inf, dist)
         i = int(np.argmin(near))
         taken.append(not near[i] < np.inf or not engine.is_free(i, t, t + s.ttc[i]))
         before = len(masks)
