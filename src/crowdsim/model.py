@@ -203,8 +203,8 @@ def validate_scenario(
             out.append(Violation("category", cat.id, "duplicate id"))
         cat_ids.add(cat.id)
         _check_unit(out, "category", cat.id, "cat_priority", cat.cat_priority)
-        if not (cat.cat_reward > 0):
-            out.append(Violation("category", cat.id, f"cat_reward must be > 0, got {cat.cat_reward}"))
+        if not (0 < cat.cat_reward < math.inf):
+            out.append(Violation("category", cat.id, f"cat_reward must be finite and > 0, got {cat.cat_reward}"))
 
     owner_ids: set[int] = set()
     for owner in owners:
@@ -215,13 +215,15 @@ def validate_scenario(
             out.append(
                 Violation("owner", owner.id, f"pto_priority must be in (0, 1], got {owner.pto_priority}")
             )
-        if not (owner.max_reward_raise >= 0):
+        if not (0 <= owner.max_reward_raise < math.inf):
             out.append(
-                Violation("owner", owner.id, f"max_reward_raise must be >= 0, got {owner.max_reward_raise}")
+                Violation(
+                    "owner", owner.id, f"max_reward_raise must be finite and >= 0, got {owner.max_reward_raise}"
+                )
             )
-        if not (owner.raise_increment > 0):
+        if not (0 < owner.raise_increment < math.inf):
             out.append(
-                Violation("owner", owner.id, f"raise_increment must be > 0, got {owner.raise_increment}")
+                Violation("owner", owner.id, f"raise_increment must be finite and > 0, got {owner.raise_increment}")
             )
 
     worker_ids: set[int] = set()
@@ -239,8 +241,8 @@ def validate_scenario(
         for cat_id, demand in worker.reward_demand.items():
             if cat_id not in cat_ids:
                 out.append(Violation("worker", worker.id, f"reward demand for unknown category {cat_id}"))
-            if not (demand >= 0):
-                out.append(Violation("worker", worker.id, f"reward demand must be >= 0, got {demand}"))
+            if not (0 <= demand < math.inf):
+                out.append(Violation("worker", worker.id, f"reward demand must be finite and >= 0, got {demand}"))
         for cat_id, counters in worker.trust.items():
             if cat_id not in cat_ids:
                 out.append(Violation("worker", worker.id, f"trust counters for unknown category {cat_id}"))

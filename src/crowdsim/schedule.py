@@ -11,6 +11,7 @@ availability averaging is built on.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass, field
@@ -27,10 +28,29 @@ ALL_DAYS = frozenset(range(7))
 WEEKDAYS = frozenset(range(5))
 WEEKEND = frozenset((5, 6))
 
+#: The one day set that every segment holds for each distinct list of days.
+#: Only valid sets are entered, so it holds at most 127 (the non-empty
+#: subsets of 0..6), and a set found here needs no range check.
+_DAY_SETS: dict[frozenset[int], frozenset[int]] = {ALL_DAYS: ALL_DAYS, WEEKDAYS: WEEKDAYS, WEEKEND: WEEKEND}
+
+
+def _day(d: Any) -> int:
+    # True == 1, so a bool would pass for Tuesday and be printed as True.
+    if isinstance(d, bool):
+        raise ValueError(f"day indices must be integers, got {d!r}")
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise ValueError(f"day indices must be integers, got {d!r}") from None
+
 
 @dataclass(frozen=True)
 class Segment(Generic[V]):
-    """Constant value on [start_min, end_min) of each listed day (0 = Monday); minutes are stored as floats."""
+    """Constant value on [start_min, end_min) of each listed day (0 = Monday).
+
+    Days are stored as a frozenset of Python ints, shared by every segment
+    with the same days, and minutes as floats.
+    """
 
     days: frozenset[int]
     start_min: float
@@ -38,12 +58,15 @@ class Segment(Generic[V]):
     value: V
 
     def __post_init__(self) -> None:
-        days = frozenset(self.days)
-        object.__setattr__(self, "days", days)
-        if not days:
-            raise ValueError("segment needs at least one day")
-        if not days <= ALL_DAYS:
-            raise ValueError(f"day indices must be in 0..6, got {sorted(days)}")
+        days = frozenset(map(_day, self.days))
+        shared = _DAY_SETS.get(days)
+        if shared is None:
+            if not days:
+                raise ValueError("segment needs at least one day")
+            if not days <= ALL_DAYS:
+                raise ValueError(f"day indices must be in 0..6, got {sorted(days)}")
+            shared = _DAY_SETS.setdefault(days, days)
+        object.__setattr__(self, "days", shared)
         if not (0 <= self.start_min < self.end_min <= DAY_MINUTES):
             raise ValueError(
                 "segment needs 0 <= start_min < end_min <= 1440, got "

@@ -14,6 +14,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
@@ -376,19 +377,39 @@ _DAYS = _Array(_INT, sort=True)
 _BOOKING = _Tuple(lambda start, end: (start, end), tuple, 2, _MINUTES, "[start, end]")
 
 
-def _schedule(value: _Codec) -> _Record:
+#: The numeric schedules built so far by the ``from_json_dict`` call under
+#: way, keyed on their fields; unset outside such a call.
+_SCHEDULES: ContextVar[dict[tuple, WeeklySchedule]] = ContextVar("_SCHEDULES")
+
+
+def _shared_schedule(default: float, segments: Iterable[Segment] = ()) -> WeeklySchedule:
+    """The schedule record already built in this call for an exactly equal
+    declaration, or a new one: a population declares few distinct answers."""
+    segments = tuple(segments)
+    schedules = _SCHEDULES.get()
+    # 0.0 == -0.0, but they print apart, so values are keyed on their text;
+    # minutes are read from integers, and days are shared sets of ints.
+    key = (repr(default), *[(s.days, s.start_min, s.end_min, repr(s.value)) for s in segments])
+    schedule = schedules.get(key)
+    if schedule is None:
+        schedule = schedules[key] = WeeklySchedule(segments, default)
+    return schedule
+
+
+def _schedule(value: _Codec, make: Callable[..., WeeklySchedule]) -> _Record:
     segment = _Record(
         Segment,
         [_Field("days", _DAYS), _Field("start_min", _MINUTES), _Field("end_min", _MINUTES), _Field("value", value)],
     )
-    return _Record(WeeklySchedule, [_Field("default", value), _Field("segments", _Array(segment), optional=True)])
+    return _Record(make, [_Field("default", value), _Field("segments", _Array(segment), optional=True)])
 
 
 def _scenario(schema_version: int, **fields: Any) -> Scenario:
     return Scenario(**fields)
 
 
-_VELOCITY = _Record(VelocityProfile, [_Field("floor_kmh", _NUMBER), _Field("schedule", _schedule(_NUMBER))])
+_NUMERIC_SCHEDULE = _schedule(_NUMBER, _shared_schedule)
+_VELOCITY = _Record(VelocityProfile, [_Field("floor_kmh", _NUMBER), _Field("schedule", _NUMERIC_SCHEDULE)])
 _CATEGORY = _Record(
     TaskCategory,
     [_Field("id", _INT), _Field("name", _STR), _Field("cat_priority", _NUMBER), _Field("cat_reward", _NUMBER)],
@@ -410,8 +431,9 @@ _WORKER = _Record(
     Worker,
     [
         _Field("id", _INT),
-        _Field("pattern", _schedule(_REGION)),
-        _Field("status", _schedule(_NUMBER)),
+        # Each pattern holds its worker's own places, so patterns are not shared.
+        _Field("pattern", _schedule(_REGION, WeeklySchedule)),
+        _Field("status", _NUMERIC_SCHEDULE),
         _Field("reward_demand", _IdMap(_NUMBER), optional=True),
         _Field("trust", _IdMap(_TRUST), optional=True),
         _Field("bookings", _Array(_BOOKING), optional=True),
@@ -455,8 +477,18 @@ def to_json_dict(s: Scenario) -> dict:
 
 
 def from_json_dict(doc: Any) -> Scenario:
-    """Parse a scenario document; strict about structure and field names."""
-    scenario = _SCENARIO.load(doc, None, "scenario")
+    """Parse a scenario document; strict about structure and field names.
+
+    Equal numeric schedules (status and speed) declared in the document load
+    as one immutable record, and equal day lists as one day set, so workers
+    may share schedule records: compare schedules with ``==``, not ``is``.
+    Each call builds its own records; no two calls share a schedule.
+    """
+    token = _SCHEDULES.set({})
+    try:
+        scenario = _SCENARIO.load(doc, None, "scenario")
+    finally:
+        _SCHEDULES.reset(token)
     scenario.validate()
     return scenario
 
@@ -487,7 +519,8 @@ def _cyclic_gc_paused():
 
 @_cyclic_gc_paused()
 def load(path: str | Path) -> Scenario:
-    """Read and validate a scenario file of UTF-8 JSON."""
+    """Read and validate a scenario file of UTF-8 JSON; records are shared
+    as ``from_json_dict`` says."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -568,7 +601,9 @@ def generate(params: GenParams, seed: int) -> Scenario:
 
     The draw order is fixed (categories, owners, workers, tasks, each field
     in declaration order), so adding entities never reshuffles earlier ones
-    for the same seed.
+    for the same seed.  Workers answer the status questionnaire alike: all
+    commuters share one status record, and non-commuters with the same
+    start of their active window share another.
     """
     rng = random.Random(seed)
     m = params.map_size_km
@@ -598,6 +633,16 @@ def generate(params: GenParams, seed: int) -> Scenario:
     levels = sorted(params.status_levels)
     lo, mid, hi = levels[0], levels[len(levels) // 2], levels[-1]
     n_commuters = _count(params.n_workers, params.fraction_commuters)
+    commuter_status = WeeklySchedule(
+        (
+            Segment(WEEKDAYS, 420, 540, mid),
+            Segment(WEEKDAYS, 540, 1020, lo),
+            Segment(WEEKDAYS, 1020, 1380, hi),
+            Segment(WEEKEND, 540, 1380, hi),
+        ),
+        default=lo,
+    )
+    active_status: dict[int, WeeklySchedule] = {}  # by the active window's start
     workers = []
     for i in range(1, params.n_workers + 1):
         home = pt()
@@ -607,29 +652,23 @@ def generate(params: GenParams, seed: int) -> Scenario:
                 (Segment(WEEKDAYS, 540, 1020, work),),
                 default=home,
             )
-            status = WeeklySchedule(
-                (
-                    Segment(WEEKDAYS, 420, 540, mid),
-                    Segment(WEEKDAYS, 540, 1020, lo),
-                    Segment(WEEKDAYS, 1020, 1380, hi),
-                    Segment(WEEKEND, 540, 1380, hi),
-                ),
-                default=lo,
-            )
+            status = commuter_status
         else:
             # Non-commuters keep one 10-hour active window per day, offset
             # per worker so the population mixes active and idle people at
             # any given hour.
             w0 = rng.randrange(360, 721, 60)
             pattern = WeeklySchedule((), default=home)
-            status = WeeklySchedule(
-                (
-                    Segment(ALL_DAYS, w0, w0 + 60, mid),
-                    Segment(ALL_DAYS, w0 + 60, w0 + 660, hi),
-                    Segment(ALL_DAYS, w0 + 660, w0 + 720, mid),
-                ),
-                default=lo,
-            )
+            status = active_status.get(w0)
+            if status is None:
+                status = active_status[w0] = WeeklySchedule(
+                    (
+                        Segment(ALL_DAYS, w0, w0 + 60, mid),
+                        Segment(ALL_DAYS, w0 + 60, w0 + 660, hi),
+                        Segment(ALL_DAYS, w0 + 660, w0 + 720, mid),
+                    ),
+                    default=lo,
+                )
         demand = {c.id: round(rng.uniform(*params.demand_range), 2) for c in categories}
         trust = {
             c.id: TrustCounters(initial_score=round(rng.uniform(0.3, 0.9), 3)) for c in categories

@@ -217,6 +217,36 @@ def test_validate_rejects_infinity(field):
     assert field in messages and "inf" in messages, messages
 
 
+@pytest.mark.parametrize(
+    "mutate, want",
+    [
+        (
+            lambda t, w, o, c: c.append(TaskCategory(2, "inf", 0.5, math.inf)),
+            "category 2: cat_reward must be finite and > 0, got inf",
+        ),
+        (
+            lambda t, w, o, c: o.append(TaskOwner(2, 0.5, math.inf, 1.0)),
+            "owner 2: max_reward_raise must be finite and >= 0, got inf",
+        ),
+        (
+            lambda t, w, o, c: o.append(TaskOwner(3, 0.5, 1.0, math.inf)),
+            "owner 3: raise_increment must be finite and > 0, got inf",
+        ),
+        (
+            lambda t, w, o, c: w[0].reward_demand.__setitem__(1, math.inf),
+            "worker 1: reward demand must be finite and >= 0, got inf",
+        ),
+    ],
+    ids=["cat_reward", "max_reward_raise", "raise_increment", "reward_demand"],
+)
+def test_validate_rejects_infinite_people_and_category_numbers(mutate, want):
+    # An infinite demand against an infinite raise budget kept the online
+    # raise loop from ever ending.
+    tasks, workers, owners, categories = _mini_scenario()
+    mutate(tasks, workers, owners, categories)
+    assert [str(v) for v in validate_scenario(tasks, workers, owners, categories)] == [want]
+
+
 @pytest.mark.parametrize("field", ["submit_time", "expiration", "start_earliest", "start_latest", "booking"])
 def test_validate_rejects_times_at_the_float_limit(field):
     # From 2**53 minutes on, adding a grid step can round back to the same

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,22 @@ def test_segment_validation():
         Segment(frozenset({0}), 60, 60, 1.0)
     with pytest.raises(ValueError):
         Segment(frozenset({0}), 0, 1441, 1.0)
+
+
+@pytest.mark.parametrize("day", [True, False, np.True_, 1.0, "1"], ids=repr)
+def test_segment_days_must_be_integers_not_bools(day):
+    # True == 1 and hashes alike, so a shared day set {True} would print for Tuesday.
+    with pytest.raises(ValueError, match="day indices must be integers, got"):
+        Segment(frozenset({day}), 0, 60, 1.0)
+
+
+def test_segments_with_equal_days_share_one_set_of_python_ints():
+    a = Segment(frozenset({np.int64(2), 1}), 0, 60, 1.0)
+    b = Segment([2, 1, 2], 60, 120, 0.5)
+    assert a.days is b.days
+    assert [type(d) for d in a.days] == [int, int]
+    assert repr(a.days) == "frozenset({1, 2})"
+    assert Segment(range(7), 0, 60, 1.0).days is ALL_DAYS
 
 
 def test_overlapping_segments_rejected():

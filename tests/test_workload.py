@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdsim import workload
+from crowdsim.assign import ScoreEngine
 from crowdsim.model import Disc, Point, Rect, Task, TaskCategory, TaskOwner, TrustCounters, Worker
 from crowdsim.schedule import Segment, WeeklySchedule
 from crowdsim.scoring import VelocityProfile
@@ -225,6 +226,65 @@ def test_generate_and_load_pause_cyclic_gc_and_restore_the_callers_state(enabled
         (gc.enable if was else gc.disable)()
     assert after == [enabled] * 3
     assert during == [False, False]
+
+
+# -- shared records ---------------------------------------------------------------
+
+
+def _distinct_records(sc):
+    """How many status records and day sets a scenario's workers hold."""
+    statuses = {id(w.status) for w in sc.workers}
+    days = {id(seg.days) for w in sc.workers for schedule in (w.pattern, w.status) for seg in schedule.segments}
+    return len(statuses), len(days)
+
+
+def test_a_week_population_holds_one_record_per_declared_answer(tmp_path):
+    # The week benchmark's 1000 workers declare 8 status schedules over 3
+    # day lists: the engine's status classes.
+    sc = generate(GenParams(1000, 5000), seed=1)
+    p = tmp_path / "week.json"
+    save(sc, p)
+    loaded = load(p)
+    engine = ScoreEngine(loaded.workers, loaded.categories, loaded.owners, loaded.velocity)
+    assert _distinct_records(sc) == _distinct_records(loaded) == (len(engine._st_week), 3) == (8, 3)
+
+
+def test_equal_status_schedules_share_a_record_and_signed_zeros_stay_apart(tmp_path):
+    doc = _doc()
+    segments = [{"days": [0, 1], "end_min": 600, "start_min": 540, "value": 1.0}]
+    # The same pieces declared day by day: a different schedule, saved apart.
+    split = [{**segments[0], "days": [day]} for day in (0, 1)]
+    doc["workers"] = [
+        {**doc["workers"][0], "id": i, "status": {"default": default, "segments": segs}}
+        for i, (default, segs) in enumerate(
+            [(0.0, segments), (-0.0, segments), (0.0, segments), (0.0, split)], start=1
+        )
+    ]
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    loaded = load(p)
+    zero, minus_zero, again, by_day = (w.status for w in loaded.workers)
+    assert zero == minus_zero and zero is not minus_zero and repr(minus_zero.default) == "-0.0"
+    assert again is zero
+    assert by_day.piece_starts == zero.piece_starts and by_day != zero and len(by_day.segments) == 2
+    save(loaded, q)
+    assert q.read_bytes() == p.read_bytes()
+
+
+def test_two_loads_share_no_schedule_record(tmp_path):
+    p = tmp_path / "s.json"
+    save(generate(GenParams(20, 0), seed=1), p)
+
+    def schedules(sc):
+        return {id(s) for w in sc.workers for s in (w.pattern, w.status)} | {id(sc.velocity.schedule)}
+
+    one, two = load(p), load(p)
+    assert _distinct_records(one)[0] < 20
+    assert not schedules(one) & schedules(two)
+    # Nothing of a load's table outlives it, nor a failed load's.
+    with pytest.raises(ScenarioFormatError):
+        from_json_dict({**to_json_dict(one), "tasks": 3})
+    assert workload._SCHEDULES.get(None) is None
 
 
 # -- strict schema ----------------------------------------------------------------
