@@ -61,8 +61,8 @@ class TimeGrid:
         if self.horizon_min < now:
             return np.empty(0, dtype=float)
         count_horizon = math.floor((self.horizon_min - now) / self.step_min) + 1
-        n = max(0, min(count_before, count_horizon))
-        return now + self.step_min * np.arange(n, dtype=float)
+        ts = now + self.step_min * np.arange(max(0, min(count_before, count_horizon)), dtype=float)
+        return ts[(ts < before) & (ts <= self.horizon_min)]  # the counts can round one point past an end
 
 
 class OutcomeKind(str, Enum):
@@ -335,20 +335,19 @@ class ScoreEngine:
         np.multiply(dy, dy, out=dy)
         return np.sqrt(np.add(dist, dy, out=dist), out=dist)
 
-    def _reach(self, task: Task, times: np.ndarray | float, x: np.ndarray, y: np.ndarray, speed: np.ndarray | float):
-        """Distance, effective start and time to complete from positions at dispatch times.
+    def _reach(self, task: Task, times: np.ndarray | float, dist: np.ndarray, speed: np.ndarray | float):
+        """Effective start and time to complete, travelling ``dist`` km at ``speed`` km/h from ``times``.
 
-        Steps write in place into this call's own arrays; the operations and
-        their order are those of the scalar formulas (``scoring.reach``).
+        ``scoring.reach`` over arrays: its operations, in its order, write in
+        place into this call's own arrays.
         """
-        dist = self._distance(task, x, y)
         eff = np.divide(dist, speed)  # travel minutes, then the effective start
         np.multiply(eff, 60.0, out=eff)
         np.add(times, eff, out=eff)
         if task.start_earliest is not None:
             np.maximum(eff, task.start_earliest, out=eff)
         ttc = np.add(eff, task.duration)
-        return dist, eff, np.subtract(ttc, times, out=ttc)
+        return eff, np.subtract(ttc, times, out=ttc)
 
     def _factors(self, task: Task, rows=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The task's reward and trust for the worker ``rows``, and each status class's integral to its expiration.
@@ -364,7 +363,7 @@ class ScoreEngine:
     def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
         """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``."""
         times = ctx.times[:k]
-        _dist, eff, ttc = self._reach(task, times, ctx.x[rows, :k], ctx.y[rows, :k], ctx.speed[:k])
+        eff, ttc = self._reach(task, times, self._distance(task, ctx.x[rows, :k], ctx.y[rows, :k]), ctx.speed[:k])
         exp = task.expiration
         left = exp - times
         ts = np.subtract(exp, ttc)
@@ -550,7 +549,8 @@ def baseline_nearest(
     and wins if that placement's booking leaves it free: masking busy
     workers out only raises other distances, so it is also the first
     minimum of the masked distances.  When it is taken (its placement is
-    discarded), or no distance is finite, the full booking mask decides.
+    discarded), or no distance is finite, the full booking mask decides on
+    the same distances (an excluded worker's is infinite; the mask drops it).
     """
     exclude = frozenset(exclude_workers)
     x, y = engine._places(t)
@@ -565,11 +565,11 @@ def baseline_nearest(
             a = _placement(engine, task, i, t)
             if engine.is_free(i, *a.booking):
                 return AssignOutcome(OutcomeKind.ASSIGNED, a, task.pto_reward)
-    dist, _eff, ttc = engine._reach(task, t, x, y, engine.velocity.speed_at(t))
+    _eff, ttc = engine._reach(task, t, near, engine.velocity.speed_at(t))
     free = _availability_mask(engine, ttc, t, exclude)
     if not free.any():
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
-    i = int(np.argmin(np.where(free, dist, np.inf)))
+    i = int(np.argmin(np.where(free, near, np.inf)))
     if not free[i]:  # every free worker is infinitely far: the first of them
         i = int(np.argmax(free))
     return AssignOutcome(OutcomeKind.ASSIGNED, _placement(engine, task, i, t), task.pto_reward)
@@ -587,15 +587,17 @@ def _tie_pick(seed: int, worker_id: int, tied_ids: list[int]) -> int:
 
 
 def _pairs(score, bound: np.ndarray, times: np.ndarray):
-    """A task's positive pairs (worker index, t0, ttc, total), in (total desc, worker asc, time asc) order.
+    """A task's positive pairs (worker index, t0, t1, total), in (total desc, worker asc, time asc) order.
 
-    The pairs come from a threshold search (Fagin, Lotem & Naor, PODS 2001)
-    over per-worker bounds that need no distances: ``score(rows)`` scores the
-    worker rows ``rows`` (an index array) over the grid ``times``, and
-    ``bound[r]`` is at or above every positive total in row ``r``.  Each
-    step scores the block of highest-bound unscored rows (``_ROW_BLOCK`` rows
-    at first, doubling each time) and merges their positive pairs with the
-    pending ones.  A pair is final once its total is strictly above ``top``,
+    [t0, t1) is the pair's work interval: its grid time, and that time plus
+    the kernel's time to complete, added per block as ``total_score`` adds
+    them.  The pairs come from a threshold search (Fagin, Lotem & Naor, PODS
+    2001) over per-worker bounds that need no distances: ``score(rows)``
+    scores the worker rows ``rows`` (an index array) over the grid
+    ``times``, and ``bound[r]`` is at or above every positive total in row
+    ``r``.  Each step scores the block of highest-bound unscored rows
+    (``_ROW_BLOCK`` rows at first, doubling each time) and merges their
+    positive pairs with the pending ones.  A pair is final once its total is strictly above ``top``,
     the highest bound among the unscored rows: a row whose bound equals the
     total may hold an equal total that wins its tie on worker id.  The final
     pairs are yielded and dropped, so every later pair sorts after them.  A
@@ -606,7 +608,7 @@ def _pairs(score, bound: np.ndarray, times: np.ndarray):
     top = float(bound.max())
     block = _ROW_BLOCK
     # The pending pairs, in preference order.
-    w, j, totals, ttc = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
+    w, j, totals, t1 = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
     while top > 0.0:
         n = min(block, len(bound))
         rows = np.argpartition(bound, len(bound) - n)[len(bound) - n :]
@@ -619,20 +621,20 @@ def _pairs(score, bound: np.ndarray, times: np.ndarray):
         w = np.concatenate((w, rows[r].astype(np.int32)))
         j = np.concatenate((j, c.astype(np.int32)))
         totals = np.concatenate((totals, g.total[r, c]))
-        ttc = np.concatenate((ttc, g.ttc[r, c]))
+        t1 = np.concatenate((t1, times[c] + g.ttc[r, c]))
         order = np.lexsort((j, w, -totals))
-        w, j, totals, ttc = w[order], j[order], totals[order], ttc[order]
+        w, j, totals, t1 = w[order], j[order], totals[order], t1[order]
         del g, r, c, order  # a suspended generator keeps its locals: hold only the pending pairs
         final = int(np.count_nonzero(totals > top))
         # Memoryviews make each pair Python numbers only when it is taken.
-        yield from zip(*map(memoryview, (w[:final], times[j[:final]], ttc[:final], totals[:final])))
-        w, j, totals, ttc = w[final:], j[final:], totals[final:], ttc[final:]
+        yield from zip(*map(memoryview, (w[:final], times[j[:final]], t1[:final], totals[:final])))
+        w, j, totals, t1 = w[final:], j[final:], totals[final:], t1[final:]
 
 
 class _Candidates:
     """One batched task and the pair it proposes; each :meth:`propose` takes the next pair of :func:`_pairs`."""
 
-    __slots__ = ("task", "priority", "score", "pairs", "worker", "t0", "ttc", "t1", "total", "clash", "reason")
+    __slots__ = ("task", "priority", "score", "pairs", "worker", "t0", "t1", "total", "clash", "reason")
 
     def __init__(self, task: Task, priority: float, score, bound: np.ndarray, times: np.ndarray):
         self.task = task
@@ -640,7 +642,7 @@ class _Candidates:
         self.score = score
         self.pairs = _pairs(score, bound, times)
         self.worker = -1  # worker index of the proposed pair; -1 until one is proposed
-        self.t0 = self.ttc = self.t1 = self.total = 0.0  # its work interval [t0, t1 = t0 + ttc) and total
+        self.t0 = self.t1 = self.total = 0.0  # its work interval [t0, t1) and total
         self.clash = False  # whether [t0, t1) overlaps one of the worker's bookings
         self.reason: OutcomeKind | None = None  # why the task is not placed, once that is known
 
@@ -654,8 +656,7 @@ class _Candidates:
                 g = self.score(slice(None))
                 self.reason = _failure(g.ts > 0, g.avail, g.rw[:, None], g.tw[:, None])
             return False
-        self.worker, self.t0, self.ttc, self.total = pair
-        self.t1 = self.t0 + self.ttc
+        self.worker, self.t0, self.t1, self.total = pair
         return True
 
 

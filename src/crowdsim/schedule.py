@@ -111,23 +111,19 @@ class WeeklySchedule:
                     (day * DAY_MINUTES + seg.start_min, day * DAY_MINUTES + seg.end_min, seg.value)
                 )
         covered.sort(key=lambda p: p[0])
-        for (s0, e0, _), (s1, _e1, _) in zip(covered, covered[1:]):
-            if s1 < e0:
-                raise ValueError(
-                    f"schedule segments overlap: [{s0:g}, {e0:g}) and starting at {s1:g}"
-                )
-
         default = self.default
         starts: list[float] = []
         values: list[Any] = []
         cursor = 0.0
         for s, e, v in covered:
+            if s < cursor:
+                raise ValueError(f"schedule segments overlap: [{starts[-1]:g}, {cursor:g}) and starting at {s:g}")
             if s > cursor:
                 starts.append(cursor)
                 values.append(default)
-            starts.append(float(s))
+            starts.append(s)
             values.append(v)
-            cursor = float(e)
+            cursor = e
         if cursor < WEEK_MINUTES:
             starts.append(cursor)
             values.append(default)

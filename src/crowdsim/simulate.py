@@ -153,9 +153,8 @@ class _Run:
     task: Task
     reward: float  # the offered reward, raises included
     state: TaskState = TaskState.QUEUED
-    assignment: Assignment | None = None  # the held or dispatched offer
+    assignment: Assignment | None = None  # the held offer; every held offer is dispatched
     rejected_by: frozenset[int] = frozenset()
-    assigned: bool = False
     accepted: bool = False
     reason: OutcomeKind | None = None  # why the task is unassignable
 
@@ -256,12 +255,11 @@ class _Sim:
         self.log.append(LogRow(t, "unassignable", task_id=tid))
 
     def on_dispatch(self, t: float, tid: int) -> None:
-        # No state check: a dispatch time is before the task's expiration (a
-        # batch grid time, or the online decision time), so this event comes
-        # before its expiry, and nothing else moves a pending task on.
+        # No state check: a dispatch time is at most duration_min and before the
+        # task's expiration (a batch grid time, or the online decision time), so
+        # this event runs, before its expiry; nothing else moves a pending task on.
         r = self.runs[tid]
         a = r.assignment
-        r.assigned = True
         self.engine.refresh_trust(a.worker_id, r.task.category_id, "assigned")
         self.log.append(LogRow(t, "dispatch", tid, a.worker_id, a.breakdown.total, r.reward))
         self.push(t + self.config.response_delay_min, _R_DECISION, tid)
@@ -346,7 +344,7 @@ class _Sim:
         per_hour, fraction, mean_travel = performance_metrics(completed, len(runs), duration, self.travel_completed)
         counts = {
             "submitted": len(runs),
-            "assigned": sum(r.assigned for r in runs),
+            "assigned": sum(r.assignment is not None for r in runs),
             "accepted": sum(r.accepted for r in runs),
             "completed": completed,
             "expired": states.count(TaskState.EXPIRED),

@@ -190,6 +190,13 @@ def _float_text(v: Any) -> str:
     return _NON_FINITE[text] if "n" in text else text  # "nan", "inf", "-inf"
 
 
+def _minutes_text(v: float) -> str:
+    # "%d" % v writes int(v): a fractional minute would be cut, so it is refused.
+    if not (math.isfinite(v) and v == int(v)):
+        raise ValueError(f"cannot save {v!r} minutes: scenario files hold integer minutes")
+    return "%d" % v
+
+
 def _str_text(v: Any) -> str:
     return encode_basestring_ascii(str(v))
 
@@ -212,11 +219,10 @@ class _Scalar:
         return self.text(value)
 
 
-# "%d" % v writes int(v): minutes are held as floats.
 _NUMBER = _Scalar(_num, _float_text)
 _INT = _Scalar(_int, "%d".__mod__)
 _STR = _Scalar(_str, _str_text)
-_MINUTES = _Scalar(_int_minutes, "%d".__mod__)
+_MINUTES = _Scalar(_int_minutes, _minutes_text)
 _VERSION = _Scalar(_version, "%d".__mod__)
 
 
@@ -496,7 +502,8 @@ def from_json_dict(doc: Any) -> Scenario:
 def save(scenario: Scenario, path: str | Path) -> None:
     """Write the scenario as deterministic, human-diffable JSON: the json
     module's bytes for ``to_json_dict(scenario)`` with a two-space indent and
-    sorted keys, plus a newline."""
+    sorted keys, plus a newline.  A minute that is not a whole number raises
+    ``ValueError`` before any byte is written: files hold integer minutes."""
     Path(path).write_text(_SCENARIO.emit(scenario, "") + "\n")
 
 
@@ -517,13 +524,23 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object's pairs as a dict; json alone keeps the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _v in pairs]
+        raise ValueError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 @_cyclic_gc_paused()
 def load(path: str | Path) -> Scenario:
     """Read and validate a scenario file of UTF-8 JSON; records are shared
-    as ``from_json_dict`` says."""
+    as ``from_json_dict`` says.  A key that appears twice in one object is
+    a ``ScenarioFormatError``, not a silent last-one-wins."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # ValueError covers decoding and duplicate keys
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from None
     return from_json_dict(doc)
 

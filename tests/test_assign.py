@@ -122,6 +122,20 @@ def test_grid_times_match_oracle():
         assert got == pytest.approx(want), (seed, step, now, horizon, before)
 
 
+@pytest.mark.parametrize(
+    "step, now, horizon, before, n",
+    [(30.0, 1620.1, 6570.099999999999, 1e9, 165), (15.0, 1980.6, 1e9, 4650.6, 178)],
+    ids=["horizon", "before"],
+)
+def test_grid_times_never_round_past_an_end(step, now, horizon, before, n):
+    # The point counts round up to a whole number here, and the last point
+    # they allow, now + n*step, lands past the horizon (a batch dispatch
+    # after the run's end) or on ``before``.  It is not a grid time.
+    got = TimeGrid(step, horizon).times(now, before).tolist()
+    assert got == brute_force.grid_times(now, step, horizon, before)
+    assert len(got) == n and not (now + n * step < before and now + n * step <= horizon)
+
+
 # -- offline equivalence ----------------------------------------------------------
 
 
@@ -351,7 +365,7 @@ def test_pairs_yields_the_positive_cells_in_order(seed, block, monkeypatch):
     # largest positive total: exactly that total, a little or a level above
     # it, or +inf.  A row with no positive total has a NaN, zero, negative
     # or positive bound.  The stream is every positive cell as (row, time,
-    # ttc, total) in (total desc, row asc, time asc) order, in Python
+    # time + ttc, total) in (total desc, row asc, time asc) order, in Python
     # numbers, and no row is scored twice or with a bound that is not
     # positive.
     monkeypatch.setattr(assign, "_ROW_BLOCK", block)
@@ -378,7 +392,7 @@ def test_pairs_yields_the_positive_cells_in_order(seed, block, monkeypatch):
         return assign._Scores(total=total, ts=total, avail=ones, ttc=ttc[rows], rw=ones[:, 0], tw=ones[:, 0])
 
     cells = sorted(zip(*np.nonzero(totals > 0.0)), key=lambda c: (-totals[c], c[0], c[1]))
-    want = [(int(i), float(times[j]), float(ttc[i, j]), float(totals[i, j])) for i, j in cells]
+    want = [(int(i), float(times[j]), float(times[j] + ttc[i, j]), float(totals[i, j])) for i, j in cells]
     got = list(assign._pairs(score, bound.copy(), times))
     assert got == want, seed
     assert all(type(i) is int and {type(x) for x in rest} == {float} for i, *rest in got)
@@ -733,8 +747,8 @@ def _nearest_full_mask(task, engine, t, exclude) -> AssignOutcome:
     Its placement reports the kernel's time to complete and distance, so the
     comparison also checks that the scalar reach equals them bit for bit.
     """
-    x, y = engine._places(t)
-    dist, _eff, ttc = engine._reach(task, t, x, y, engine.velocity.speed_at(t))
+    dist = engine._distance(task, *engine._places(t))
+    _eff, ttc = engine._reach(task, t, dist, engine.velocity.speed_at(t))
     free = assign._availability_mask(engine, ttc, t, exclude)
     if not free.any():
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
@@ -1011,13 +1025,15 @@ def test_scalar_reach_is_the_kernels_bit_for_bit(start_earliest):
     ends = (60.0, 90.0, 100.0, 120.0)
     times = np.array([t for e in ends for t in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))])
     ctx = engine.grid_context(times)
-    dist, eff, ttc = engine._reach(task, times, ctx.x, ctx.y, ctx.speed)
+    dist = engine._distance(task, ctx.x, ctx.y)
+    eff, ttc = engine._reach(task, times, dist, ctx.speed)
     clamped = set()
     for j, t in enumerate(times.tolist()):
         speed = float(ctx.speed[j])
         assert speed == vel.speed_at(t) == (9.0 if 60 <= t < 120 else 31.0)
         # The sc-nearest fallback's one-time kernel call gives the grid's column.
-        one = engine._reach(task, t, *engine._places(t), speed)
+        one_dist = engine._distance(task, *engine._places(t))
+        one = (one_dist, *engine._reach(task, t, one_dist, speed))
         assert [_bits(*a) for a in one] == [_bits(*a[:, j]) for a in (dist, eff, ttc)], t
         for i, w in enumerate(engine.workers):
             d = distance(task.region, w.pattern.value_at(t))

@@ -441,6 +441,35 @@ def test_scenario_bookings_hold_for_the_run_and_end_in_the_report(policy):
     assert rep.final_workers[0].bookings == [(0.0, 100.0), (105.0, 135.0), (135.0, 165.0)]
 
 
+@pytest.mark.parametrize("policy", ["psc", "sc-nearest"])
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_assigned_counts_the_tasks_with_a_dispatch_row(policy, offset):
+    # "assigned" counts the tasks that hold an offer, and every held offer
+    # is dispatched, rejected ones included, so it is the number of task ids
+    # with a dispatch row.  An offset moves the batches off whole minutes.
+    sc, config = _psc_days()
+    batches = tuple(t + offset for t in config.offline_batch_times)
+    rep = run(sc, replace(config, policy=policy, offline_batch_times=batches))
+    dispatched = {r.task_id for r in rep.log if r.event_kind == "dispatch"}
+    assert rep.counts["assigned"] == len(dispatched) > 100
+
+
+def test_no_batch_offer_is_held_past_the_run():
+    # The run ends at 2807.2999999999997, and the grid of the batch at 512.3
+    # counts 154 points of 15 minutes: the last, 512.3 + 153 * 15, rounds to
+    # 2807.3, past the end.  The worker is booked until then, so that point
+    # was the task's only free pair, and its offer was held but never
+    # dispatched.  No grid point is past the end: the task finds no worker.
+    sc = _one_worker_scenario(status=1.0)
+    sc.workers[0] = replace(sc.workers[0], bookings=[(0.0, 2807.3)])
+    sc.tasks[0] = replace(sc.tasks[0], submit_time=500.0, expiration=4000.0)
+    sim = _Sim(sc, SimConfig(duration_min=2807.2999999999997, offline_batch_times=(512.3,), seed=0))
+    rep = sim.run()
+    assert [r.event_kind for r in rep.log].count("dispatch") == rep.counts["assigned"] == 0
+    assert sim.runs[1].assignment is None
+    assert rep.unassigned_reason == {1: OutcomeKind.NO_SUITABLE_WORKER}
+
+
 def test_zero_availability_worker_is_never_even_offered():
     # The score policy prices in availability up front: a worker whose
     # status is flat zero scores zero and is skipped, not dispatched.
@@ -728,6 +757,29 @@ def test_nearest_builds_the_full_mask_only_when_the_nearest_is_taken(monkeypatch
     run(sc, replace(config, policy="sc-nearest"))
     assert built == [int(x) for x in taken]
     assert 0 < sum(taken) < len(taken), (sum(taken), len(taken))
+
+
+def test_nearest_measures_the_distances_once_per_decision(monkeypatch):
+    # When the nearest worker is taken, the full booking mask times every
+    # worker from the distances the fast path measured: one kernel distance
+    # pass per decision, with the mask built or not.
+    measured, masks, per_decision = [], [], []
+    distance, mask = ScoreEngine._distance, assign._availability_mask
+    monkeypatch.setattr(ScoreEngine, "_distance", lambda *a: measured.append(1) or distance(*a))
+    monkeypatch.setattr(assign, "_availability_mask", lambda *a: masks.append(1) or mask(*a))
+    decide = simulate.baseline_nearest
+
+    def counted(*args, **kwargs):
+        before = len(measured)
+        out = decide(*args, **kwargs)
+        per_decision.append(len(measured) - before)
+        return out
+
+    monkeypatch.setattr(simulate, "baseline_nearest", counted)
+    sc, config = _psc_days()
+    run(sc, replace(config, policy="sc-nearest"))
+    assert per_decision == [1] * len(per_decision) and len(measured) == len(per_decision)
+    assert 0 < len(masks) < len(per_decision)
 
 
 def test_engine_holds_entries_for_exactly_the_workers_with_live_bookings(monkeypatch):

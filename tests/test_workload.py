@@ -75,6 +75,85 @@ def test_save_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_refuses_fractional_minutes_before_writing(tmp_path):
+    # The task validates with these minutes, but a file holds integer
+    # minutes: saving used to cut them to 30 and 660 without a word, so the
+    # loaded scenario ran differently.
+    sc = builtin_scenarios()[EXAMPLE]
+    sc = replace(sc, tasks=[replace(sc.tasks[0], duration=30.7, expiration=660.9), *sc.tasks[1:]])
+    sc.validate()
+    p = tmp_path / "scenario.json"
+    with pytest.raises(ValueError, match=re.escape("cannot save 30.7 minutes")):
+        save(sc, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0**-30, 540.25, -1.5, math.inf, -math.inf, math.nan])
+def test_save_names_a_minute_that_is_not_a_whole_number(tmp_path, value):
+    sc = builtin_scenarios()[EXAMPLE]
+    sc = replace(sc, workers=[replace(sc.workers[0], bookings=[(0.0, value)]), *sc.workers[1:]])
+    with pytest.raises(ValueError, match=re.escape(f"cannot save {value!r} minutes")):
+        save(sc, tmp_path / "scenario.json")
+
+
+def _file_minutes(sc):
+    """Every minute that the scenario's file holds."""
+    schedules = [sc.velocity.schedule, *(s for w in sc.workers for s in (w.pattern, w.status))]
+    yield from (m for s in schedules for seg in s.segments for m in (seg.start_min, seg.end_min))
+    yield from (m for w in sc.workers for booking in w.bookings for m in booking)
+    for t in sc.tasks:
+        yield from (t.duration, t.expiration, t.submit_time)
+        yield from (m for m in (t.start_earliest, t.start_latest) if m is not None)
+
+
+@st.composite
+def _nudged_scenarios(draw):
+    """A small generated scenario; some draws move one task time or segment bound by a fraction of a minute."""
+    params = GenParams(draw(st.integers(1, 4)), draw(st.integers(1, 6)), urgent_fraction=0.5, horizon_min=1440.0)
+    sc = generate(params, draw(st.integers(0, 2**16)))
+    frac = draw(st.none() | st.sampled_from([0.5, 0.25, 1 / 3, 2.0**-30]))
+    if frac is None:
+        return sc
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(sc.tasks) - 1))
+        name = draw(st.sampled_from(["duration", "expiration", "submit_time"]))
+        tasks = list(sc.tasks)
+        tasks[i] = replace(tasks[i], **{name: getattr(tasks[i], name) + frac})
+        return replace(sc, tasks=tasks)
+    # A segment starts a fraction later: it shrinks, so it overlaps nothing.
+    places = [(i, f) for i, w in enumerate(sc.workers) for f in ("pattern", "status") if getattr(w, f).segments]
+    if not places:
+        return sc
+    w, f = draw(st.sampled_from(places))
+    schedule = getattr(sc.workers[w], f)
+    segments = list(schedule.segments)
+    k = draw(st.integers(0, len(segments) - 1))
+    segments[k] = replace(segments[k], start_min=segments[k].start_min + frac)
+    workers = list(sc.workers)
+    workers[w] = replace(workers[w], **{f: WeeklySchedule(tuple(segments), schedule.default)})
+    return replace(sc, workers=workers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nudged_scenarios())
+def test_a_scenario_file_round_trips_exactly(tmp_path_factory, sc):
+    # save refuses a scenario exactly when one of its minutes is not a whole
+    # number, and writes nothing then.  Otherwise the loaded scenario equals
+    # the saved one and saves to the same bytes.
+    d = tmp_path_factory.mktemp("round-trip")
+    p = d / "scenario.json"
+    if any(m != int(m) for m in _file_minutes(sc)):
+        with pytest.raises(ValueError, match="scenario files hold integer minutes"):
+            save(sc, p)
+        assert not p.exists()
+        return
+    save(sc, p)
+    loaded = load(p)
+    assert loaded == sc
+    save(loaded, d / "again.json")
+    assert (d / "again.json").read_bytes() == p.read_bytes()
+
+
 _SAVED_SHA256 = {
     "example1-flower-delivery": "ac6eef270a4c542d2b577abab85a45a0f56d8b87175ad646a143a82252a152b2",
     "example2-high-entropy": "eb933755b110c351d0864e69d3f9313692b81c6846289b6fb4adf751d87f4a80",
@@ -388,6 +467,23 @@ def test_non_finite_numbers_are_located(value):
 def test_integers_too_large_for_a_float_are_located():
     _expect_error(lambda d: d["tasks"][0].__setitem__("reward", 10**400), "expected a finite number")
     _expect_error(lambda d: d["tasks"][0].__setitem__("duration_min", 10**400), "expected a finite number")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"reward": 10.0', '"reward": 10.0, "reward": 99.0'), ('"units": "km"', '"units": "km", "units": "km"')],
+    ids=["task-field", "top-level"],
+)
+def test_load_rejects_a_duplicate_key(tmp_path, old, new):
+    # json keeps the last of two equal keys; a strictly validated file may
+    # not hold both, even when they agree.
+    text = json.dumps(_doc(), sort_keys=True)
+    assert text.count(old) == 1
+    p = tmp_path / "duplicate.json"
+    p.write_text(text.replace(old, new), encoding="utf-8")
+    key = old.split('"')[1]
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{p}: invalid JSON: duplicate key '{key}'")):
+        load(p)
 
 
 def test_nan_in_a_scenario_file_is_rejected(tmp_path):
