@@ -57,12 +57,13 @@ class TimeGrid:
 
     def times(self, now: float, before: float) -> np.ndarray:
         """Grid points ``now + k*step`` with ``t < before`` and ``t <= horizon``."""
-        count_before = math.ceil((before - now) / self.step_min)
+        # One point more per count, as a quotient can round either way; the filter drops points past an end.
+        count_before = math.ceil((before - now) / self.step_min) + 1
         if self.horizon_min < now:
             return np.empty(0, dtype=float)
-        count_horizon = math.floor((self.horizon_min - now) / self.step_min) + 1
+        count_horizon = math.floor((self.horizon_min - now) / self.step_min) + 2
         ts = now + self.step_min * np.arange(max(0, min(count_before, count_horizon)), dtype=float)
-        return ts[(ts < before) & (ts <= self.horizon_min)]  # the counts can round one point past an end
+        return ts[(ts < before) & (ts <= self.horizon_min)]
 
 
 class OutcomeKind(str, Enum):
@@ -177,14 +178,12 @@ class ScoreEngine:
     The engine is the registry a run assigns against: its workers, the task
     categories and owners by id, and the travel speed.  Each task's owner and
     category are looked up from the task's own ids.  Workers are kept sorted
-    by id, so "first index" tie-breaks equal "lowest worker id".  The engine
-    owns the run state: it copies each worker's trust counters and bookings
-    once and never changes the input ``Worker`` records.  The simulator
-    advances a counter through :meth:`refresh_trust` and changes bookings
-    through :meth:`book` and :meth:`release`.  The records in ``workers``
-    are the engine's own: each one's ``trust`` dict is its live counters,
-    while its ``bookings`` stay the input's.  The live bookings are one list
-    per worker that holds any, and :meth:`is_free` checks one worker's list.
+    by id, so "first index" tie-breaks equal "lowest worker id".  The
+    records in ``workers`` are the caller's, never copied or changed; the
+    run state lives beside them.  ``trust`` holds the live counters, one
+    dict per worker index starting as a copy of the record's, which
+    :meth:`refresh_trust` advances.  The live bookings are one list per
+    worker that holds any, which :meth:`book` and :meth:`release` change.
     Each schedule lookup reads one time's memoised piece-table column;
     :meth:`grid_context` stacks one such column per batch grid time.
 
@@ -203,9 +202,8 @@ class ScoreEngine:
         owners: Sequence[TaskOwner],
         velocity: VelocityProfile,
     ):
-        # Copies of the input records, each around its own copy of the trust
-        # dict: that dict holds the run's live counters (see refresh_trust).
-        self.workers: list[Worker] = [replace(w, trust=dict(w.trust)) for w in sorted(workers, key=lambda w: w.id)]
+        self.workers: list[Worker] = sorted(workers, key=lambda w: w.id)
+        self.trust: list[dict[int, TrustCounters]] = [dict(w.trust) for w in self.workers]
         self.index_of: dict[int, int] = {w.id: i for i, w in enumerate(self.workers)}
         self.categories: dict[int, TaskCategory] = {c.id: c for c in categories}
         self.owners: dict[int, TaskOwner] = {o.id: o for o in owners}
@@ -272,8 +270,7 @@ class ScoreEngine:
     def refresh_trust(self, worker_id: int, category_id: int, event: str) -> None:
         """Advance one trust counter on ``event`` and update the cached trust of that category."""
         i = self.index_of[worker_id]
-        trust = self.workers[i].trust
-        c = trust.get(category_id) or TrustCounters()
+        c = self._counters(i, category_id)
         if event not in ("assigned", "accepted", "completed"):
             raise ValueError(f"unknown trust event {event!r}")
         c = TrustCounters(
@@ -286,10 +283,13 @@ class ScoreEngine:
             raise RuntimeError(
                 f"internal fault: worker {worker_id} {event} a category-{category_id} task out of order"
             )
-        trust[category_id] = c
+        self.trust[i][category_id] = c
         raw = trustworthy_score(c)
         for exponent, vec in self._trust_pow[category_id].items():
             vec[i] = raw**exponent
+
+    def _counters(self, i: int, category_id: int) -> TrustCounters:  # Worker.trust_for on the live counters
+        return self.trust[i].get(category_id) or TrustCounters()
 
     def _trust_vector(self, task: Task) -> np.ndarray:
         base = self.owners[task.owner_id].pto_priority
@@ -299,7 +299,7 @@ class ScoreEngine:
         cached = self._trust_pow[task.category_id]
         vec = cached.get(exponent)
         if vec is None:
-            raws = [trustworthy_score(w.trust_for(task.category_id)) for w in self.workers]
+            raws = (trustworthy_score(self._counters(i, task.category_id)) for i in range(len(self.trust)))
             vec = cached[exponent] = np.array([r**exponent for r in raws])
         return vec
 
@@ -430,12 +430,12 @@ def _placement(engine: ScoreEngine, task: Task, i: int, t: float) -> Assignment:
 
     Every figure of the placement, its booking included, comes from one
     scalar ``total_score`` call; the kernel, which ranks the workers, gives
-    the same factors and reach bit for bit.  The record in ``engine.workers``
-    holds the live trust counters; the score reads no bookings.
+    the same factors and reach bit for bit.  The score reads the engine's
+    live trust counters for index ``i`` and no bookings, so it builds no record.
     """
-    worker = engine.workers[i]
-    owner, category = engine.owners[task.owner_id], engine.categories[task.category_id]
-    return Assignment(task.id, worker.id, t, total_score(task, worker, owner, category, t, engine.velocity))
+    worker, owner, category = engine.workers[i], engine.owners[task.owner_id], engine.categories[task.category_id]
+    trust = engine._counters(i, category.id)
+    return Assignment(task.id, worker.id, t, total_score(task, worker, owner, category, t, engine.velocity, trust))
 
 
 def _failure(ts_ok: np.ndarray, avail: np.ndarray, rw: np.ndarray, tw: np.ndarray) -> OutcomeKind:

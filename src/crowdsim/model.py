@@ -136,10 +136,10 @@ class Task:
 class Worker:
     """A registered worker: weekly pattern and status, demands, and history.
 
-    A worker is input and never changes.  ``trust`` and ``bookings`` are the
-    state at the start of a run: the ``ScoreEngine`` built for the run copies
-    them and owns that run's trust counters and bookings from then on.  The
-    worker's home region is the default of the movement pattern.
+    A worker is input, and no run copies or changes it.  ``trust`` and
+    ``bookings`` are the state at the start of a run, which the run's
+    ``ScoreEngine`` holds by worker index from then on.  The worker's home
+    region is the default of the movement pattern.
     """
 
     id: int

@@ -135,12 +135,14 @@ def total_score(
     category: TaskCategory,
     t: float,
     velocity: VelocityProfile,
+    trust: TrustCounters | None = None,
 ) -> ScoreBreakdown:
     """Full factor breakdown for assigning ``task`` to ``worker`` at time ``t``, with its time to complete and travel.
 
     The optional start window tightens the deadline factor: work cannot
     begin before ``start_earliest`` (the worker idles after travelling) and
     a begin time past ``start_latest`` makes the pair infeasible outright.
+    ``trust``, a run's live counters, stands in for ``worker.trust_for(category.id)``.
     """
     if not math.isfinite(t):
         raise ValueError(f"task {task.id}: dispatch time must be finite, got {t}")
@@ -154,7 +156,7 @@ def total_score(
         ts = time_score(task, ttc, t)
     avail = availability_score(worker.status, t, task.expiration)
     rw = reward_score(task, worker, category)
-    raw_trust = trustworthy_score(worker.trust_for(category.id))
+    raw_trust = trustworthy_score(worker.trust_for(category.id) if trust is None else trust)
     base = owner.pto_priority
     if base < MIN_PRIORITY_EXPONENT_BASE:
         base = MIN_PRIORITY_EXPONENT_BASE

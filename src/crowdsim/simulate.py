@@ -162,7 +162,7 @@ class _Run:
 class _Sim:
     def __init__(self, scenario: Scenario, config: SimConfig):
         self.config = config
-        self.worker_ids = [w.id for w in scenario.workers]  # the order of final_workers
+        self.workers = scenario.workers  # the input records, in the order of final_workers
         self.engine = ScoreEngine(scenario.workers, scenario.categories, scenario.owners, scenario.velocity)
         self.rng = random.Random(config.seed)
         self.grid = TimeGrid(config.grid_step_min, config.duration_min)
@@ -331,13 +331,12 @@ class _Sim:
         # Completed work is released from the engine's per-worker booking lists,
         # so the report lists each worker's scenario bookings plus those of its accepted tasks.
         engine = self.engine
-        held = {w.id: [(float(s), float(e)) for s, e in w.bookings] for w in engine.workers}
+        held = {w.id: [(float(s), float(e)) for s, e in w.bookings] for w in self.workers}
         for r in runs:
             if r.accepted:
                 held[r.assignment.worker_id].append(r.assignment.booking)
         final_workers = tuple(
-            replace(w, trust=dict(w.trust), bookings=sorted(held[w.id]))
-            for w in (engine.workers[engine.index_of[wid]] for wid in self.worker_ids)
+            replace(w, trust=engine.trust[engine.index_of[w.id]], bookings=sorted(held[w.id])) for w in self.workers
         )
         states = [r.state for r in runs]
         completed = states.count(TaskState.COMPLETED)

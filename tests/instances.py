@@ -155,5 +155,5 @@ def bookings_of(engine: ScoreEngine, worker_id: int) -> list[tuple[float, float]
 
 def live_worker(engine: ScoreEngine, worker_id: int) -> Worker:
     """The worker with the engine's live trust counters and the bookings it still holds."""
-    w = engine.workers[engine.index_of[worker_id]]
-    return replace(w, trust=dict(w.trust), bookings=bookings_of(engine, worker_id))
+    i = engine.index_of[worker_id]
+    return replace(engine.workers[i], trust=dict(engine.trust[i]), bookings=bookings_of(engine, worker_id))

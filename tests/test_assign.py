@@ -136,6 +136,24 @@ def test_grid_times_never_round_past_an_end(step, now, horizon, before, n):
     assert len(got) == n and not (now + n * step < before and now + n * step <= horizon)
 
 
+def test_grid_times_keep_a_point_on_an_end():
+    # The horizon or ``before`` lies on the grid point now + k*step, or one
+    # ulp to either side of it.  A quotient such as (11153.3 - 8100.8) / 7.5
+    # can round below the whole count k, and the point on the horizon must
+    # stay a grid time all the same.
+    assert len(TimeGrid(7.5, 11153.3).times(8100.8, 1e9)) == 408
+    rng = random.Random(31)
+    for _ in range(2000):
+        step = rng.choice([7.5, 15.0, 30.0, round(rng.uniform(1.0, 60.0), 1), rng.uniform(1.0, 60.0)])
+        now = rng.choice([round(rng.uniform(0.0, 20_000.0), 1), rng.uniform(0.0, 20_000.0)])
+        k, side = rng.randrange(500), rng.choice([-math.inf, None, math.inf])
+        end = now + k * step
+        end = end if side is None else math.nextafter(end, side)
+        horizon, before = (end, 1e9) if rng.random() < 0.5 else (1e9, end)
+        got = TimeGrid(step, horizon).times(now, before).tolist()
+        assert got == brute_force.grid_times(now, step, horizon, before), (step, now, k, side, horizon, before)
+
+
 # -- offline equivalence ----------------------------------------------------------
 
 
@@ -854,6 +872,7 @@ def test_engine_trust_refresh_changes_scores():
     live = live_worker(engine, worker.id)
     assert live.trust == {1: TrustCounters(assigned=10, accepted=1, completed=0)}
     assert worker.trust == {}
+    assert engine.workers[0] is worker and engine.trust[0] is not worker.trust
     for task, owner, old in zip(tasks, owners, before):
         s = engine.score_at(task, 0.0)
         want = total_score(task, live, owner, CAT, 0.0, VEL)
