@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +35,13 @@ from .scoring import (
 
 #: Worker rows scored in a task's first block of the threshold search; each later block doubles.
 _ROW_BLOCK = 16
+#: Final pairs ordered in a task's first chunk; each later chunk doubles.  At
+#: the week shape half the batched tasks take at most 15 proposals, and
+#: three quarters at most 32.
+_PAIR_CHUNK = 32
+#: (task, worker) cells the batch bound computes at a time: 16 tasks at the
+#: week shape's 1000 workers, so its temporaries stay small beside the bound.
+_BOUND_CELLS = 1 << 14
 #: Bytes of rank columns each piece table memoises (at the week shape's 1000
 #: workers, 524 place columns; the pattern table there has 11 ranks, and the
 #: status table, one row per status class, holds all of its 112).
@@ -309,20 +317,23 @@ class ScoreEngine:
         """Every worker's expected centroid (x, y) at ``t``: the read-only memoised column, shaped (2, workers)."""
         return self._pattern.at(t % WEEK_MINUTES)
 
-    def _cumulative(self, t: float) -> np.ndarray:
-        """Each status class's integral from 0 to ``t``: ``WeeklySchedule.cumulative`` on the memoised column."""
-        nw = math.floor(t / WEEK_MINUTES)
-        tm = t - nw * WEEK_MINUTES
-        prefix, value, start = self._status.at(tm)
-        return nw * self._st_week + prefix + value * (tm - start)
+    def _cumulative(self, ts: np.ndarray) -> np.ndarray:
+        """Each status class's integral from 0 to each time of ``ts``, shaped (times, classes).
+
+        ``WeeklySchedule.cumulative`` on the memoised columns, with its
+        operations in its order, elementwise over the times.
+        """
+        nw = np.floor(ts / WEEK_MINUTES)
+        tm = ts - nw * WEEK_MINUTES
+        prefix, value, start = np.array([self._status.at(m) for m in tm.tolist()]).transpose(1, 0, 2)
+        return nw[:, None] * self._st_week + prefix + value * (tm[:, None] - start)
 
     def grid_context(self, times: np.ndarray) -> GridContext:
         """Positions, cumulative status and speed at shared batch grid times, one memo column per time."""
         ts = times.tolist()
         places = np.stack([self._places(t) for t in ts])
-        cum = np.stack([self._cumulative(t) for t in ts])
         speed = np.array([self.velocity.speed_at(t) for t in ts], dtype=float)
-        return GridContext(times=times, x=places[:, 0].T, y=places[:, 1].T, cum_status=cum.T, speed=speed)
+        return GridContext(times, x=places[:, 0].T, y=places[:, 1].T, cum_status=self._cumulative(times).T, speed=speed)
 
     # -- scoring ----------------------------------------------------------
 
@@ -349,19 +360,26 @@ class ScoreEngine:
         ttc = np.add(eff, task.duration)
         return eff, np.subtract(ttc, times, out=ttc)
 
-    def _factors(self, task: Task, rows=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The task's reward and trust for the worker ``rows``, and each status class's integral to its expiration.
+    def _factors(self, tasks: Sequence[Task], cum_exp=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per task: its category's reward demand and its powered trust per worker, and its expiration integrals.
 
-        None depends on the dispatch time.  Reward and trust are elementwise
-        over workers, so a subset of rows has the same bits as those rows of
-        the whole.
+        The integrals are each status class's from 0 to the task's
+        expiration.  None depends on the dispatch time.  The demand and trust arrays are
+        the engine's own, shared by every task of a category (and owner
+        exponent), so the factors of a batch hold no (tasks, workers) array.
+        ``cum_exp`` holds the expiration integrals when the caller has
+        looked them up; they are looked up here otherwise.
         """
-        margin = task.pto_reward - self._demand[task.category_id][rows]
-        rw = np.where(margin > 0, margin / task.pto_reward, 0.0)
-        return rw, self._trust_vector(task)[rows], self._cumulative(task.expiration)
+        if cum_exp is None:
+            cum_exp = self._cumulative(np.array([t.expiration for t in tasks], dtype=float))
+        return [(self._demand[t.category_id], self._trust_vector(t), c) for t, c in zip(tasks, cum_exp)]
 
-    def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None)) -> _Scores:
-        """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``."""
+    def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None), factors=None) -> _Scores:
+        """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``.
+
+        ``factors`` is the task's entry of :meth:`_factors`, computed here when not given.
+        """
+        demand, trust, cum_exp = factors or self._factors([task])[0]
         times = ctx.times[:k]
         eff, ttc = self._reach(task, times, self._distance(task, ctx.x[rows, :k], ctx.y[rows, :k]), ctx.speed[:k])
         exp = task.expiration
@@ -371,7 +389,7 @@ class ScoreEngine:
         np.divide(ts, left, out=ts)
         if task.start_latest is not None:
             ts[eff > task.start_latest] = -1.0
-        rw, tw, cum_exp = self._factors(task, rows)
+        rw, tw = _reward_factor(task.pto_reward, demand[rows]), trust[rows]
         # Availability per status class, then gathered to the rows.
         avail = np.subtract(cum_exp[:, None], ctx.cum_status[:, :k])
         np.divide(avail, left, out=avail)
@@ -386,15 +404,19 @@ class ScoreEngine:
 
     def score_at(self, task: Task, t: float) -> _Scores:
         """Score every worker for ``task`` dispatched at the single time ``t``."""
+        cum_t, cum_exp = self._cumulative(np.array([t, task.expiration]))  # one lookup for both times
         (x, y), speed = self._places(t)[:, :, None], np.array([self.velocity.speed_at(t)])
-        s = self._score(task, GridContext(np.array([t]), x, y, self._cumulative(t)[:, None], speed), 1)
-        return replace(s, **{f: getattr(s, f)[:, 0] for f in ("total", "ts", "avail", "ttc")})
+        factors = self._factors([task], [cum_exp])[0]
+        s = self._score(task, GridContext(np.array([t]), x, y, cum_t[:, None], speed), 1, factors=factors)
+        return _Scores(s.total[:, 0], s.ts[:, 0], s.avail[:, 0], s.ttc[:, 0], s.rw, s.tw)
 
-    def row_bounds(self, task: Task, ctx: GridContext, k: int) -> np.ndarray:
-        """Per worker, a bound at or above every positive total :meth:`score_grid` gives over the first ``k`` times.
+    def row_bounds(self, tasks: Sequence[Task], ctx: GridContext, ks: Sequence[int], factors=None) -> np.ndarray:
+        """Per task and worker, a bound at or above every positive total :meth:`score_grid` gives over ``k`` times.
 
-        The bound takes no distance.  Travel is never negative, so the
-        kernel's effective start is at least ``max(t, start_earliest)``;
+        Shaped (tasks, workers); ``ks`` holds each task's ``k`` (at least 1),
+        its grid length, and ``factors`` the tasks' :meth:`_factors`,
+        computed here when not given.  The bound takes no distance.  Travel is never negative, so
+        the kernel's effective start is at least ``max(t, start_earliest)``;
         from that lower start the time score is computed with the kernel's
         own operations, and as IEEE rounding is monotone it is at least the
         kernel's in every cell, and so are its products with the
@@ -406,23 +428,42 @@ class ScoreEngine:
 
         Every worker of a status class has its class's availability, so the
         negative test and the maximum over times are taken per class, in
-        O(classes x times), and gathered to the workers: each worker's
-        bound is the one its own column would give, bit for bit.
+        O(classes x times) per task, and gathered to the workers: each
+        worker's bound is the one its own column would give, bit for bit.
+        Tasks are bounded ``_BOUND_CELLS // workers`` at a time, each group
+        over its longest grid.  A cell past a task's ``k`` takes a time left
+        of 1, so it raises no warning, and the reductions skip it.
         """
-        rw, tw, cum_exp = self._factors(task)
-        times = ctx.times[:k]
-        exp = task.expiration
-        left = exp - times
-        eff = times if task.start_earliest is None else np.maximum(times, task.start_earliest)
-        ts = ((exp - ((eff + task.duration) - times)) - times) / left
-        # (times, classes), so that the reductions run over contiguous rows.
-        avail = np.subtract(cum_exp, ctx.cum_status.T[:k])
-        np.divide(avail, left[:, None], out=avail)
-        negative = avail.min(axis=0) < 0.0
-        np.multiply(ts[:, None], avail, out=avail)
-        bound = (avail.max(axis=0)[self._class] * rw) * tw
-        bound[negative[self._class]] = np.inf
+        factors = factors or self._factors(tasks)
+        bound = np.empty((len(tasks), len(self.workers)))
+        step = max(1, _BOUND_CELLS // max(1, len(self.workers)))
+        for a in range(0, len(tasks), step):
+            group, fs, kg = tasks[a : a + step], factors[a : a + step], np.asarray(ks[a : a + step])
+            times = ctx.times[: kg.max()]
+            inside = np.arange(len(times)) < kg[:, None]  # (tasks, times)
+            exp, dur, earliest = np.array(
+                [(t.expiration, t.duration, -np.inf if t.start_earliest is None else t.start_earliest) for t in group]
+            ).T[:, :, None]
+            left = np.where(inside, exp - times, 1.0)
+            ts = ((exp - ((np.maximum(times, earliest) + dur) - times)) - times) / left
+            # (tasks, times, classes), so that the reductions over times run per task.
+            avail = np.subtract(np.array([c for _, _, c in fs])[:, None], ctx.cum_status.T[: len(times)])
+            np.divide(avail, left[:, :, None], out=avail)
+            negative = avail.min(axis=1, where=inside[:, :, None], initial=np.inf) < 0.0
+            np.multiply(ts[:, :, None], avail, out=avail)
+            best = avail.max(axis=1, where=inside[:, :, None], initial=-np.inf)
+            rw = _reward_factor(np.array([t.pto_reward for t in group])[:, None], np.stack([d for d, _, _ in fs]))
+            out = bound[a : a + step]
+            np.multiply(best[:, self._class], rw, out=out)
+            np.multiply(out, np.stack([tw for _, tw, _ in fs]), out=out)
+            out[negative[:, self._class]] = np.inf
         return bound
+
+
+def _reward_factor(reward, demand: np.ndarray) -> np.ndarray:
+    """``scoring.reward_score`` of the offered ``reward`` against each worker's ``demand``, elementwise."""
+    margin = reward - demand
+    return np.where(margin > 0, margin / reward, 0.0)
 
 
 def _placement(engine: ScoreEngine, task: Task, i: int, t: float) -> Assignment:
@@ -590,26 +631,46 @@ def _pairs(score, bound: np.ndarray, times: np.ndarray):
     """A task's positive pairs (worker index, t0, t1, total), in (total desc, worker asc, time asc) order.
 
     [t0, t1) is the pair's work interval: its grid time, and that time plus
-    the kernel's time to complete, added per block as ``total_score`` adds
-    them.  The pairs come from a threshold search (Fagin, Lotem & Naor, PODS
-    2001) over per-worker bounds that need no distances: ``score(rows)``
-    scores the worker rows ``rows`` (an index array) over the grid
-    ``times``, and ``bound[r]`` is at or above every positive total in row
-    ``r``.  Each step scores the block of highest-bound unscored rows
-    (``_ROW_BLOCK`` rows at first, doubling each time) and merges their
-    positive pairs with the pending ones.  A pair is final once its total is strictly above ``top``,
-    the highest bound among the unscored rows: a row whose bound equals the
-    total may hold an equal total that wins its tie on worker id.  The final
-    pairs are yielded and dropped, so every later pair sorts after them.  A
+    the kernel's time to complete, added as ``total_score`` adds them.  The
+    pairs come from a threshold search (Fagin, Lotem & Naor, PODS 2001)
+    over per-worker bounds that need no distances: ``score(rows)`` scores
+    the worker rows ``rows`` (an index array) over the grid ``times``, and
+    ``bound[r]`` is at or above every positive total in row ``r``.  Each
+    step scores the block of highest-bound unscored rows (``_ROW_BLOCK``
+    rows at first, doubling each time) and stacks its totals and times to
+    complete under the scored ones.  A pair is final once its total is
+    strictly above ``top``, the highest bound among the unscored rows: a
+    row whose bound equals the total may hold an equal total that wins its
+    tie on worker id.  Final pairs are ordered and yielded a chunk at a
+    time (``_PAIR_CHUNK`` at first, doubling each time): the chunk's
+    highest totals and every pair tied with the lowest of them.  Every
+    pair not yet yielded, scored or not, is then strictly below that cut,
+    the ``ceiling``, so the stream needs no record of the pairs it took.  A
     row whose bound is not positive holds no positive total and is never
     scored.  ``bound`` is marked in place as rows are scored.
     """
     bound[~(bound > 0.0)] = -np.inf  # as scored rows are marked
-    top = float(bound.max())
-    block = _ROW_BLOCK
-    # The pending pairs, in preference order.
-    w, j, totals, t1 = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0), np.empty(0)
-    while top > 0.0:
+    top, ceiling = float(bound.max()), math.inf
+    block, chunk = _ROW_BLOCK, _PAIR_CHUNK
+    scored = total = ttc = None  # the scored rows' worker indexes, and their totals and times to complete
+    while True:
+        if scored is not None:
+            final = np.flatnonzero((total > max(top, 0.0)) & (total < ceiling))
+            if len(final):
+                if len(final) > chunk:
+                    totals = total.ravel()[final]
+                    ceiling = float(np.partition(totals, len(final) - chunk)[len(final) - chunk])
+                    final = final[totals >= ceiling]
+                    del totals
+                else:
+                    ceiling = float(total.ravel()[final].min())
+                chunk *= 2
+                pairs = _chunk_pairs(final, scored, total, ttc, times)
+                del final  # a suspended generator keeps its locals: hold only the scored blocks
+                yield from pairs
+                continue
+        if not top > 0.0:
+            return
         n = min(block, len(bound))
         rows = np.argpartition(bound, len(bound) - n)[len(bound) - n :]
         rows = rows[bound[rows] > 0.0]
@@ -617,24 +678,31 @@ def _pairs(score, bound: np.ndarray, times: np.ndarray):
         top = float(bound.max())
         block *= 2
         g = score(rows)
-        r, c = np.nonzero(g.total > 0.0)
-        w = np.concatenate((w, rows[r].astype(np.int32)))
-        j = np.concatenate((j, c.astype(np.int32)))
-        totals = np.concatenate((totals, g.total[r, c]))
-        t1 = np.concatenate((t1, times[c] + g.ttc[r, c]))
-        order = np.lexsort((j, w, -totals))
-        w, j, totals, t1 = w[order], j[order], totals[order], t1[order]
-        del g, r, c, order  # a suspended generator keeps its locals: hold only the pending pairs
-        final = int(np.count_nonzero(totals > top))
-        # Memoryviews make each pair Python numbers only when it is taken.
-        yield from zip(*map(memoryview, (w[:final], times[j[:final]], t1[:final], totals[:final])))
-        w, j, totals, t1 = w[final:], j[final:], totals[final:], t1[final:]
+        if scored is None:
+            scored, total, ttc = rows, g.total, g.ttc
+        else:
+            scored = np.concatenate((scored, rows))
+            total, ttc = np.concatenate((total, g.total)), np.concatenate((ttc, g.ttc))
+        del g, rows
+
+
+def _chunk_pairs(take: np.ndarray, scored: np.ndarray, total: np.ndarray, ttc: np.ndarray, times: np.ndarray):
+    """The cells ``take`` (flat indexes into ``total``) as Python (worker, t0, t1, total) tuples in preference order.
+
+    ``scored`` gives each row's worker index; t1 is added here, for the pairs taken only.
+    """
+    r, j = np.divmod(take, total.shape[1])
+    w, totals = scored[r], total[r, j]
+    order = np.lexsort((j, w, -totals))
+    r, j = r[order], j[order]
+    t0 = times[j]
+    return zip(w[order].tolist(), t0.tolist(), (t0 + ttc[r, j]).tolist(), totals[order].tolist())
 
 
 class _Candidates:
     """One batched task and the pair it proposes; each :meth:`propose` takes the next pair of :func:`_pairs`."""
 
-    __slots__ = ("task", "priority", "score", "pairs", "worker", "t0", "t1", "total", "clash", "reason")
+    __slots__ = ("task", "priority", "score", "pairs", "worker", "t0", "t1", "total", "rank", "clash", "reason")
 
     def __init__(self, task: Task, priority: float, score, bound: np.ndarray, times: np.ndarray):
         self.task = task
@@ -643,6 +711,7 @@ class _Candidates:
         self.pairs = _pairs(score, bound, times)
         self.worker = -1  # worker index of the proposed pair; -1 until one is proposed
         self.t0 = self.t1 = self.total = 0.0  # its work interval [t0, t1) and total
+        self.rank = ()  # (-priority, -total, task id): its place among the proposals its worker holds
         self.clash = False  # whether [t0, t1) overlaps one of the worker's bookings
         self.reason: OutcomeKind | None = None  # why the task is not placed, once that is known
 
@@ -657,7 +726,11 @@ class _Candidates:
                 self.reason = _failure(g.ts > 0, g.avail, g.rw[:, None], g.tw[:, None])
             return False
         self.worker, self.t0, self.t1, self.total = pair
+        self.rank = (-self.priority, -self.total, self.task.id)
         return True
+
+
+_RANK = attrgetter("rank")
 
 
 def offline_assign(
@@ -700,18 +773,19 @@ def offline_assign(
         return [], [(t.id, OutcomeKind.DEADLINE_INFEASIBLE) for t in tasks_sorted]
     ctx = engine.grid_context(times)
 
-    cands: list[_Candidates] = []
-    for task in tasks_sorted:
-        k = int(np.searchsorted(times, task.expiration, side="left"))
-        cands.append(
-            _Candidates(
-                task,
-                task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id]),
-                partial(engine.score_grid, task, ctx, k),
-                engine.row_bounds(task, ctx, k),
-                times,
-            )
+    ks = np.searchsorted(times, [t.expiration for t in tasks_sorted], side="left").tolist()
+    factors = engine._factors(tasks_sorted)
+    bounds = engine.row_bounds(tasks_sorted, ctx, ks, factors)
+    cands = [
+        _Candidates(
+            task,
+            task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id]),
+            partial(engine.score_grid, task, ctx, k, factors=f),
+            bound,
+            times,
         )
+        for task, k, f, bound in zip(tasks_sorted, ks, factors, bounds)
+    ]
 
     # Honoured proposals persist across rounds.  A worker that only lost
     # refused proposals keeps the rest: they were pairwise disjoint and free
@@ -719,7 +793,9 @@ def offline_assign(
     # new proposals all clash with its bookings refuses them without
     # deciding: a clash is never kept, and its held proposals are kept in
     # any order.  A worker that decides keeps its clashes in the tie runs,
-    # whose draw depends on every tied task.
+    # whose draw depends on every tied task.  Each held list is in rank
+    # order, and what it holds before the first tie run with a new proposal
+    # was kept, and is kept again: a decision starts at that run.
     held: dict[int, list[_Candidates]] = {}
     movers = cands
     while movers:
@@ -729,25 +805,34 @@ def offline_assign(
         deciding = {c.worker for c in movers if not c.clash}
 
         refused: list[_Candidates] = []
+        first: dict[int, tuple] = {}  # per deciding worker, its best new proposal's rank
         for c in movers:
             if c.worker in deciding:
-                held.setdefault(c.worker, []).append(c)
+                insort(held.setdefault(c.worker, []), c, key=_RANK)
+                first[c.worker] = min(first.get(c.worker, c.rank), c.rank)
             else:
                 refused.append(c)
         for w in sorted(deciding):
-            ranked = sorted(held[w], key=lambda c: (-c.priority, -c.total, c.task.id))
-            kept = held[w] = []
-            for _key, group in groupby(ranked, key=lambda c: (c.priority, c.total)):
+            ranked = held[w]
+            s = bisect_left(ranked, first[w][:2], key=_RANK)  # where that proposal's tie run starts
+            kept = held[w] = ranked[:s]
+            # The kept work intervals by (start, end): being pairwise disjoint, their ends ascend too.
+            taken = sorted((c.t0, c.t1) for c in kept)
+            for _key, group in groupby(ranked[s:], key=lambda c: (c.priority, c.total)):
                 run = list(group)
                 # A seeded draw decides exact (priority, total) ties.
                 if len(run) > 1:
                     winner = _tie_pick(rng_seed, engine.workers[w].id, [c.task.id for c in run])
                     run.sort(key=lambda c: c.task.id != winner)  # the winner, then the rest in id order
+                won = []
                 for c in run:
-                    if c.clash or any(h.t0 < c.t1 and c.t0 < h.t1 for h in kept):
+                    i = bisect_left(taken, (c.t1,))  # the intervals that start before c ends
+                    if c.clash or (i and taken[i - 1][1] > c.t0):
                         refused.append(c)
                     else:
-                        kept.append(c)
+                        insort(taken, (c.t0, c.t1))
+                        won.append(c)
+                kept += sorted(won, key=_RANK)
         movers = refused
 
     assignments: list[Assignment] = []

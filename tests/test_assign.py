@@ -8,6 +8,7 @@ import sys
 import textwrap
 from dataclasses import astuple, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from unittest.mock import patch
 
@@ -252,6 +253,29 @@ def test_offline_matches_oracle_on_a_contended_batch(ties, monkeypatch):
     assert got_kinds == want_kinds
 
 
+def test_a_later_proposal_joins_the_tie_run_of_a_held_one(monkeypatch):
+    # Tasks 1 and 2 differ only in region, each 1 km from worker 1, so at
+    # worker 1 they tie on (priority, total) at every time.  Task 1 proposes
+    # worker 1 at t = 0 in the first round and is held.  Task 2 is nearer
+    # worker 2, who is booked throughout, and reaches worker 1's t = 0
+    # rounds later.  Worker 1 then decides the whole tie run, held proposal
+    # included, by the seeded draw: on some seeds task 2 takes t = 0 and
+    # task 1 moves on.
+    draws = []
+    tie_pick = assign._tie_pick
+    monkeypatch.setattr(assign, "_tie_pick", lambda *args: draws.append(args) or tie_pick(*args))
+    tasks = [_task(1, region=Point(5.0, 6.0)), _task(2, region=Point(5.0, 4.0))]
+    workers = [_worker(1, x=5.0, y=5.0), _worker(2, x=5.0, y=3.9, bookings=[(0.0, 1000.0)])]
+    winners = set()
+    for seed in range(8):
+        inst = Instance(tasks, workers, {1: OWNER}, {1: CAT}, 0.0, 15.0, WEEK_MINUTES, VEL, seed)
+        got_triples, got_kinds, want_triples, want_kinds = _run_both(inst)
+        assert got_triples == want_triples and got_kinds == want_kinds, seed
+        winners |= {tid for tid, _worker_id, t in got_triples if t == 0.0}
+    assert winners == {1, 2}
+    assert {(worker_id, tuple(sorted(ids))) for _seed, worker_id, ids in draws} == {(1, (1, 2))}
+
+
 def test_threshold_search_stops_only_below_the_cutoff(monkeypatch):
     # Row 1's bound (2T) puts it first, and its one pair scores T. Row 0's
     # bound is exactly T and its pair also scores T, which wins the tie on
@@ -307,7 +331,7 @@ def test_threshold_search_scores_a_row_whose_bound_ties_a_found_total(monkeypatc
     engine = _engine(workers)
     times = TimeGrid(80.0, WEEK_MINUTES).times(0.0, before=task.expiration)
     ctx = engine.grid_context(times)
-    assert engine.row_bounds(task, ctx, len(times)).tolist() == [0.25, 0.5]
+    assert engine.row_bounds([task], ctx, [len(times)]).tolist() == [[0.25, 0.5]]
     assert engine.score_grid(task, ctx, len(times)).total.tolist() == [[0.25, 0.125, -0.25], [0.5, 0.25, -0.5]]
     inst = Instance(
         tasks=[task],
@@ -353,7 +377,7 @@ def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
         full = engine.score_grid(task, ctx, k)
         dist = engine._distance(task, ctx.x[:, :k], ctx.y[:, :k])
         cells = sorted(zip(*np.nonzero(full.total > 0.0)), key=lambda c: (-full.total[c], c[0], c[1]))
-        exact = engine.row_bounds(task, ctx, k)
+        (exact,) = engine.row_bounds([task], ctx, [k])
         inf_third = exact.copy()
         inf_third[rng.permutation(len(exact))[: (len(exact) + 2) // 3]] = np.inf
         for bound in (exact.copy(), exact * (1 + 2**-20), inf_third):
@@ -416,6 +440,85 @@ def test_pairs_yields_the_positive_cells_in_order(seed, block, monkeypatch):
     assert all(type(i) is int and {type(x) for x in rest} == {float} for i, *rest in got)
     assert len(scored) == len(set(scored))
     assert all(bound[i] > 0.0 for i in scored), seed
+
+
+def _lexsorted_cells(totals: np.ndarray, ttc: np.ndarray, times: np.ndarray) -> list[tuple]:
+    """Every positive cell as (row, t0, t1, total), ordered by one full lexsort: the pair stream's oracle."""
+    i, j = np.nonzero(totals > 0.0)
+    order = np.lexsort((j, i, -totals[i, j]))
+    i, j = i[order], j[order]
+    return list(zip(i.tolist(), times[j].tolist(), (times[j] + ttc[i, j]).tolist(), totals[i, j].tolist()))
+
+
+def _stream(totals, ttc, times, bound, monkeypatch) -> tuple[list, list[int], list[int]]:
+    """The pairs of ``_pairs`` over a synthetic score, with the rows of each scored block and the size of each chunk."""
+    blocks, chunks = [], []
+    chunk_pairs = assign._chunk_pairs
+    monkeypatch.setattr(assign, "_chunk_pairs", lambda take, *args: chunks.append(len(take)) or chunk_pairs(take, *args))
+
+    def score(rows):
+        blocks.append(len(rows))
+        ones = np.ones(totals[rows].shape)
+        return assign._Scores(total=totals[rows], ts=ones, avail=ones, ttc=ttc[rows], rw=ones[:, 0], tw=ones[:, 0])
+
+    # One pair more than the grid holds, so that a stream that repeats pairs fails rather than runs on.
+    return list(islice(assign._pairs(score, bound.copy(), times), totals.size + 1)), blocks, chunks
+
+
+def test_pairs_keep_ties_across_chunk_cuts_and_blocks(monkeypatch):
+    # One row per block at first and one pair per chunk at first.  Rows 0
+    # and 1 (bound 1) are scored first; no pair is final, as row 0's and
+    # row 1's totals of 1 equal the top bound until both rows are scored.
+    # Then row 2 (bound 0.5) is scored and the top is row 3's 0.25: the
+    # first chunk's cut, 1, takes all four pairs tied at it, and the
+    # second's, 0.5, all three at it.  Row 2's 0.25 equals the top, so the
+    # stream scores row 3 before it yields that pair.  Row 4's NaN bound and
+    # row 5's zero one are never scored, and NaN cells are not positive.
+    monkeypatch.setattr(assign, "_ROW_BLOCK", 1)
+    monkeypatch.setattr(assign, "_PAIR_CHUNK", 1)
+    nan = math.nan
+    totals = np.array(
+        [
+            [1.0, 1.0, 1.0],
+            [1.0, 0.5, nan],
+            [0.5, 0.5, 0.25],
+            [0.25, -1.0, 0.0],
+            [nan, -0.5, 0.0],
+            [0.0, -0.0, nan],
+        ]
+    )
+    bound = np.array([1.0, 1.0, 0.5, 0.25, nan, 0.0])
+    ttc = np.arange(totals.size, dtype=float).reshape(totals.shape) + 1.0
+    times = np.array([0.0, 15.0, 30.0])
+    got, blocks, chunks = _stream(totals, ttc, times, bound, monkeypatch)
+    assert got == _lexsorted_cells(totals, ttc, times)
+    assert blocks == [1, 2, 1]
+    assert chunks == [4, 3, 2]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pairs_keep_ties_at_random_cuts(seed, monkeypatch):
+    # The same over random totals from three positive levels, so runs of
+    # exact ties straddle most chunk cuts and the top bound (a row's bound
+    # is its largest total, or +inf), with NaN and non-positive cells, and
+    # rows whose bound is NaN, zero, negative or -inf and hold no positive
+    # total.  Blocks of 2 rows and chunks of 2 pairs, each doubling.
+    monkeypatch.setattr(assign, "_ROW_BLOCK", 2)
+    monkeypatch.setattr(assign, "_PAIR_CHUNK", 2)
+    rng = np.random.default_rng(seed)
+    n_rows, n_times = int(rng.integers(6, 40)), int(rng.integers(1, 6))
+    totals = rng.choice([0.25, 0.5, 0.5, 1.0, 1.0, 1.0, -0.5, 0.0, math.nan], size=(n_rows, n_times))
+    dead = rng.random(n_rows) < 0.25
+    totals[dead] = rng.choice([0.0, -1.0, math.nan], size=(int(dead.sum()), n_times))
+    ttc = rng.uniform(1.0, 60.0, size=(n_rows, n_times))
+    times = np.cumsum(rng.uniform(1.0, 30.0, size=n_times))
+    bound = np.array([rng.choice([math.nan, 0.0, -1.0, -math.inf]) for _ in range(n_rows)])
+    for i, row in enumerate(totals):
+        if (row > 0.0).any():
+            bound[i] = rng.choice([np.nanmax(row), np.nanmax(row), math.inf])
+    got, blocks, chunks = _stream(totals, ttc, times, bound, monkeypatch)
+    assert got == _lexsorted_cells(totals, ttc, times), seed
+    assert sum(chunks) == len(got) and sum(blocks) <= int((bound > 0.0).sum())
 
 
 def test_offline_outcomes_cover_every_task():
@@ -1078,11 +1181,9 @@ def test_row_bounds_cover_every_positive_total(seed):
     if not len(times):
         return
     ctx = engine.grid_context(times)
-    for task in inst.tasks:
-        k = int(np.searchsorted(times, task.expiration, side="left"))
-        if k == 0:
-            continue
-        bound = engine.row_bounds(task, ctx, k)
+    tasks = [t for t in inst.tasks if t.expiration > times[0]]
+    ks = np.searchsorted(times, [t.expiration for t in tasks], side="left").tolist()
+    for task, k, bound in zip(tasks, ks, engine.row_bounds(tasks, ctx, ks)):
         full = engine.score_grid(task, ctx, k)
         for i, j in zip(*np.nonzero(full.total > 0.0)):
             assert bound[i] >= full.total[i, j], (seed, task.id, i, j)
@@ -1144,19 +1245,61 @@ def test_status_classes_give_the_per_worker_bounds_and_scores(seed, case):
     assert list(dict.fromkeys(classes)) == list(range(n))
     times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
     ctx = engine.grid_context(times)
-    for task in inst.tasks:
-        k = int(np.searchsorted(times, task.expiration, side="left"))
-        if k == 0:
-            continue
+    tasks = [t for t in inst.tasks if t.expiration > times[0]]
+    ks = np.searchsorted(times, [t.expiration for t in tasks], side="left").tolist()
+    for task, k, bound in zip(tasks, ks, engine.row_bounds(tasks, ctx, ks)):
         owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
         want = brute_force.row_bounds_per_worker(task, inst.workers, owner, cat, times[:k].tolist(), inst.velocity)
-        assert _bits(*engine.row_bounds(task, ctx, k)) == _bits(*want), (seed, task.id)
+        assert _bits(*bound) == _bits(*want), (seed, task.id)
         g = engine.score_grid(task, ctx, k)
         for i, w in enumerate(engine.workers):
             for j, t in enumerate(times[:k].tolist()):
                 b = total_score(task, w, owner, cat, t, inst.velocity)
                 got = _bits(g.ts[i, j], g.avail[i, j], g.total[i, j])
                 assert got == _bits(b.time_score, b.availability, b.total), (seed, task.id, w.id, t)
+
+
+@pytest.mark.parametrize("cells", [1, 40, 1 << 14], ids=["one-task-groups", "uneven-groups", "one-group"])
+@pytest.mark.parametrize("seed", range(20))
+def test_batch_bounds_equal_the_per_worker_oracle(seed, cells, monkeypatch):
+    # One batch of mixed tasks over twelve workers, one of them with a
+    # status below zero (so its bound is +inf): a task whose grid is one
+    # time (k = 1), one over the full grid, tasks with no earliest start,
+    # with one, and with one and a latest start, and a category-2 task that
+    # every worker demands exactly its reward for (a zero reward margin).
+    # Each task's row of the one batch bound equals the per-worker
+    # reference formula, bit for bit, whether the tasks are bounded one at a
+    # time, in uneven groups of three (padded to each group's longest grid),
+    # or all at once.
+    monkeypatch.setattr(assign, "_BOUND_CELLS", cells)
+    rng = random.Random(seed)
+    categories = {1: CAT, 2: TaskCategory(2, "c2", 1.0, 5.0)}
+    workers = [random_worker(rng, wid, [1, 2]) for wid in range(1, 13)]
+    workers = [replace(w, reward_demand={**w.reward_demand, 2: 8.0}) for w in workers]
+    workers[5] = replace(workers[5], status=WeeklySchedule((), default=-0.25))
+    now, step = 600.0, 15.0
+    tasks = [
+        _task(1, expiration=now + 1.0),
+        _task(2, expiration=now + 600.0, duration=30.0),
+        _task(3, expiration=now + 200.0, start_earliest=now + 40.0),
+        _task(4, expiration=now + 300.0, start_earliest=now + 20.0, start_latest=now + 60.0),
+        _task(5, category_id=2, expiration=now + 250.0, pto_reward=8.0),
+    ]
+    for tid in range(6, 12):
+        duration, reward = rng.choice([5.0, 40.0]), rng.choice([4.0, 10.0])
+        tasks.append(_task(tid, expiration=now + rng.uniform(5.0, 600.0), duration=duration, pto_reward=reward))
+    engine = _engine(workers, categories=categories.values())
+    times = TimeGrid(step, WEEK_MINUTES).times(now, before=max(t.expiration for t in tasks))
+    ctx = engine.grid_context(times)
+    ks = np.searchsorted(times, [t.expiration for t in tasks], side="left").tolist()
+    assert ks[0] == 1 and ks[1] == len(times) > 1
+    bounds = engine.row_bounds(tasks, ctx, ks)
+    assert bounds.shape == (len(tasks), len(workers))
+    for task, k, row in zip(tasks, ks, bounds):
+        cat = categories[task.category_id]
+        want = brute_force.row_bounds_per_worker(task, workers, OWNER, cat, times[:k].tolist(), VEL)
+        assert _bits(*row) == _bits(*want), (seed, task.id)
+    assert np.isinf(bounds[:, 5]).all() and (bounds[4, np.arange(12) != 5] == 0.0).all()
 
 
 def test_status_classes_keep_the_sign_of_zero():
@@ -1185,7 +1328,7 @@ def test_row_bound_is_reached_by_a_worker_at_the_task(start_earliest):
     engine = _engine([_worker(1, x=5.0, y=5.0), _worker(2, x=1.0, y=9.0)])
     times = TimeGrid(15.0, 10_000.0).times(0.0, before=task.expiration)
     ctx = engine.grid_context(times)
-    bound = engine.row_bounds(task, ctx, len(times))
+    (bound,) = engine.row_bounds([task], ctx, [len(times)])
     total = engine.score_grid(task, ctx, len(times)).total
     assert total[0].max() > 0.0
     assert bound[0] == total[0].max()
@@ -1223,58 +1366,60 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
 
 
 def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
-    # In one canary batch, status integrals are looked up one time at a
-    # time, one value per status class: once at each of the batch grid's
-    # times, inside its one grid context, and otherwise at task
-    # expirations.  A score block of fewer rows than workers looks up the
-    # same per-class integrals as the whole: the batch builds no (tasks,
-    # workers) temporary.
+    # In one canary batch, status integrals are looked up one value per
+    # status class, in two calls: at the batch grid's times, inside its one
+    # grid context, and at the tasks' expirations, for the batch's one
+    # factor-and-bound pass.  No score block looks one up, and each block's
+    # reward demand and trust are the engine's own per-category arrays: the
+    # batch's one (tasks, workers) array is its bound.
     tasks, engine, now = _canary_batch()
-    grids, lookups, blocks, inside = [], [], [], []
-    grid_context, cumulative, score = ScoreEngine.grid_context, ScoreEngine._cumulative, ScoreEngine.score_grid
+    grids, lookups, blocks, bounds = [], [], [], []
+    grid_context, cumulative = ScoreEngine.grid_context, ScoreEngine._cumulative
+    score, row_bounds = ScoreEngine.score_grid, ScoreEngine.row_bounds
 
     def traced_grid_context(self, times):
         grids.append(times)
-        inside.append(True)
-        try:
-            return grid_context(self, times)
-        finally:
-            inside.pop()
+        return grid_context(self, times)
 
-    def traced_cumulative(self, t):
-        out = cumulative(self, t)
-        lookups.append((t, out, bool(inside), blocks[-1] if blocks else None))
+    def traced_cumulative(self, ts):
+        out = cumulative(self, ts)
+        lookups.append((ts.tolist(), out, len(grids), len(blocks)))
         return out
 
-    def traced_score(self, *args):
-        rows = args[3] if len(args) > 3 else slice(None)
-        blocks.append(np.arange(len(self.workers))[rows])
-        try:
-            return score(self, *args)
-        finally:
-            blocks.pop()
+    def traced_score(self, task, *args, factors=None):
+        blocks.append((task, factors))
+        return score(self, task, *args, factors=factors)
+
+    def traced_row_bounds(self, *args):
+        bounds.append(row_bounds(self, *args))
+        return bounds[-1]
 
     monkeypatch.setattr(ScoreEngine, "grid_context", traced_grid_context)
     monkeypatch.setattr(ScoreEngine, "_cumulative", traced_cumulative)
     monkeypatch.setattr(ScoreEngine, "score_grid", traced_score)
+    monkeypatch.setattr(ScoreEngine, "row_bounds", traced_row_bounds)
     assignments, _ = offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
     classes = len(engine._st_week)
     assert len(tasks) >= 20 and assignments and len(grids) == 1 and classes < len(engine.workers)
-    assert all(np.ndim(t) == 0 and out.shape == (classes,) for t, out, _, _ in lookups)
-    assert [t for t, _, grid, _ in lookups if grid] == grids[0].tolist()
-    assert {t for t, _, grid, _ in lookups if not grid} == {t.expiration for t in tasks}
-    in_blocks = [(t, out, rows) for t, out, _, rows in lookups if rows is not None]
-    assert any(len(rows) < len(engine.workers) for _, _, rows in in_blocks)
-    for t, out, _rows in in_blocks:
-        assert np.array_equal(out, cumulative(engine, t))
+    assert [(ts, out.shape, g, b) for ts, out, g, b in lookups] == [
+        (grids[0].tolist(), (len(grids[0]), classes), 1, 0),
+        ([t.expiration for t in sorted(tasks, key=lambda t: t.id)], (len(tasks), classes), 1, 0),
+    ]
+    assert [b.shape for b in bounds] == [(len(tasks), len(engine.workers))]
+    assert len(blocks) > len(tasks) and all(f is not None for _, f in blocks)
+    expirations = {t.id: row for t, row in zip(sorted(tasks, key=lambda t: t.id), lookups[1][1])}
+    for task, (demand, trust, cum_exp) in blocks:
+        assert demand is engine._demand[task.category_id] and trust is engine._trust_vector(task)
+        assert np.array_equal(cum_exp, expirations[task.id])
 
 
 def test_batch_records_keep_only_their_bound(monkeypatch):
-    # A batched task's record and its pair generator hold the task's bound
-    # as their one worker-wide array.  Its score partial holds the task, the
-    # batch's shared grid context and the task's grid length: reward, trust
-    # and the expiration integral are computed for each scored block, not
-    # kept, and a suspended generator keeps no block's scores.
+    # A batched task's record and its pair generator hold the task's bound,
+    # a row of the batch's one bound array, as their one worker-wide array.
+    # Its score partial holds the task, the batch's shared grid context, the
+    # task's grid length and the task's factors: the engine's own reward
+    # demand and trust arrays and the task's expiration integrals.  A
+    # suspended generator keeps no block's scores.
     tasks, engine, now = _canary_batch()
     records = []
     init = assign._Candidates.__init__
@@ -1290,14 +1435,17 @@ def test_batch_records_keep_only_their_bound(monkeypatch):
             if isinstance(a, np.ndarray) and name != "times" and len(a) == len(engine.workers)
         ]
         assert wide == ["bound"]
+        assert held["bound"].base is not None
 
     monkeypatch.setattr(assign._Candidates, "__init__", traced_init)
     offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
     assert len(records) == len(tasks)
+    assert len({id(c.pairs.gi_frame.f_locals["bound"].base) for c in records if c.pairs.gi_frame}) == 1
     for c in records:
-        held = (*c.score.args, *c.score.keywords.values())
-        assert not any(isinstance(a, np.ndarray) for a in held)
-        assert [type(a) for a in held] == [Task, assign.GridContext, int]
+        assert [type(a) for a in c.score.args] == [Task, assign.GridContext, int]
+        demand, trust, cum_exp = c.score.keywords["factors"]
+        assert demand is engine._demand[c.task.category_id] and trust is engine._trust_vector(c.task)
+        assert cum_exp.shape == (len(engine._st_week),)
     suspended = [c.pairs.gi_frame.f_locals for c in records if c.pairs.gi_frame is not None]
     assert suspended
     assert not any(isinstance(a, assign._Scores) for frame in suspended for a in frame.values())
