@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right, insort
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -24,12 +23,12 @@ import numpy as np
 from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
 from .schedule import WEEK_MINUTES, WeeklySchedule
 from .scoring import (
-    MIN_PRIORITY_EXPONENT_BASE,
     ScoreBreakdown,
     TaskExpiredError,
     VelocityProfile,
     task_priority_score,
     total_score,
+    trust_exponent,
     trustworthy_score,
 )
 
@@ -142,7 +141,9 @@ class _PieceTable:
     inner piece ends of all rows (all but a schedule's last end, which is the
     week's end).  Every row's piece at a minute depends only on that rank, so
     :meth:`at` finds the rank with one search and serves its column from a
-    memo bounded by ``_COLUMN_MEMO_BYTES`` (least recently used goes first).
+    memo bounded by ``_COLUMN_MEMO_BYTES``; a full memo drops its oldest
+    column, which is the least recently used while lookups move forward in
+    time.
     A column holds every row's ``values`` (per-piece fields, shaped (fields,
     pieces), the rows' pieces end to end) at its piece, shaped (fields,
     rows).  It is found by keying every inner end ``row * (len(cuts) + 1) +
@@ -162,21 +163,20 @@ class _PieceTable:
         self._keys = np.repeat(self._row_keys, [len(s.piece_ends) - 1 for s in schedules])
         self._keys += np.searchsorted(cuts, ends)
         self._values = values
-        self._columns: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._columns: dict[int, np.ndarray] = {}
         self._capacity = max(1, _COLUMN_MEMO_BYTES // max(1, len(values) * len(schedules) * values.itemsize))
 
     def at(self, tm: float) -> np.ndarray:
         """The read-only memoised column of the week minute ``tm``'s rank, shaped (fields, rows)."""
         rank = bisect_right(self._cuts, tm)
-        col = self._columns.get(rank)
-        if col is not None:
-            self._columns.move_to_end(rank)
-            return col
-        col = self._values[:, np.searchsorted(self._keys, self._row_keys + rank) + self._rows]
-        col.flags.writeable = False
-        self._columns[rank] = col
-        if len(self._columns) > self._capacity:
-            self._columns.popitem(last=False)
+        cols = self._columns
+        col = cols.get(rank)
+        if col is None:
+            col = self._values[:, np.searchsorted(self._keys, self._row_keys + rank) + self._rows]
+            col.flags.writeable = False
+            cols[rank] = col
+            if len(cols) > self._capacity:
+                del cols[next(iter(cols))]
         return col
 
 
@@ -300,10 +300,7 @@ class ScoreEngine:
         return self.trust[i].get(category_id) or TrustCounters()
 
     def _trust_vector(self, task: Task) -> np.ndarray:
-        base = self.owners[task.owner_id].pto_priority
-        if base < MIN_PRIORITY_EXPONENT_BASE:
-            base = MIN_PRIORITY_EXPONENT_BASE
-        exponent = 1.0 / base
+        exponent = trust_exponent(self.owners[task.owner_id])
         cached = self._trust_pow[task.category_id]
         vec = cached.get(exponent)
         if vec is None:
@@ -793,9 +790,7 @@ def offline_assign(
     # new proposals all clash with its bookings refuses them without
     # deciding: a clash is never kept, and its held proposals are kept in
     # any order.  A worker that decides keeps its clashes in the tie runs,
-    # whose draw depends on every tied task.  Each held list is in rank
-    # order, and what it holds before the first tie run with a new proposal
-    # was kept, and is kept again: a decision starts at that run.
+    # whose draw depends on every tied task.
     held: dict[int, list[_Candidates]] = {}
     movers = cands
     while movers:
@@ -805,34 +800,29 @@ def offline_assign(
         deciding = {c.worker for c in movers if not c.clash}
 
         refused: list[_Candidates] = []
-        first: dict[int, tuple] = {}  # per deciding worker, its best new proposal's rank
         for c in movers:
             if c.worker in deciding:
-                insort(held.setdefault(c.worker, []), c, key=_RANK)
-                first[c.worker] = min(first.get(c.worker, c.rank), c.rank)
+                held.setdefault(c.worker, []).append(c)
             else:
                 refused.append(c)
         for w in sorted(deciding):
-            ranked = held[w]
-            s = bisect_left(ranked, first[w][:2], key=_RANK)  # where that proposal's tie run starts
-            kept = held[w] = ranked[:s]
+            ranked = sorted(held[w], key=_RANK)
+            kept = held[w] = []
             # The kept work intervals by (start, end): being pairwise disjoint, their ends ascend too.
-            taken = sorted((c.t0, c.t1) for c in kept)
-            for _key, group in groupby(ranked[s:], key=lambda c: (c.priority, c.total)):
+            taken: list[tuple[float, float]] = []
+            for _key, group in groupby(ranked, key=lambda c: (c.priority, c.total)):
                 run = list(group)
                 # A seeded draw decides exact (priority, total) ties.
                 if len(run) > 1:
                     winner = _tie_pick(rng_seed, engine.workers[w].id, [c.task.id for c in run])
                     run.sort(key=lambda c: c.task.id != winner)  # the winner, then the rest in id order
-                won = []
                 for c in run:
                     i = bisect_left(taken, (c.t1,))  # the intervals that start before c ends
                     if c.clash or (i and taken[i - 1][1] > c.t0):
                         refused.append(c)
                     else:
                         insort(taken, (c.t0, c.t1))
-                        won.append(c)
-                kept += sorted(won, key=_RANK)
+                        kept.append(c)
         movers = refused
 
     assignments: list[Assignment] = []

@@ -104,6 +104,14 @@ def trustworthy_score(counters: TrustCounters) -> float:
     return (ACCEPT_WEIGHT * accept_ratio + COMPLETION_WEIGHT * completion_ratio) / (ACCEPT_WEIGHT + COMPLETION_WEIGHT)
 
 
+def trust_exponent(owner: TaskOwner) -> float:
+    """The power the trust score is raised to for ``owner``'s tasks: one over its priority, clamped from below."""
+    base = owner.pto_priority
+    if base < MIN_PRIORITY_EXPONENT_BASE:
+        base = MIN_PRIORITY_EXPONENT_BASE
+    return 1.0 / base
+
+
 def task_priority_score(task: Task, owner: TaskOwner, category: TaskCategory) -> float:
     """Queue priority in [0, 1]: owner x category x entered priority x reward ratio."""
     raw = (
@@ -157,10 +165,7 @@ def total_score(
     avail = availability_score(worker.status, t, task.expiration)
     rw = reward_score(task, worker, category)
     raw_trust = trustworthy_score(worker.trust_for(category.id) if trust is None else trust)
-    base = owner.pto_priority
-    if base < MIN_PRIORITY_EXPONENT_BASE:
-        base = MIN_PRIORITY_EXPONENT_BASE
-    tw = raw_trust ** (1.0 / base)
+    tw = raw_trust ** trust_exponent(owner)
     total = ((ts * avail) * rw) * tw
     return ScoreBreakdown(
         time_score=ts,

@@ -1,4 +1,4 @@
-"""The batch assigner's counted work on one small fixed run, pinned.
+"""The assigners' counted work on one small fixed run, pinned.
 
 Wall time cannot resolve a 10% change on a shared machine; these counts are
 the same on any machine.  A change that lowers a count updates the table
@@ -21,10 +21,31 @@ PINNED = {
     # Pairs ordered and made Python numbers: each task's first chunk holds
     # 32, though most tasks here take only a few proposals.
     "pairs_converted": 3495,
+    # One per deciding worker per round: a worker whose new proposals all
+    # clash with its bookings refuses them without deciding.
+    "decides": 262,
+    # One engine score and one booking mask per online decision, with no
+    # reward raise on this run.
+    "online_calls": 133,
+    "score_at_calls": 133,
+    "masks": 133,
+    "nearest_calls": 0,
+    # Every batch placement and every online one.
+    "placements": 250,
+}
+
+#: The same run under sc-nearest: no batch, and the full booking mask only
+#: when the nearest worker is taken (or none is finitely far).
+PINNED_NEAREST = dict.fromkeys(PINNED, 0) | {
+    "nearest_calls": 498,
+    "masks": 27,
+    # The nearest worker's placement in every call, and the mask's pick in
+    # the 27 calls where that worker was taken.
+    "placements": 525,
 }
 
 
-def test_batch_work_is_pinned(monkeypatch):
+def _counted_run(monkeypatch, policy: str) -> tuple[simulate.SimReport, dict[str, int]]:
     counts = dict.fromkeys(PINNED, 0)
 
     def counted(owner, name, key, amount=lambda args, result: 1):
@@ -42,9 +63,25 @@ def test_batch_work_is_pinned(monkeypatch):
     counted(assign.ScoreEngine, "score_grid", "score_grid_calls")
     counted(assign._Candidates, "propose", "proposals", lambda args, proposed: proposed)
     counted(assign, "_chunk_pairs", "pairs_converted", lambda args, pairs: len(args[0]))
+    counted(assign, "groupby", "decides")  # a decision groups its worker's ranked proposals once
+    counted(simulate, "online_assign", "online_calls")
+    counted(assign.ScoreEngine, "score_at", "score_at_calls")
+    counted(assign, "_availability_mask", "masks")
+    counted(simulate, "baseline_nearest", "nearest_calls")
+    counted(assign, "_placement", "placements")
     scenario = generate(GenParams(200, 500), seed=1)
-    config = SimConfig(duration_min=2880.0, offline_batch_times=tuple(range(180, 2881, 180)), seed=0, policy="psc")
-    report = simulate.run(scenario, config)
+    config = SimConfig(duration_min=2880.0, offline_batch_times=tuple(range(180, 2881, 180)), seed=0, policy=policy)
+    return simulate.run(scenario, config), counts
+
+
+def test_batch_work_is_pinned(monkeypatch):
+    report, counts = _counted_run(monkeypatch, "psc")
     assert report.counts["assigned"] == 147
     assert counts["bound_passes"] == counts["batches"]
     assert counts == PINNED
+
+
+def test_nearest_work_is_pinned(monkeypatch):
+    report, counts = _counted_run(monkeypatch, "sc-nearest")
+    assert report.counts["assigned"] == 148
+    assert counts == PINNED_NEAREST
