@@ -20,12 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid
+from .model import Task, TaskCategory, TaskOwner, TrustCounters, Worker, centroid, counters_for
 from .schedule import WEEK_MINUTES, WeeklySchedule
 from .scoring import (
     ScoreBreakdown,
     TaskExpiredError,
     VelocityProfile,
+    reach,
     task_priority_score,
     total_score,
     trust_exponent,
@@ -132,6 +133,7 @@ class GridContext:
     y: np.ndarray
     cum_status: np.ndarray  # (classes, times), a view of a time-major array
     speed: np.ndarray  # (times,)
+    tasks: dict[int, tuple[int, np.ndarray]]  # id -> (its grid length, its (classes,) integrals to expiration)
 
 
 class _PieceTable:
@@ -296,8 +298,8 @@ class ScoreEngine:
         for exponent, vec in self._trust_pow[category_id].items():
             vec[i] = raw**exponent
 
-    def _counters(self, i: int, category_id: int) -> TrustCounters:  # Worker.trust_for on the live counters
-        return self.trust[i].get(category_id) or TrustCounters()
+    def _counters(self, i: int, category_id: int) -> TrustCounters:
+        return counters_for(self.trust[i], category_id)
 
     def _trust_vector(self, task: Task) -> np.ndarray:
         exponent = trust_exponent(self.owners[task.owner_id])
@@ -325,12 +327,16 @@ class ScoreEngine:
         prefix, value, start = np.array([self._status.at(m) for m in tm.tolist()]).transpose(1, 0, 2)
         return nw[:, None] * self._st_week + prefix + value * (tm[:, None] - start)
 
-    def grid_context(self, times: np.ndarray) -> GridContext:
-        """Positions, cumulative status and speed at shared batch grid times, one memo column per time."""
+    def grid_context(self, tasks: Sequence[Task], times: np.ndarray) -> GridContext:
+        """Positions, status integrals and speed at batch grid times, and the tasks' entries: one status lookup."""
         ts = times.tolist()
         places = np.stack([self._places(t) for t in ts])
         speed = np.array([self.velocity.speed_at(t) for t in ts], dtype=float)
-        return GridContext(times, x=places[:, 0].T, y=places[:, 1].T, cum_status=self._cumulative(times).T, speed=speed)
+        exps = [t.expiration for t in tasks]
+        cum = self._cumulative(np.array(ts + exps, dtype=float))
+        ks = np.searchsorted(times, exps, side="left").tolist()
+        entries = {t.id: (k, c) for t, k, c in zip(tasks, ks, cum[len(ts) :])}
+        return GridContext(times, places[:, 0].T, places[:, 1].T, cum[: len(ts)].T, speed, entries)
 
     # -- scoring ----------------------------------------------------------
 
@@ -357,26 +363,13 @@ class ScoreEngine:
         ttc = np.add(eff, task.duration)
         return eff, np.subtract(ttc, times, out=ttc)
 
-    def _factors(self, tasks: Sequence[Task], cum_exp=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per task: its category's reward demand and its powered trust per worker, and its expiration integrals.
+    def _score(self, task: Task, ctx: GridContext, rows=slice(None)) -> _Scores:
+        """The total score and its factors over the worker ``rows`` and the task's grid times in ``ctx``.
 
-        The integrals are each status class's from 0 to the task's
-        expiration.  None depends on the dispatch time.  The demand and trust arrays are
-        the engine's own, shared by every task of a category (and owner
-        exponent), so the factors of a batch hold no (tasks, workers) array.
-        ``cum_exp`` holds the expiration integrals when the caller has
-        looked them up; they are looked up here otherwise.
+        Reward demand and trust are the engine's own per-category rows,
+        shared by every task of a category (and owner exponent).
         """
-        if cum_exp is None:
-            cum_exp = self._cumulative(np.array([t.expiration for t in tasks], dtype=float))
-        return [(self._demand[t.category_id], self._trust_vector(t), c) for t, c in zip(tasks, cum_exp)]
-
-    def _score(self, task: Task, ctx: GridContext, k: int, rows=slice(None), factors=None) -> _Scores:
-        """The total score and its factors over the worker ``rows`` and the first ``k`` times of ``ctx``.
-
-        ``factors`` is the task's entry of :meth:`_factors`, computed here when not given.
-        """
-        demand, trust, cum_exp = factors or self._factors([task])[0]
+        k, cum_exp = ctx.tasks[task.id]
         times = ctx.times[:k]
         eff, ttc = self._reach(task, times, self._distance(task, ctx.x[rows, :k], ctx.y[rows, :k]), ctx.speed[:k])
         exp = task.expiration
@@ -386,7 +379,7 @@ class ScoreEngine:
         np.divide(ts, left, out=ts)
         if task.start_latest is not None:
             ts[eff > task.start_latest] = -1.0
-        rw, tw = _reward_factor(task.pto_reward, demand[rows]), trust[rows]
+        rw, tw = _reward_factor(task.pto_reward, self._demand[task.category_id][rows]), self._trust_vector(task)[rows]
         # Availability per status class, then gathered to the rows.
         avail = np.subtract(cum_exp[:, None], ctx.cum_status[:, :k])
         np.divide(avail, left, out=avail)
@@ -403,16 +396,14 @@ class ScoreEngine:
         """Score every worker for ``task`` dispatched at the single time ``t``."""
         cum_t, cum_exp = self._cumulative(np.array([t, task.expiration]))  # one lookup for both times
         (x, y), speed = self._places(t)[:, :, None], np.array([self.velocity.speed_at(t)])
-        factors = self._factors([task], [cum_exp])[0]
-        s = self._score(task, GridContext(np.array([t]), x, y, cum_t[:, None], speed), 1, factors=factors)
+        s = self._score(task, GridContext(np.array([t]), x, y, cum_t[:, None], speed, {task.id: (1, cum_exp)}))
         return _Scores(s.total[:, 0], s.ts[:, 0], s.avail[:, 0], s.ttc[:, 0], s.rw, s.tw)
 
-    def row_bounds(self, tasks: Sequence[Task], ctx: GridContext, ks: Sequence[int], factors=None) -> np.ndarray:
-        """Per task and worker, a bound at or above every positive total :meth:`score_grid` gives over ``k`` times.
+    def row_bounds(self, tasks: Sequence[Task], ctx: GridContext) -> np.ndarray:
+        """Per task and worker, a bound at or above every positive total :meth:`score_grid` gives.
 
-        Shaped (tasks, workers); ``ks`` holds each task's ``k`` (at least 1),
-        its grid length, and ``factors`` the tasks' :meth:`_factors`,
-        computed here when not given.  The bound takes no distance.  Travel is never negative, so
+        Shaped (tasks, workers); each task's grid length in ``ctx`` is at
+        least 1.  The bound takes no distance.  Travel is never negative, so
         the kernel's effective start is at least ``max(t, start_earliest)``;
         from that lower start the time score is computed with the kernel's
         own operations, and as IEEE rounding is monotone it is at least the
@@ -428,14 +419,14 @@ class ScoreEngine:
         O(classes x times) per task, and gathered to the workers: each
         worker's bound is the one its own column would give, bit for bit.
         Tasks are bounded ``_BOUND_CELLS // workers`` at a time, each group
-        over its longest grid.  A cell past a task's ``k`` takes a time left
-        of 1, so it raises no warning, and the reductions skip it.
+        over its longest grid.  A cell past a task's grid length takes a time
+        left of 1, so it raises no warning, and the reductions skip it.
         """
-        factors = factors or self._factors(tasks)
         bound = np.empty((len(tasks), len(self.workers)))
         step = max(1, _BOUND_CELLS // max(1, len(self.workers)))
         for a in range(0, len(tasks), step):
-            group, fs, kg = tasks[a : a + step], factors[a : a + step], np.asarray(ks[a : a + step])
+            group = tasks[a : a + step]
+            kg, cum_exp = map(np.array, zip(*(ctx.tasks[t.id] for t in group)))
             times = ctx.times[: kg.max()]
             inside = np.arange(len(times)) < kg[:, None]  # (tasks, times)
             exp, dur, earliest = np.array(
@@ -444,15 +435,16 @@ class ScoreEngine:
             left = np.where(inside, exp - times, 1.0)
             ts = ((exp - ((np.maximum(times, earliest) + dur) - times)) - times) / left
             # (tasks, times, classes), so that the reductions over times run per task.
-            avail = np.subtract(np.array([c for _, _, c in fs])[:, None], ctx.cum_status.T[: len(times)])
+            avail = np.subtract(cum_exp[:, None], ctx.cum_status.T[: len(times)])
             np.divide(avail, left[:, :, None], out=avail)
             negative = avail.min(axis=1, where=inside[:, :, None], initial=np.inf) < 0.0
             np.multiply(ts[:, :, None], avail, out=avail)
             best = avail.max(axis=1, where=inside[:, :, None], initial=-np.inf)
-            rw = _reward_factor(np.array([t.pto_reward for t in group])[:, None], np.stack([d for d, _, _ in fs]))
+            demand = np.stack([self._demand[t.category_id] for t in group])
+            rw = _reward_factor(np.array([t.pto_reward for t in group])[:, None], demand)
             out = bound[a : a + step]
             np.multiply(best[:, self._class], rw, out=out)
-            np.multiply(out, np.stack([tw for _, tw, _ in fs]), out=out)
+            np.multiply(out, np.stack([self._trust_vector(t) for t in group]), out=out)
             out[negative[:, self._class]] = np.inf
         return bound
 
@@ -583,12 +575,13 @@ def baseline_nearest(
     Deliberately ignores availability, reward, and trust; only placements
     are scored, for reporting.  Distance ties go to the lowest worker id.
     Only the distances are computed over every worker at first.  The
-    nearest worker that is not excluded is placed with :func:`_placement`,
-    and wins if that placement's booking leaves it free: masking busy
-    workers out only raises other distances, so it is also the first
-    minimum of the masked distances.  When it is taken (its placement is
-    discarded), or no distance is finite, the full booking mask decides on
-    the same distances (an excluded worker's is infinite; the mask drops it).
+    nearest worker that is not excluded wins if its work interval, timed by
+    ``scoring.reach`` from the kernel's distance (the kernel's time to
+    complete, bit for bit), leaves it free: masking busy workers out only
+    raises other distances, so it is also the first minimum of the masked
+    distances.  When it is taken, or no distance is finite, the full
+    booking mask decides on the same distances (an excluded worker's is
+    infinite; the mask drops it).  Only the winner is placed.
     """
     exclude = frozenset(exclude_workers)
     x, y = engine._places(t)
@@ -597,13 +590,12 @@ def baseline_nearest(
         i = engine.index_of.get(wid)
         if i is not None:
             near[i] = np.inf
+    speed = engine.velocity.speed_at(t)
     if len(near):
         i = int(np.argmin(near))  # the first NaN, if there is one
-        if near[i] < math.inf:
-            a = _placement(engine, task, i, t)
-            if engine.is_free(i, *a.booking):
-                return AssignOutcome(OutcomeKind.ASSIGNED, a, task.pto_reward)
-    _eff, ttc = engine._reach(task, t, near, engine.velocity.speed_at(t))
+        if near[i] < math.inf and engine.is_free(i, t, t + reach(task, near[i], speed, t)[1]):
+            return AssignOutcome(OutcomeKind.ASSIGNED, _placement(engine, task, i, t), task.pto_reward)
+    _eff, ttc = engine._reach(task, t, near, speed)
     free = _availability_mask(engine, ttc, t, exclude)
     if not free.any():
         return AssignOutcome(OutcomeKind.NO_SUITABLE_WORKER)
@@ -762,26 +754,25 @@ def offline_assign(
     if late:
         raise ValueError(f"tasks already expired at batch time {now}: {late}")
     tasks_sorted = sorted(tasks, key=lambda t: t.id)
+    shared = sorted({a.id for a, b in zip(tasks_sorted, tasks_sorted[1:]) if a.id == b.id})
+    if shared:  # the grid context keys its tasks by id
+        raise ValueError(f"tasks share an id: {shared}")
     if not engine.workers:
         return [], [(t.id, OutcomeKind.NO_SUITABLE_WORKER) for t in tasks_sorted]
 
     times = grid.times(now, before=max(t.expiration for t in tasks_sorted))
     if not len(times):  # the grid ends before now; otherwise it starts at now, before every expiration
         return [], [(t.id, OutcomeKind.DEADLINE_INFEASIBLE) for t in tasks_sorted]
-    ctx = engine.grid_context(times)
-
-    ks = np.searchsorted(times, [t.expiration for t in tasks_sorted], side="left").tolist()
-    factors = engine._factors(tasks_sorted)
-    bounds = engine.row_bounds(tasks_sorted, ctx, ks, factors)
+    ctx = engine.grid_context(tasks_sorted, times)
     cands = [
         _Candidates(
             task,
             task_priority_score(task, engine.owners[task.owner_id], engine.categories[task.category_id]),
-            partial(engine.score_grid, task, ctx, k, factors=f),
+            partial(engine.score_grid, task, ctx),
             bound,
             times,
         )
-        for task, k, f, bound in zip(tasks_sorted, ks, factors, bounds)
+        for task, bound in zip(tasks_sorted, engine.row_bounds(tasks_sorted, ctx))
     ]
 
     # Honoured proposals persist across rounds.  A worker that only lost

@@ -116,6 +116,11 @@ class TrustCounters:
     initial_score: float = DEFAULT_INITIAL_TRUST
 
 
+def counters_for(trust: dict[int, TrustCounters], category_id: int) -> TrustCounters:
+    """A worker's counters for one category from its ``trust`` map; fresh counters where it holds none."""
+    return trust.get(category_id) or TrustCounters()
+
+
 @dataclass(frozen=True)
 class Task:
     id: int
@@ -154,7 +159,7 @@ class Worker:
         return self.pattern.default
 
     def trust_for(self, category_id: int) -> TrustCounters:
-        return self.trust.get(category_id) or TrustCounters()
+        return counters_for(self.trust, category_id)
 
 
 # ---------------------------------------------------------------------------

@@ -330,9 +330,10 @@ def test_threshold_search_scores_a_row_whose_bound_ties_a_found_total(monkeypatc
     ]
     engine = _engine(workers)
     times = TimeGrid(80.0, WEEK_MINUTES).times(0.0, before=task.expiration)
-    ctx = engine.grid_context(times)
-    assert engine.row_bounds([task], ctx, [len(times)]).tolist() == [[0.25, 0.5]]
-    assert engine.score_grid(task, ctx, len(times)).total.tolist() == [[0.25, 0.125, -0.25], [0.5, 0.25, -0.5]]
+    ctx = engine.grid_context([task], times)
+    assert ctx.tasks[task.id][0] == len(times)
+    assert engine.row_bounds([task], ctx).tolist() == [[0.25, 0.5]]
+    assert engine.score_grid(task, ctx).total.tolist() == [[0.25, 0.125, -0.25], [0.5, 0.25, -0.5]]
     inst = Instance(
         tasks=[task],
         workers=workers,
@@ -371,17 +372,17 @@ def test_search_proposes_every_positive_cell_in_order(seed, block, monkeypatch):
     times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
     if not len(times):
         return
-    ctx = engine.grid_context(times)
+    ctx = engine.grid_context(inst.tasks, times)
     for task in inst.tasks:
-        k = int(np.searchsorted(times, task.expiration, side="left"))
-        full = engine.score_grid(task, ctx, k)
+        k = ctx.tasks[task.id][0]
+        full = engine.score_grid(task, ctx)
         dist = engine._distance(task, ctx.x[:, :k], ctx.y[:, :k])
         cells = sorted(zip(*np.nonzero(full.total > 0.0)), key=lambda c: (-full.total[c], c[0], c[1]))
-        (exact,) = engine.row_bounds([task], ctx, [k])
+        (exact,) = engine.row_bounds([task], ctx)
         inf_third = exact.copy()
         inf_third[rng.permutation(len(exact))[: (len(exact) + 2) // 3]] = np.inf
         for bound in (exact.copy(), exact * (1 + 2**-20), inf_third):
-            cand = assign._Candidates(task, 1.0, partial(engine.score_grid, task, ctx, k), bound, times)
+            cand = assign._Candidates(task, 1.0, partial(engine.score_grid, task, ctx), bound, times)
             got = []
             while cand.propose():
                 got.append((cand.worker, cand.t0, cand.total))
@@ -549,6 +550,13 @@ def test_offline_respects_existing_bookings():
 def test_offline_rejects_expired_input():
     with pytest.raises(ValueError):
         offline_assign([_task(1, expiration=50.0)], _engine([_worker()]), 50.0, TimeGrid())
+
+
+def test_offline_rejects_tasks_that_share_an_id():
+    # The batch's grid context keys its tasks by id.
+    tasks = [_task(1), _task(2), _task(1, expiration=300.0)]
+    with pytest.raises(ValueError, match=r"tasks share an id: \[1\]"):
+        offline_assign(tasks, _engine([_worker()]), 0.0, TimeGrid())
 
 
 def test_offline_empty_inputs():
@@ -956,8 +964,8 @@ def test_one_time_places_and_speed_are_the_memoised_columns():
     times = [10.0, 60.0, 90.0, 120.0, 90.0 + WEEK_MINUTES, -1e-13]
     times += [float(np.nextafter(e, d)) for e in (60.0, 120.0) for d in (-np.inf, np.inf)]
     want = _bits(*(vel.speed_at(t) for t in times))
-    assert _bits(*engine.grid_context(np.array(times)).speed) == want
-    assert [_bits(*engine.grid_context(np.array([t])).speed) for t in times] == [[w] for w in want]
+    assert _bits(*engine.grid_context([], np.array(times)).speed) == want
+    assert [_bits(*engine.grid_context([], np.array([t])).speed) for t in times] == [[w] for w in want]
     assert want[:4] == _bits(30.0, 5.0, 5.0, 30.0)
 
 
@@ -1065,8 +1073,9 @@ def _check_engine_factors(inst: Instance, rng: random.Random) -> ScoreEngine:
     rng.shuffle(queries)
     grids = []  # per query, the grid's scores and the kernel's distances
     for task, times in queries:
-        ctx = engine.grid_context(np.array(times))
-        grids.append((engine.score_grid(task, ctx, len(times)), engine._distance(task, ctx.x, ctx.y)))
+        ctx = engine.grid_context([task], np.array(times))
+        assert ctx.tasks[task.id][0] == len(times)
+        grids.append((engine.score_grid(task, ctx), engine._distance(task, ctx.x, ctx.y)))
     pairs = [(q, j) for q, (_task, times) in enumerate(queries) for j in range(len(times))]
     rng.shuffle(pairs)
     for q, j in pairs:
@@ -1146,7 +1155,7 @@ def test_scalar_reach_is_the_kernels_bit_for_bit(start_earliest):
     task = _task(1, region=Point(5.1, 4.9), start_earliest=start_earliest, expiration=2000.0)
     ends = (60.0, 90.0, 100.0, 120.0)
     times = np.array([t for e in ends for t in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))])
-    ctx = engine.grid_context(times)
+    ctx = engine.grid_context([], times)
     dist = engine._distance(task, ctx.x, ctx.y)
     eff, ttc = engine._reach(task, times, dist, ctx.speed)
     clamped = set()
@@ -1180,15 +1189,14 @@ def test_row_bounds_cover_every_positive_total(seed):
     times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
     if not len(times):
         return
-    ctx = engine.grid_context(times)
     tasks = [t for t in inst.tasks if t.expiration > times[0]]
-    ks = np.searchsorted(times, [t.expiration for t in tasks], side="left").tolist()
-    for task, k, bound in zip(tasks, ks, engine.row_bounds(tasks, ctx, ks)):
-        full = engine.score_grid(task, ctx, k)
+    ctx = engine.grid_context(tasks, times)
+    for task, bound in zip(tasks, engine.row_bounds(tasks, ctx)):
+        full = engine.score_grid(task, ctx)
         for i, j in zip(*np.nonzero(full.total > 0.0)):
             assert bound[i] >= full.total[i, j], (seed, task.id, i, j)
         rows = np.arange(len(engine.workers))[::-1]
-        sub = engine.score_grid(task, ctx, k, rows)
+        sub = engine.score_grid(task, ctx, rows)
         for name in ("total", "ts", "avail", "ttc", "rw", "tw"):
             assert np.array_equal(getattr(sub, name), getattr(full, name)[rows]), (seed, task.id, name)
 
@@ -1244,14 +1252,14 @@ def test_status_classes_give_the_per_worker_bounds_and_scores(seed, case):
     assert len(set(zip(pieces, classes))) == len(set(pieces)) == n
     assert list(dict.fromkeys(classes)) == list(range(n))
     times = TimeGrid(inst.step, inst.horizon).times(inst.now, before=max(t.expiration for t in inst.tasks))
-    ctx = engine.grid_context(times)
     tasks = [t for t in inst.tasks if t.expiration > times[0]]
-    ks = np.searchsorted(times, [t.expiration for t in tasks], side="left").tolist()
-    for task, k, bound in zip(tasks, ks, engine.row_bounds(tasks, ctx, ks)):
+    ctx = engine.grid_context(tasks, times)
+    for task, bound in zip(tasks, engine.row_bounds(tasks, ctx)):
+        k = ctx.tasks[task.id][0]
         owner, cat = inst.owners[task.owner_id], inst.categories[task.category_id]
         want = brute_force.row_bounds_per_worker(task, inst.workers, owner, cat, times[:k].tolist(), inst.velocity)
         assert _bits(*bound) == _bits(*want), (seed, task.id)
-        g = engine.score_grid(task, ctx, k)
+        g = engine.score_grid(task, ctx)
         for i, w in enumerate(engine.workers):
             for j, t in enumerate(times[:k].tolist()):
                 b = total_score(task, w, owner, cat, t, inst.velocity)
@@ -1290,16 +1298,33 @@ def test_batch_bounds_equal_the_per_worker_oracle(seed, cells, monkeypatch):
         tasks.append(_task(tid, expiration=now + rng.uniform(5.0, 600.0), duration=duration, pto_reward=reward))
     engine = _engine(workers, categories=categories.values())
     times = TimeGrid(step, WEEK_MINUTES).times(now, before=max(t.expiration for t in tasks))
-    ctx = engine.grid_context(times)
-    ks = np.searchsorted(times, [t.expiration for t in tasks], side="left").tolist()
+    ctx = engine.grid_context(tasks, times)
+    ks = [ctx.tasks[t.id][0] for t in tasks]
     assert ks[0] == 1 and ks[1] == len(times) > 1
-    bounds = engine.row_bounds(tasks, ctx, ks)
+    bounds = engine.row_bounds(tasks, ctx)
     assert bounds.shape == (len(tasks), len(workers))
     for task, k, row in zip(tasks, ks, bounds):
         cat = categories[task.category_id]
         want = brute_force.row_bounds_per_worker(task, workers, OWNER, cat, times[:k].tolist(), VEL)
         assert _bits(*row) == _bits(*want), (seed, task.id)
     assert np.isinf(bounds[:, 5]).all() and (bounds[4, np.arange(12) != 5] == 0.0).all()
+
+
+@pytest.mark.parametrize("side", [-np.inf, None, np.inf], ids=["ulp-below", "on", "ulp-above"])
+def test_grid_length_counts_the_times_before_an_expiration_near_a_grid_time(side):
+    # A task's grid length in a batch's context is the number of grid times
+    # strictly before its expiration, as the brute-force grid counts them,
+    # with the expiration on a grid time and one ulp either side of it.  A
+    # later task stretches the grid past the first one's expiration.
+    now, step = 600.0, 15.0
+    on = now + 4 * step
+    exp = on if side is None else float(np.nextafter(on, side))
+    tasks = [_task(1, expiration=exp), _task(2, expiration=now + 600.0)]
+    times = TimeGrid(step, WEEK_MINUTES).times(now, before=tasks[1].expiration)
+    ctx = _engine([_worker()]).grid_context(tasks, times)
+    want = len(brute_force.grid_times(now, step, WEEK_MINUTES, exp))
+    assert ctx.tasks[1][0] == want == (5 if side == np.inf else 4)
+    assert ctx.tasks[2][0] == len(times) == 40
 
 
 def test_status_classes_keep_the_sign_of_zero():
@@ -1327,9 +1352,10 @@ def test_row_bound_is_reached_by_a_worker_at_the_task(start_earliest):
     task = _task(1, start_earliest=start_earliest)
     engine = _engine([_worker(1, x=5.0, y=5.0), _worker(2, x=1.0, y=9.0)])
     times = TimeGrid(15.0, 10_000.0).times(0.0, before=task.expiration)
-    ctx = engine.grid_context(times)
-    (bound,) = engine.row_bounds([task], ctx, [len(times)])
-    total = engine.score_grid(task, ctx, len(times)).total
+    ctx = engine.grid_context([task], times)
+    assert ctx.tasks[task.id][0] == len(times)
+    (bound,) = engine.row_bounds([task], ctx)
+    total = engine.score_grid(task, ctx).total
     assert total[0].max() > 0.0
     assert bound[0] == total[0].max()
     assert bound[1] > total[1].max()
@@ -1367,28 +1393,31 @@ def test_batch_scores_a_fraction_of_the_grid(monkeypatch):
 
 def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
     # In one canary batch, status integrals are looked up one value per
-    # status class, in two calls: at the batch grid's times, inside its one
-    # grid context, and at the tasks' expirations, for the batch's one
-    # factor-and-bound pass.  No score block looks one up, and each block's
-    # reward demand and trust are the engine's own per-category arrays: the
-    # batch's one (tasks, workers) array is its bound.
+    # status class, in one call inside the batch's one grid context: at the
+    # grid's times, then at the tasks' expirations.  No score block looks
+    # one up; every block reads its task's grid length and expiration
+    # integrals from that context, whose per-task entries hold one value
+    # per class, and takes reward demand and trust from the engine's own
+    # per-category arrays: the batch's one (tasks, workers) array is its bound.
     tasks, engine, now = _canary_batch()
-    grids, lookups, blocks, bounds = [], [], [], []
+    by_id = sorted(tasks, key=lambda t: t.id)
+    grids, ctxs, lookups, blocks, bounds = [], [], [], [], []
     grid_context, cumulative = ScoreEngine.grid_context, ScoreEngine._cumulative
     score, row_bounds = ScoreEngine.score_grid, ScoreEngine.row_bounds
 
-    def traced_grid_context(self, times):
+    def traced_grid_context(self, batch, times):
         grids.append(times)
-        return grid_context(self, times)
+        ctxs.append(grid_context(self, batch, times))
+        return ctxs[-1]
 
     def traced_cumulative(self, ts):
         out = cumulative(self, ts)
         lookups.append((ts.tolist(), out, len(grids), len(blocks)))
         return out
 
-    def traced_score(self, task, *args, factors=None):
-        blocks.append((task, factors))
-        return score(self, task, *args, factors=factors)
+    def traced_score(self, task, ctx, *args):
+        blocks.append((task, ctx))
+        return score(self, task, ctx, *args)
 
     def traced_row_bounds(self, *args):
         bounds.append(row_bounds(self, *args))
@@ -1401,25 +1430,30 @@ def test_batch_builds_no_tasks_by_workers_matrix(monkeypatch):
     assignments, _ = offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
     classes = len(engine._st_week)
     assert len(tasks) >= 20 and assignments and len(grids) == 1 and classes < len(engine.workers)
+    n = len(grids[0])
     assert [(ts, out.shape, g, b) for ts, out, g, b in lookups] == [
-        (grids[0].tolist(), (len(grids[0]), classes), 1, 0),
-        ([t.expiration for t in sorted(tasks, key=lambda t: t.id)], (len(tasks), classes), 1, 0),
+        (grids[0].tolist() + [t.expiration for t in by_id], (n + len(tasks), classes), 1, 0),
     ]
+    out = lookups[0][1]
+    (ctx,) = ctxs
+    assert np.array_equal(ctx.cum_status, out[:n].T)
     assert [b.shape for b in bounds] == [(len(tasks), len(engine.workers))]
-    assert len(blocks) > len(tasks) and all(f is not None for _, f in blocks)
-    expirations = {t.id: row for t, row in zip(sorted(tasks, key=lambda t: t.id), lookups[1][1])}
-    for task, (demand, trust, cum_exp) in blocks:
-        assert demand is engine._demand[task.category_id] and trust is engine._trust_vector(task)
-        assert np.array_equal(cum_exp, expirations[task.id])
+    assert len(blocks) > len(tasks) and all(c is ctx for _, c in blocks)
+    assert list(ctx.tasks) == [t.id for t in by_id]
+    expirations = {t.id: row for t, row in zip(by_id, out[n:])}
+    for task, _ctx in blocks:
+        k, cum_exp = ctx.tasks[task.id]
+        assert k == int(np.searchsorted(grids[0], task.expiration, side="left"))
+        assert cum_exp.shape == (classes,) and np.array_equal(cum_exp, expirations[task.id])
 
 
 def test_batch_records_keep_only_their_bound(monkeypatch):
     # A batched task's record and its pair generator hold the task's bound,
     # a row of the batch's one bound array, as their one worker-wide array.
-    # Its score partial holds the task, the batch's shared grid context, the
-    # task's grid length and the task's factors: the engine's own reward
-    # demand and trust arrays and the task's expiration integrals.  A
-    # suspended generator keeps no block's scores.
+    # Its score partial holds the task and the batch's shared grid context,
+    # whose entry for the task is its grid length and its expiration
+    # integrals, one per status class.  A suspended generator keeps no
+    # block's scores.
     tasks, engine, now = _canary_batch()
     records = []
     init = assign._Candidates.__init__
@@ -1441,11 +1475,13 @@ def test_batch_records_keep_only_their_bound(monkeypatch):
     offline_assign(tasks, engine, now, TimeGrid(15.0, WEEK_MINUTES))
     assert len(records) == len(tasks)
     assert len({id(c.pairs.gi_frame.f_locals["bound"].base) for c in records if c.pairs.gi_frame}) == 1
+    classes = len(engine._st_week)
+    assert classes < len(engine.workers)
     for c in records:
-        assert [type(a) for a in c.score.args] == [Task, assign.GridContext, int]
-        demand, trust, cum_exp = c.score.keywords["factors"]
-        assert demand is engine._demand[c.task.category_id] and trust is engine._trust_vector(c.task)
-        assert cum_exp.shape == (len(engine._st_week),)
+        assert [type(a) for a in c.score.args] == [Task, assign.GridContext] and not c.score.keywords
+        k, cum_exp = entry = c.score.args[1].tasks[c.task.id]
+        assert type(k) is int and k >= 1 and cum_exp.shape == (classes,)
+        assert not [a for a in entry if isinstance(a, np.ndarray) and len(a) == len(engine.workers)]
     suspended = [c.pairs.gi_frame.f_locals for c in records if c.pairs.gi_frame is not None]
     assert suspended
     assert not any(isinstance(a, assign._Scores) for frame in suspended for a in frame.values())
@@ -1465,7 +1501,7 @@ def test_scalar_and_vectorised_lookups_agree_just_below_zero():
     engine = _engine([night, _worker(2, x=3.0)], velocity=vel)
     task = _task(1, expiration=3 * WEEK_MINUTES)
     times = [-1e-13, 2 * WEEK_MINUTES - 30.0]
-    ctx = engine.grid_context(np.array(times))
+    ctx = engine.grid_context([task], np.array(times))
     for j, t in enumerate(times):
         assert night.pattern.value_at(t) == Point(9.0, 1.0)
         assert ctx.speed[j] == vel.speed_at(t) == 12.0

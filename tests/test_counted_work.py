@@ -13,8 +13,11 @@ from crowdsim.workload import GenParams, generate
 #: minutes: 12 batches hold ready tasks, 120 tasks in all.
 PINNED = {
     "batches": 12,
-    # One factor-and-bound pass per batch, not one per task.
+    # One bound pass per batch, not one per task.
     "bound_passes": 12,
+    # Status-integral lookups: one per batch, for its grid times and its
+    # tasks' expirations together, and one per online engine score.
+    "status_lookups": 145,
     # One threshold-search block per task here.
     "score_grid_calls": 120,
     "proposals": 632,
@@ -39,9 +42,9 @@ PINNED = {
 PINNED_NEAREST = dict.fromkeys(PINNED, 0) | {
     "nearest_calls": 498,
     "masks": 27,
-    # The nearest worker's placement in every call, and the mask's pick in
-    # the 27 calls where that worker was taken.
-    "placements": 525,
+    # The winner's placement only: the nearest worker's booking is checked
+    # before it is scored.
+    "placements": 498,
 }
 
 
@@ -60,6 +63,7 @@ def _counted_run(monkeypatch, policy: str) -> tuple[simulate.SimReport, dict[str
 
     counted(simulate, "offline_assign", "batches")
     counted(assign.ScoreEngine, "row_bounds", "bound_passes")
+    counted(assign.ScoreEngine, "_cumulative", "status_lookups")
     counted(assign.ScoreEngine, "score_grid", "score_grid_calls")
     counted(assign._Candidates, "propose", "proposals", lambda args, proposed: proposed)
     counted(assign, "_chunk_pairs", "pairs_converted", lambda args, pairs: len(args[0]))
